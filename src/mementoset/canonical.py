@@ -3,6 +3,11 @@
 These are the three predicates the initial-selection scan uses to decide
 whether two URI-Rs are the same page and where a page sits in the
 path-length quota buckets.
+
+Redirect resolution does no I/O of its own: ``resolve_redirects`` and
+``same_resource`` take an explicit ``fetch`` callable. Use
+``ArchiveClient.resolve`` to resolve through the client's rate-limited
+lanes, fixtures and User-Agent.
 """
 
 from __future__ import annotations
@@ -13,15 +18,12 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 from urllib.parse import urljoin, urlsplit
 
-import requests
-
-from .errors import HopLimitExceeded, MalformedUri, NetworkError, RedirectLoop
+from .errors import HopLimitExceeded, MalformedUri, RedirectLoop
 from .model import PathBucket, header_value
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_HOPS = 10
-DEFAULT_TIMEOUT = 30.0
 
 # (method, uri) -> (status, headers)
 Fetch = Callable[[str, str], tuple[int, Mapping[str, str]]]
@@ -53,8 +55,8 @@ def _split_http_uri(uri: str):
             raise MalformedUri(uri, "non-http(s) scheme")
     else:
         candidate = "http://" + candidate
-    parts = urlsplit(candidate)
     try:
+        parts = urlsplit(candidate)
         host, port = parts.hostname, parts.port
     except ValueError as exc:
         raise MalformedUri(uri, str(exc)) from None
@@ -104,7 +106,7 @@ def unsurt(key: str) -> str:
     return f"http://{netloc}{path or '/'}"
 
 
-_BUCKETS = (PathBucket.S0, PathBucket.S1, PathBucket.S2, PathBucket.S3)
+_BUCKETS = tuple(PathBucket)
 
 
 def path_length(uri: str) -> PathBucket:
@@ -114,7 +116,7 @@ def path_length(uri: str) -> PathBucket:
     """
     parts, _, _ = _split_http_uri(uri)
     n = sum(1 for seg in parts.path.split("/") if seg)
-    return _BUCKETS[n] if n < 4 else PathBucket.S4PLUS
+    return _BUCKETS[min(n, 4)]
 
 
 # Common multi-label public suffixes; enough for the archive domains we
@@ -168,41 +170,28 @@ class RedirectChain:
     terminal_status: int
 
 
-def _requests_fetch(method: str, uri: str, timeout: float = DEFAULT_TIMEOUT):
-    try:
-        resp = requests.request(
-            method, uri, allow_redirects=False, timeout=timeout, stream=True
-        )
-        try:
-            return resp.status_code, dict(resp.headers)
-        finally:
-            resp.close()
-    except requests.RequestException as exc:
-        raise NetworkError(f"{method} {uri}: {exc}") from exc
-
-
 def resolve_redirects(
     uri: str,
     max_hops: int = DEFAULT_MAX_HOPS,
-    fetch: Fetch | None = None,
+    *,
+    fetch: Fetch,
 ) -> RedirectChain:
     """Follow 3xx Location hops until a non-redirect response.
 
     HEAD is tried first and replaced by a body-discarding GET when the
     server rejects it (405/501). Relative Locations resolve against the
     current URI. Raises RedirectLoop on a repeated URI, HopLimitExceeded
-    past ``max_hops``, NetworkError on transport failure.
+    past ``max_hops``; whatever ``fetch`` raises propagates.
     """
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")
-    do_fetch = fetch or _requests_fetch
     current = uri
     seen = {current}
     hops: list[tuple[str, int]] = []
     for _ in range(max_hops):
-        status, headers = do_fetch("HEAD", current)
+        status, headers = fetch("HEAD", current)
         if status in (405, 501):
-            status, headers = do_fetch("GET", current)
+            status, headers = fetch("GET", current)
         hops.append((current, status))
         if not 300 <= status <= 399:
             return RedirectChain(tuple(hops), current, status)
@@ -222,13 +211,14 @@ def same_resource(
     a: str,
     b: str,
     max_hops: int = DEFAULT_MAX_HOPS,
-    fetch: Fetch | None = None,
+    *,
+    fetch: Fetch,
 ) -> bool:
     """True when two URI-Rs canonicalize or redirect to the same page."""
     if surt(a) == surt(b):
         return True
-    final_a = resolve_redirects(a, max_hops, fetch).final_uri
-    final_b = resolve_redirects(b, max_hops, fetch).final_uri
+    final_a = resolve_redirects(a, max_hops, fetch=fetch).final_uri
+    final_b = resolve_redirects(b, max_hops, fetch=fetch).final_uri
     return surt(final_a) == surt(final_b)
 
 

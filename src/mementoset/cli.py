@@ -16,16 +16,10 @@ import sys
 from pathlib import Path
 
 from .canonical import surt
-from .client import (
-    ArchiveClient,
-    FetchPolicy,
-    FixtureTransport,
-    RecordingTransport,
-    RequestsTransport,
-)
+from .client import DEFAULT_AGGREGATOR_TEMPLATE, ArchiveClient, FetchPolicy, open_transport
 from .errors import EmptyTimeMap, MalformedUri, MementosetError
 from .linkformat import dedupe, serialize_compact, serialize_linkformat, yearly_first_filter
-from .model import ArchiveRegistry, default_registry
+from .model import load_registry
 from .pipeline import DiscoveryPipeline, RunConfig
 from .reports import (
     build_archive_totals,
@@ -48,22 +42,13 @@ EXIT_USAGE = 2
 EXIT_EMPTY = 3
 
 
-def _load_registry(path: str | None) -> ArchiveRegistry:
-    return ArchiveRegistry.load(path) if path else default_registry()
-
-
 def _build_client(args) -> ArchiveClient:
-    if getattr(args, "fixtures", None):
-        transport = FixtureTransport(args.fixtures)
-    elif getattr(args, "record", None):
-        transport = RecordingTransport(RequestsTransport(args.timeout), args.record)
-    else:
-        transport = RequestsTransport(args.timeout)
-    policy = FetchPolicy(min_request_interval=args.interval, timeout=args.timeout)
-    kwargs = {}
-    if getattr(args, "endpoint", None):
-        kwargs["aggregator_template"] = args.endpoint
-    return ArchiveClient(_load_registry(args.registry), policy, transport, **kwargs)
+    return ArchiveClient(
+        load_registry(args.registry),
+        FetchPolicy(min_request_interval=args.interval, timeout=args.timeout),
+        open_transport(args.fixtures, args.record, args.timeout),
+        aggregator_template=args.endpoint or DEFAULT_AGGREGATOR_TEMPLATE,
+    )
 
 
 def cmd_canon(args) -> int:

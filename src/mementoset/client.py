@@ -17,7 +17,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, replace
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Mapping, Protocol
 from urllib.parse import urlsplit
@@ -27,6 +27,7 @@ import requests
 from .canonical import RedirectChain, resolve_redirects
 from .errors import (
     EmptyTimeMap,
+    MalformedUri,
     NetworkError,
     NoTimeMapEndpoint,
     RawAccessUnsupported,
@@ -150,6 +151,16 @@ class RecordingTransport:
         return response
 
 
+def open_transport(
+    fixtures: str | Path | None = None, record: str | Path | None = None, timeout: float = 30.0
+) -> Transport:
+    """Replay ``fixtures`` if given, else go live, recording into ``record`` if given."""
+    if fixtures:
+        return FixtureTransport(fixtures)
+    live = RequestsTransport(timeout)
+    return RecordingTransport(live, record) if record else live
+
+
 @dataclass(frozen=True, slots=True)
 class FetchPolicy:
     """Politeness knobs; the default regime is one worker per archive."""
@@ -206,14 +217,17 @@ class ArchiveClient:
     ):
         self.registry = registry
         self.policy = policy or FetchPolicy()
-        self.transport = transport or RequestsTransport(self.policy.timeout)
+        self.transport = transport or open_transport(timeout=self.policy.timeout)
         self.aggregator_template = aggregator_template
-        self.clock = clock  # None: records stamp themselves with now()
+        self.clock = clock or (lambda: datetime.now(timezone.utc))
         self._lanes: dict[str, _Lane] = {}
         self._lanes_lock = threading.Lock()
 
     def _lane_key(self, uri: str) -> str:
-        host = (urlsplit(uri).hostname or uri).lower()
+        try:
+            host = (urlsplit(uri).hostname or uri).lower()
+        except ValueError as exc:
+            raise MalformedUri(uri, str(exc)) from None
         match = self.registry.match_host(host)
         return f"archive:{match.id}" if match else f"host:{host}"
 
@@ -310,7 +324,7 @@ class ArchiveClient:
         record = record_from_entries(
             entries, urir_hint=urir, registry=self.registry,
             provenance=Provenance.AGGREGATOR,
-            fetched_at=self.clock() if self.clock else None,
+            fetched_at=self.clock(),
         ) if entries else None
         if record is None or not record.mementos:
             raise EmptyTimeMap(urir)
@@ -328,7 +342,7 @@ class ArchiveClient:
         record = record_from_entries(
             entries, urir_hint=urir, registry=self.registry,
             provenance=Provenance.DIRECT_ARCHIVE,
-            fetched_at=self.clock() if self.clock else None,
+            fetched_at=self.clock(),
         )
         if not record.mementos:
             raise EmptyTimeMap(urir)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field, replace
+from datetime import datetime
 from html.parser import HTMLParser
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -24,13 +25,12 @@ from .errors import (
     NetworkError,
     ParseError,
 )
-from .linkformat import dedupe, parse_compact, yearly_first_filter
+from .linkformat import compact_record, dedupe, parse_compact_line, yearly_first_filter
 from .model import (
     ArchiveDescriptor,
     Memento,
     OriginalResource,
     PathBucket,
-    Provenance,
     TimeMapRecord,
 )
 
@@ -115,9 +115,6 @@ def interleave_sources(
     return stream
 
 
-_ALL_BUCKETS = (PathBucket.S0, PathBucket.S1, PathBucket.S2, PathBucket.S3, PathBucket.S4PLUS)
-
-
 @dataclass
 class SelectionState:
     """Bookkeeping for the initial scan's uniqueness and quota conditions."""
@@ -125,17 +122,17 @@ class SelectionState:
     quota_per_bucket: int = 2000
     chosen: set[str] = field(default_factory=set)
     chosen_domains: dict[PathBucket, set[str]] = field(
-        default_factory=lambda: {b: set() for b in _ALL_BUCKETS}
+        default_factory=lambda: {b: set() for b in PathBucket}
     )
     bucket_counts: dict[PathBucket, int] = field(
-        default_factory=lambda: {b: 0 for b in _ALL_BUCKETS}
+        default_factory=lambda: {b: 0 for b in PathBucket}
     )
 
     def bucket_full(self, bucket: PathBucket) -> bool:
         return self.bucket_counts[bucket] >= self.quota_per_bucket
 
     def all_full(self) -> bool:
-        return all(self.bucket_full(b) for b in _ALL_BUCKETS)
+        return all(self.bucket_full(b) for b in PathBucket)
 
     def admit(self, key: str, bucket: PathBucket, domain: str) -> None:
         if self.bucket_full(bucket):
@@ -315,12 +312,19 @@ def select_initial(
     domain_mode: str = "registrable",
     sink: Callable[[TimeMapRecord], None] | None = None,
 ) -> list[OriginalResource]:
-    """Scan the interleaved stream in order until quotas or target are met."""
+    """Scan the interleaved stream in order until quotas or target are met.
+
+    The stop rule is checked before each candidate is taken, so a lazy
+    ``stream`` is never advanced past the last candidate screened.
+    """
     state = state if state is not None else SelectionState()
     accepted: list[OriginalResource] = []
-    for uri, source in stream:
-        if state.all_full() or len(accepted) >= target:
+    candidates = iter(stream)
+    while not state.all_full() and len(accepted) < target:
+        candidate = next(candidates, None)
+        if candidate is None:
             break
+        uri, source = candidate
         result = screen_candidate(uri, source, client, state, domain_mode)
         if result.accepted is not None:
             accepted.append(result.accepted)
@@ -346,8 +350,9 @@ def extract_urirs_from_html(body: bytes | str, base: str) -> list[str]:
     """Harvest absolute http(s) URI-Rs from ``<a href>`` attributes.
 
     Relative links resolve against ``base``; document order is kept and
-    exact-string duplicates are dropped. Tolerant of broken markup;
-    non-HTML input simply yields nothing.
+    exact-string duplicates are dropped. Tolerant of broken markup:
+    non-HTML input simply yields nothing, and an href that cannot be
+    parsed as a URI is skipped.
     """
     text = body.decode("utf-8", errors="replace") if isinstance(body, bytes) else body
     parser = _AnchorHrefParser()
@@ -359,7 +364,11 @@ def extract_urirs_from_html(body: bytes | str, base: str) -> list[str]:
     out: list[str] = []
     seen: set[str] = set()
     for href in parser.hrefs:
-        absolute = urljoin(base, href)
+        try:
+            absolute = urljoin(base, href)
+        except ValueError:
+            logger.debug("unparseable href %r on %s", href, base)
+            continue
         if not absolute.lower().startswith(("http://", "https://")):
             continue
         if absolute in seen:
@@ -482,18 +491,22 @@ def ingest_published_list(
         return new_records
 
     # urirs_and_urims: compact lines grouped by their embedded URI-R.
-    groups: dict[str, list[str]] = {}
+    groups: dict[str, list[tuple[datetime, str]]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        stamp, sep, urim = line.partition(" ")
-        urir = embedded_urir(urim) if sep else None
-        if not sep or len(stamp) != 14 or not stamp.isdigit() or urir is None:
-            logger.info("line %d skipped: not a compact memento line", lineno)
+        try:
+            dt, urim = parse_compact_line(line, lineno)
+        except ParseError as exc:
+            logger.info("line %d skipped: %s", lineno, exc)
             continue
-        groups.setdefault(urir, []).append(line)
-    for urir, lines in groups.items():
+        urir = embedded_urir(urim)
+        if urir is None:
+            logger.info("line %d skipped: no URI-R embedded in %s", lineno, urim)
+            continue
+        groups.setdefault(urir, []).append((dt, urim))
+    for urir, mementos in groups.items():
         if collection.urir_count(archive.id) >= min_urirs:
             break
         try:
@@ -503,16 +516,7 @@ def ingest_published_list(
             continue
         if key in collection:
             continue
-        try:
-            record = parse_compact(
-                "\n".join(lines),
-                urir,
-                registry=client.registry,
-                provenance=Provenance.PUBLISHED_LIST,
-            )
-        except ParseError as exc:
-            logger.info("group %s skipped: %s", urir, exc)
-            continue
+        record = compact_record(mementos, urir, client.registry, fetched_at=client.clock())
         collection.add(record)
         new_records.append(record)
     return new_records

@@ -11,10 +11,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from pathlib import Path
 from typing import Iterable
 
 from .canonical import original_resource
-from .errors import MissingOriginal, ParseError, UnknownArchive
+from .errors import MalformedUri, MissingOriginal, ParseError, UnknownArchive
 from .model import (
     ArchiveRegistry,
     Memento,
@@ -182,7 +183,7 @@ def _attribute(urim: str, registry: ArchiveRegistry | None) -> str | None:
         return None
     try:
         return archive_of(urim, registry).id
-    except Exception:
+    except (UnknownArchive, MalformedUri):
         logger.debug("no registered archive for %s", urim)
         return None
 
@@ -250,10 +251,46 @@ def parse_timemap(
     return record_from_entries(entries, urir_hint, registry, provenance, fetched_at)
 
 
+def _compact_text(mementos: Iterable[Memento]) -> str:
+    return "".join(f"{compact14(m.memento_datetime)} {m.urim}\n" for m in mementos)
+
+
 def serialize_compact(record: TimeMapRecord) -> str:
     """One ``YYYYMMDDhhmmss URI-M`` line per memento, order preserved."""
-    lines = [f"{compact14(m.memento_datetime)} {m.urim}" for m in record.mementos]
-    return "\n".join(lines) + "\n" if lines else ""
+    return _compact_text(record.mementos)
+
+
+def write_compact(
+    path: str | Path, mementos: Iterable[Memento], comment: str | None = None
+) -> None:
+    """Write mementos as compact lines, after an optional ``# comment`` line."""
+    head = "" if comment is None else f"# {comment}\n"
+    Path(path).write_text(head + _compact_text(mementos), "utf-8")
+
+
+def parse_compact_line(line: str, lineno: int) -> tuple[datetime, str]:
+    """Split one ``YYYYMMDDhhmmss URI-M`` line; ParseError carries ``lineno``."""
+    line = line.strip()
+    stamp, sep, urim = line.partition(" ")
+    if not sep or not urim or " " in urim:
+        raise ParseError(f"expected '14-digit-stamp URI', got {line!r}", lineno)
+    try:
+        return parse_compact14(stamp), urim
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
+
+
+def compact_record(
+    mementos: Iterable[tuple[datetime, str]],
+    urir: str,
+    registry: ArchiveRegistry | None = None,
+    provenance: Provenance = Provenance.PUBLISHED_LIST,
+    fetched_at: datetime | None = None,
+) -> TimeMapRecord:
+    """Build a record for ``urir`` from (datetime, URI-M) pairs, order preserved."""
+    resource = original_resource(urir)
+    built = [_build_memento(urim, dt, resource.canonical_key, registry) for dt, urim in mementos]
+    return TimeMapRecord(resource, tuple(built), fetched_at or datetime.now(timezone.utc), provenance)
 
 
 def parse_compact(
@@ -267,26 +304,12 @@ def parse_compact(
 
     Blank lines and ``#`` comment lines are skipped.
     """
-    resource = original_resource(urir)
-    mementos = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        stamp, sep, urim = line.partition(" ")
-        if not sep or not urim or " " in urim:
-            raise ParseError(f"expected '14-digit-stamp URI', got {line!r}", lineno)
-        try:
-            dt = parse_compact14(stamp)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-        mementos.append(_build_memento(urim, dt, resource.canonical_key, registry))
-    return TimeMapRecord(
-        urir=resource,
-        mementos=tuple(mementos),
-        fetched_at=fetched_at or datetime.now(timezone.utc),
-        provenance=provenance,
+    pairs = (
+        parse_compact_line(line, lineno)
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.strip() and not line.strip().startswith("#")
     )
+    return compact_record(pairs, urir, registry, provenance, fetched_at)
 
 
 def serialize_linkformat(record: TimeMapRecord) -> str:

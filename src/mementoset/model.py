@@ -36,6 +36,7 @@ __all__ = [
     "compact14",
     "default_registry",
     "header_value",
+    "load_registry",
     "parse_compact14",
     "parse_http_datetime",
     "raw_variant",
@@ -200,8 +201,16 @@ def default_registry() -> ArchiveRegistry:
     return _default_registry
 
 
+def load_registry(path=None) -> ArchiveRegistry:
+    """The registry in the JSON file at ``path``, else the bundled one."""
+    return ArchiveRegistry.load(path) if path else default_registry()
+
+
 def _host_of(uri: str) -> str:
-    parts = urlsplit(uri)
+    try:
+        parts = urlsplit(uri)
+    except ValueError as exc:
+        raise MalformedUri(uri, str(exc)) from None
     if not parts.netloc or parts.scheme not in ("http", "https"):
         raise MalformedUri(uri)
     host = parts.hostname

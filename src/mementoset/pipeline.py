@@ -9,6 +9,7 @@ from disk converges to the same final state as an uninterrupted one
 
 from __future__ import annotations
 
+import inspect
 import json
 import logging
 import os
@@ -17,7 +18,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Callable
 
-from .client import ArchiveClient, FetchPolicy, FixtureTransport, RecordingTransport, RequestsTransport, Transport
+from .client import DEFAULT_AGGREGATOR_TEMPLATE, ArchiveClient, FetchPolicy, Transport, open_transport
 from .discovery import (
     MementoCollection,
     SelectionState,
@@ -25,12 +26,11 @@ from .discovery import (
     ingest_published_list,
     load_source_file,
     method2_expand,
-    screen_candidate,
+    select_initial,
 )
 from .errors import EmptyTimeMap, NetworkError, NoTimeMapEndpoint, ParseError
-from .linkformat import serialize_compact
+from .linkformat import write_compact
 from .model import (
-    ArchiveRegistry,
     Memento,
     OriginalResource,
     PathBucket,
@@ -38,7 +38,7 @@ from .model import (
     SelectionConstraints,
     TimeMapRecord,
     compact14,
-    default_registry,
+    load_registry,
     parse_compact14,
 )
 from .reports import write_csv, write_urir_table
@@ -192,35 +192,19 @@ class DiscoveryPipeline:
         clock: Callable[[], datetime] | None = None,
     ):
         self.config = config
-        self.registry = (
-            ArchiveRegistry.load(config.registry_path)
-            if config.registry_path
-            else default_registry()
-        )
+        self.registry = load_registry(config.registry_path)
         if transport is None:
-            if config.fixtures_dir:
-                transport = FixtureTransport(config.fixtures_dir)
-            elif config.record_dir:
-                transport = RecordingTransport(
-                    RequestsTransport(config.timeout), config.record_dir
-                )
-            else:
-                transport = RequestsTransport(config.timeout)
+            transport = open_transport(config.fixtures_dir, config.record_dir, config.timeout)
+        if clock is None and config.fixtures_dir:
+            # Hermetic replays must be byte-reproducible, fetch stamps included.
+            clock = lambda: datetime(2000, 1, 1, tzinfo=timezone.utc)  # noqa: E731
         policy = FetchPolicy(
             min_request_interval=config.min_request_interval,
             retries=config.retries,
             timeout=config.timeout,
         )
-        kwargs = {}
-        if config.aggregator_endpoint:
-            kwargs["aggregator_template"] = config.aggregator_endpoint
-        if clock is None and config.fixtures_dir:
-            # Hermetic replays must be byte-reproducible, fetch stamps included.
-            clock = lambda: datetime(2000, 1, 1, tzinfo=timezone.utc)  # noqa: E731
-        self.clock = clock or (lambda: datetime.now(timezone.utc))
-        self.client = ArchiveClient(
-            self.registry, policy, transport, clock=self.clock, **kwargs
-        )
+        template = config.aggregator_endpoint or DEFAULT_AGGREGATOR_TEMPLATE
+        self.client = ArchiveClient(self.registry, policy, transport, template, clock)
 
         self.stage = "method1"
         self.scan_index = 0
@@ -298,25 +282,38 @@ class DiscoveryPipeline:
     def _run_method1(self, max_candidates: int | None) -> bool:
         """Returns True when the stage completed (False: interrupted)."""
         stream = self._stream()
-        screened = 0
-        while self.scan_index < len(stream):
-            if self.selection_state.all_full() or len(self.accepted) >= self.config.target:
-                break
-            if max_candidates is not None and screened >= max_candidates:
-                self.save_state()
-                return False
-            uri, source = stream[self.scan_index]
-            self.scan_index += 1
-            screened += 1
-            result = screen_candidate(
-                uri, source, self.client, self.selection_state, self.config.domain_mode
-            )
-            if result.accepted is not None:
-                self.accepted.append(result.accepted)
-                self.collection.add(result.record)
+        interrupted = False
+
+        def checkpoint() -> None:
             if self.scan_index % self.config.checkpoint_every == 0:
                 self.save_state()
-        return True
+
+        def cursor():
+            # Takes candidates in stream order, advancing scan_index, and
+            # checkpoints each one once select_initial has screened it.
+            nonlocal interrupted
+            for screened, candidate in enumerate(stream[self.scan_index :]):
+                if max_candidates is not None and screened >= max_candidates:
+                    interrupted = True
+                    self.save_state()
+                    return
+                self.scan_index += 1
+                yield candidate
+                checkpoint()
+
+        def sink(record: TimeMapRecord) -> None:
+            self.accepted.append(record.urir)
+            self.collection.add(record)
+
+        candidates = cursor()
+        remaining = self.config.target - len(self.accepted)
+        select_initial(
+            candidates, self.client, self.selection_state, remaining, self.config.domain_mode, sink
+        )
+        if inspect.getgeneratorstate(candidates) == inspect.GEN_SUSPENDED:
+            # Quota or target met: the last screened candidate is still due its checkpoint.
+            checkpoint()
+        return not interrupted
 
     def _run_method2(self) -> None:
         minimum = self.config.constraints.min_urirs_per_archive
@@ -373,9 +370,7 @@ class DiscoveryPipeline:
         timemap_dir = out / "timemaps"
         timemap_dir.mkdir(exist_ok=True)
         for i, record in enumerate(self.collection.records()):
-            (timemap_dir / f"{i:06d}.txt").write_text(
-                f"# {record.urir.uri}\n" + serialize_compact(record), "utf-8"
-            )
+            write_compact(timemap_dir / f"{i:06d}.txt", record.mementos, record.urir.uri)
 
     def run(
         self,
@@ -386,32 +381,18 @@ class DiscoveryPipeline:
         """Advance the pipeline; returns the stage it stopped at."""
         if resume:
             self.load_state()
-        if self.stage == "method1":
-            if not self._run_method1(max_candidates):
-                return self.stage  # interrupted mid-scan
-            self._snapshot_table("method1")
-            self.stage = "method2"
+        for stage, following in zip(STAGES, STAGES[1:]):
+            if self.stage != stage:
+                continue
+            if stage == "method1":
+                if not self._run_method1(max_candidates):
+                    return self.stage  # interrupted mid-scan
+            else:
+                getattr(self, f"_run_{stage}")()
+            self._snapshot_table(stage)
+            self.stage = following
             self.save_state()
-            if stop_after == "method1":
+            if stop_after == stage and following != "done":
                 return self.stage
-        if self.stage == "method2":
-            self._run_method2()
-            self._snapshot_table("method2")
-            self.stage = "method3"
-            self.save_state()
-            if stop_after == "method2":
-                return self.stage
-        if self.stage == "method3":
-            self._run_method3()
-            self._snapshot_table("method3")
-            self.stage = "method4"
-            self.save_state()
-            if stop_after == "method3":
-                return self.stage
-        if self.stage == "method4":
-            self._run_method4()
-            self._snapshot_table("method4")
-            self.stage = "done"
-            self.save_state()
         self._write_outputs()
         return self.stage

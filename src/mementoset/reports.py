@@ -12,22 +12,13 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .canonical import path_length
-from .errors import ParseError
 from .model import OriginalResource, PathBucket
 from .sampler import ManifestRow
+from .tsv import read_tsv, write_tsv
 
 Table = list[list[str]]
 
 DEFAULT_YEAR_RANGE = (1996, 2017)
-
-_BUCKET_ORDER = (
-    PathBucket.S0,
-    PathBucket.S1,
-    PathBucket.S2,
-    PathBucket.S3,
-    PathBucket.S4PLUS,
-)
-
 
 def write_csv(table: Table, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
@@ -84,7 +75,7 @@ def build_path_histogram(rows: Sequence[ManifestRow]) -> Table:
     """Unique URI-Rs per path-length bucket."""
     buckets = Counter(path_length(u) for u in {r.urir for r in rows})
     table: Table = [["path", "urirs"]]
-    for b in _BUCKET_ORDER:
+    for b in PathBucket:
         table.append([b.value, str(buckets.get(b, 0))])
     table.append(["Total", str(sum(buckets.values()))])
     return table
@@ -100,13 +91,13 @@ def build_source_bucket_table(resources: Sequence[OriginalResource]) -> Table:
             counts[tag] = Counter()
             order.append(tag)
         counts[tag][r.path_bucket] += 1
-    table: Table = [["source", *(b.value for b in _BUCKET_ORDER), "total"]]
+    table: Table = [["source", *(b.value for b in PathBucket), "total"]]
     for tag in order:
-        row = [tag, *(str(counts[tag].get(b, 0)) for b in _BUCKET_ORDER)]
+        row = [tag, *(str(counts[tag].get(b, 0)) for b in PathBucket)]
         row.append(str(sum(counts[tag].values())))
         table.append(row)
     totals = [
-        str(sum(counts[tag].get(b, 0) for tag in order)) for b in _BUCKET_ORDER
+        str(sum(counts[tag].get(b, 0) for tag in order)) for b in PathBucket
     ]
     table.append(["Total", *totals, str(len(resources))])
     return table
@@ -125,7 +116,7 @@ def build_status_table(resources: Sequence[OriginalResource]) -> Table:
         else:
             other[r.path_bucket] += 1
     table: Table = [["path", "status_200", "status_4xx_5xx", "other", "total"]]
-    for b in _BUCKET_ORDER:
+    for b in PathBucket:
         table.append(
             [
                 b.value,
@@ -152,45 +143,18 @@ URIR_TABLE_HEADER = ("uri", "canonical_key", "final_uri", "path", "source", "liv
 
 def write_urir_table(resources: Iterable[OriginalResource], path: str | Path) -> None:
     """Persist selected URI-Rs as a tab-delimited table."""
-    lines = ["\t".join(URIR_TABLE_HEADER)]
-    for r in resources:
-        lines.append(
-            "\t".join(
-                (
-                    r.uri,
-                    r.canonical_key,
-                    r.final_uri,
-                    r.path_bucket.value,
-                    r.source or "",
-                    "" if r.live_status is None else str(r.live_status),
-                )
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+    write_tsv(path, URIR_TABLE_HEADER, (
+        (r.uri, r.canonical_key, r.final_uri, r.path_bucket.value, r.source or "",
+         "" if r.live_status is None else str(r.live_status))
+        for r in resources
+    ))
+
+
+def _urir_row(cells: list[str]) -> OriginalResource:
+    uri, key, final_uri, bucket, source, status = cells
+    status = int(status) if status else None
+    return OriginalResource(uri, key, final_uri, PathBucket(bucket), source or None, status)
 
 
 def read_urir_table(path: str | Path) -> list[OriginalResource]:
-    resources = []
-    text = Path(path).read_text("utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if lineno == 1:
-            if tuple(line.split("\t")) != URIR_TABLE_HEADER:
-                raise ParseError(f"bad URI-R table header {line!r}", lineno)
-            continue
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != len(URIR_TABLE_HEADER):
-            raise ParseError(f"expected {len(URIR_TABLE_HEADER)} columns", lineno)
-        uri, key, final_uri, bucket, source, status = parts
-        resources.append(
-            OriginalResource(
-                uri=uri,
-                canonical_key=key,
-                final_uri=final_uri,
-                path_bucket=PathBucket(bucket),
-                source=source or None,
-                live_status=int(status) if status else None,
-            )
-        )
-    return resources
+    return read_tsv(path, URIR_TABLE_HEADER, _urir_row, "URI-R table")

@@ -21,7 +21,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .canonical import path_length, unsurt
-from .errors import EmptyProbe, MementosetError, ParseError
+from .errors import EmptyProbe, MementosetError
+from .linkformat import write_compact
 from .model import (
     Classification,
     Memento,
@@ -31,6 +32,7 @@ from .model import (
     compact14,
     parse_compact14,
 )
+from .tsv import read_tsv, write_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -297,49 +299,21 @@ def rows_from_selection(
 
 def write_manifest(rows: Iterable[ManifestRow], path: str | Path) -> None:
     """Tab-delimited manifest; URIs never contain raw tabs."""
-    lines = ["\t".join(MANIFEST_HEADER)]
-    for r in rows:
-        lines.append(
-            "\t".join(
-                (
-                    r.archive_id,
-                    r.urir,
-                    r.urim,
-                    compact14(r.memento_datetime),
-                    r.classification.value,
-                )
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+    write_tsv(path, MANIFEST_HEADER, (
+        (r.archive_id, r.urir, r.urim, compact14(r.memento_datetime), r.classification.value)
+        for r in rows
+    ))
+
+
+def _manifest_row(cells: list[str]) -> ManifestRow:
+    archive_id, urir, urim, stamp, classification = cells
+    return ManifestRow(
+        archive_id, urir, urim, parse_compact14(stamp), Classification(classification)
+    )
 
 
 def read_manifest(path: str | Path) -> list[ManifestRow]:
-    rows = []
-    text = Path(path).read_text("utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if lineno == 1:
-            if tuple(line.rstrip("\n").split("\t")) != MANIFEST_HEADER:
-                raise ParseError(f"bad manifest header {line!r}", lineno)
-            continue
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != len(MANIFEST_HEADER):
-            raise ParseError(f"expected {len(MANIFEST_HEADER)} columns", lineno)
-        archive_id, urir, urim, stamp, classification = parts
-        try:
-            rows.append(
-                ManifestRow(
-                    archive_id=archive_id,
-                    urir=urir,
-                    urim=urim,
-                    memento_datetime=parse_compact14(stamp),
-                    classification=Classification(classification),
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-    return rows
+    return read_tsv(path, MANIFEST_HEADER, _manifest_row, "manifest")
 
 
 def write_compact_files(selection: Selection, out_dir: str | Path) -> list[Path]:
@@ -348,10 +322,7 @@ def write_compact_files(selection: Selection, out_dir: str | Path) -> list[Path]
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for archive_id in sorted(selection):
-        lines = [
-            f"{compact14(m.memento_datetime)} {m.urim}" for m in selection[archive_id]
-        ]
         path = out_dir / f"{archive_id}.txt"
-        path.write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
+        write_compact(path, selection[archive_id])
         written.append(path)
     return written

@@ -1,0 +1,49 @@
+"""Header-checked, tab-delimited tables: the manifest and the URI-R table.
+
+Cells hold URIs, ids and enum values, never raw tabs or newlines.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+from typing import Callable, Iterable, Sequence, TypeVar
+
+from .errors import ParseError
+
+Row = TypeVar("Row")
+
+
+def write_tsv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """The header line, then one line per row."""
+    lines = ["\t".join(header), *("\t".join(cells) for cells in rows)]
+    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+
+
+def read_tsv(
+    path: str | Path,
+    header: Sequence[str],
+    parse: Callable[[list[str]], Row],
+    name: str,
+) -> list[Row]:
+    """Rows after the header, each built by ``parse`` from its cells.
+
+    Blank lines are skipped. A wrong header, a wrong column count or a
+    ``ValueError`` from ``parse`` raises ParseError with the 1-based line.
+    """
+    rows = []
+    text = Path(path).read_text("utf-8")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if lineno == 1:
+            if tuple(line.split("\t")) != tuple(header):
+                raise ParseError(f"bad {name} header {line!r}", lineno)
+            continue
+        if not line.strip():
+            continue
+        cells = line.split("\t")
+        if len(cells) != len(header):
+            raise ParseError(f"expected {len(header)} columns", lineno)
+        try:
+            rows.append(parse(cells))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+    return rows

@@ -1,0 +1,113 @@
+"""Malformed URIs and table cells end in MementosetError, never a bare ValueError.
+
+``urlsplit`` raises ``ValueError`` on input such as an unterminated IPv6
+host. Each path that meets such input must either reject it as
+``MalformedUri`` or skip it, so one bad URI never ends a whole scan, a
+whole Method 2 pass or a CLI command with a traceback.
+"""
+
+import pytest
+
+from mementoset import (
+    MalformedUri,
+    ParseError,
+    SelectionState,
+    archive_of,
+    extract_urirs_from_html,
+    parse_timemap,
+    path_length,
+    registrable_domain,
+    select_initial,
+    surt,
+)
+from mementoset.cli import main
+from mementoset.discovery import screen_candidate
+from mementoset.reports import URIR_TABLE_HEADER, read_urir_table
+from mementoset.sampler import write_manifest
+from mockserver import FakeTransport
+from test_discovery import make_client
+from universe import AGG_TEMPLATE, timemap_body
+
+BAD_URI = "http://[::1/x"
+
+
+class TestMalformedUri:
+    @pytest.mark.parametrize("fn", [surt, path_length, registrable_domain])
+    def test_canonical_predicates_raise_malformed(self, fn):
+        with pytest.raises(MalformedUri):
+            fn(BAD_URI)
+
+    def test_archive_of_raises_malformed(self, registry):
+        with pytest.raises(MalformedUri):
+            archive_of(BAD_URI, registry)
+
+    def test_canon_prints_error_and_exits_one(self, capsys):
+        assert main(["canon", BAD_URI]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_screen_candidate_rejects_with_error_reason(self, registry):
+        client = make_client(FakeTransport(), registry)
+        result = screen_candidate(BAD_URI, "moz", client, SelectionState())
+        assert result.accepted is None
+        assert result.reason.startswith("error:")
+
+    def test_scan_continues_past_malformed_candidate(self, registry):
+        transport = FakeTransport()
+        good = "http://alive.com/"
+        transport.add("HEAD", good, 200)
+        transport.add("GET", AGG_TEMPLATE.format(uri=good), 200, body=timemap_body(good, 1))
+        client = make_client(transport, registry)
+        accepted = select_initial([(BAD_URI, "moz"), (good, "moz")], client, SelectionState())
+        assert [r.uri for r in accepted] == [good]
+
+    def test_bad_href_between_good_ones_is_skipped(self):
+        html = (
+            '<a href="http://one.example/">1</a>'
+            f'<a href="{BAD_URI}">bad</a>'
+            '<a href="/two">2</a>'
+        )
+        assert extract_urirs_from_html(html, "http://base.example/") == [
+            "http://one.example/",
+            "http://base.example/two",
+        ]
+
+    def test_timemap_with_malformed_urim_leaves_it_unattributed(self, registry):
+        body = (
+            '<http://a.com/>; rel="original",\n'
+            f'<{BAD_URI}>; rel="memento"; datetime="Sat, 01 Jan 2000 00:00:00 GMT",\n'
+            '<http://web.archive.org/web/20010101000000/http://a.com/>; rel="memento"; '
+            'datetime="Mon, 01 Jan 2001 00:00:00 GMT"\n'
+        )
+        record = parse_timemap(body, registry=registry)
+        assert [(m.urim, m.archive_id) for m in record.mementos] == [
+            (BAD_URI, None),
+            ("http://web.archive.org/web/20010101000000/http://a.com/", "web.archive.org"),
+        ]
+
+
+def urir_table(tmp_path, path_cell="s0", status_cell="200"):
+    path = tmp_path / "urirs.tsv"
+    row = ("http://a/", "a)/", "http://a/", path_cell, "moz", status_cell)
+    path.write_text("\t".join(URIR_TABLE_HEADER) + "\n" + "\t".join(row) + "\n")
+    return path
+
+
+class TestStatsOnMalformedUrirTable:
+    @pytest.mark.parametrize("cells", [{"path_cell": "s9"}, {"status_cell": "OK"}])
+    def test_bad_cell_is_parse_error_with_line(self, tmp_path, cells):
+        with pytest.raises(ParseError) as info:
+            read_urir_table(urir_table(tmp_path, **cells))
+        assert info.value.offset == 2
+
+    @pytest.mark.parametrize("cells", [{"path_cell": "s9"}, {"status_cell": "OK"}])
+    def test_stats_prints_error_and_exits_one(self, tmp_path, capsys, cells):
+        manifest = tmp_path / "manifest.tsv"
+        write_manifest([], manifest)
+        code = main([
+            "stats", "--manifest", str(manifest), "--urirs", str(urir_table(tmp_path, **cells)),
+            "--out", str(tmp_path / "reports"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
