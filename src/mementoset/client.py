@@ -16,6 +16,7 @@ import logging
 import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -51,6 +52,9 @@ logger = logging.getLogger(__name__)
 DEFAULT_AGGREGATOR_TEMPLATE = "http://timetravel.mementoweb.org/timemap/link/{uri}"
 
 USER_AGENT = "mementoset/0.1 (+research dataset collection)"
+
+# Pages one TimeMap fetch may follow through rel="timemap" links.
+MAX_TIMEMAP_PAGES = 1000
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,24 +167,22 @@ def open_transport(
 
 @dataclass(frozen=True, slots=True)
 class FetchPolicy:
-    """Politeness knobs; the default regime is one worker per archive."""
+    """Politeness knobs; each archive always gets one serial lane."""
 
-    per_archive_concurrency: int = 1
     min_request_interval: float = 1.0  # seconds between requests to one archive
     retries: int = 3
     timeout: float = 30.0
 
     def __post_init__(self):
-        if self.per_archive_concurrency < 1:
-            raise ValueError("per_archive_concurrency must be >= 1")
         if self.min_request_interval < 0 or self.timeout <= 0 or self.retries < 0:
             raise ValueError("bad fetch policy")
 
 
 class _Lane:
-    def __init__(self, concurrency: int):
-        self.slots = threading.BoundedSemaphore(concurrency)
-        self.gate = threading.Lock()
+    """One request at a time, spaced from the end of the previous one."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
         self.last_done = 0.0
 
 
@@ -236,15 +238,15 @@ class ArchiveClient:
         with self._lanes_lock:
             lane = self._lanes.get(key)
             if lane is None:
-                lane = self._lanes[key] = _Lane(self.policy.per_archive_concurrency)
+                lane = self._lanes[key] = _Lane()
         return lane
 
     def request(
         self, method: str, uri: str, headers: Mapping[str, str] | None = None
     ) -> TransportResponse:
-        """One polite request: lane slot, spacing, retries with backoff."""
+        """One polite request: lane lock, spacing, retries with backoff."""
         lane = self._lane(uri)
-        with lane.slots:
+        with lane.lock:
             last_error: NetworkError | None = None
             response = None
             for attempt in range(self.policy.retries + 1):
@@ -259,26 +261,15 @@ class ArchiveClient:
             return response  # exhausted retries on 429/503; caller classifies
 
     def _attempt(self, lane, method, uri, headers):
-        # A serial lane (the default regime) spaces requests from the end
-        # of the previous one; wider lanes space from the previous start
-        # so their in-flight slots can actually overlap.
-        serial = self.policy.per_archive_concurrency == 1
-        with lane.gate:
-            wait = lane.last_done + self.policy.min_request_interval - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
-            if serial:
-                try:
-                    return self.transport.request(method, uri, headers), None
-                except NetworkError as exc:
-                    return None, exc
-                finally:
-                    lane.last_done = time.monotonic()
-            lane.last_done = time.monotonic()
+        wait = lane.last_done + self.policy.min_request_interval - time.monotonic()
+        if wait > 0:
+            time.sleep(wait)
         try:
             return self.transport.request(method, uri, headers), None
         except NetworkError as exc:
             return None, exc
+        finally:
+            lane.last_done = time.monotonic()
 
     def _backoff_delay(self, attempt: int, response: TransportResponse | None) -> float:
         if response is not None:
@@ -291,13 +282,15 @@ class ArchiveClient:
 
     def _fetch_timemap_entries(self, first_uri: str):
         """GET a TimeMap and follow rel="timemap" pages transitively."""
-        queue = [first_uri]
+        queue = deque([first_uri])
         visited: set[str] = set()
         entries = []
         while queue:
-            uri = queue.pop(0)
+            uri = queue.popleft()
             if uri in visited:
                 continue
+            if len(visited) == MAX_TIMEMAP_PAGES:
+                raise NetworkError(f"{first_uri}: more than {MAX_TIMEMAP_PAGES} TimeMap pages")
             visited.add(uri)
             response = self.request("GET", uri)
             if response.status == 404 or (response.status == 200 and not response.body.strip()):

@@ -1,5 +1,13 @@
 """application/link-format TimeMap parsing, compact format, yearly filter.
 
+TimeMaps (RFC 7089 section 5.1) are split by the RFC 6690 section 2 rule:
+a document is a comma-separated list of link-values, each a
+``<URI-Reference>`` followed by ``;``-separated link-params whose values
+may be quoted-strings. A comma separates members only outside ``<...>``
+and quotes, a semicolon separates params only outside quotes, and inside
+quotes a backslash escapes the next character. An unterminated ``<`` or
+``"`` runs to the end of the text.
+
 The compact format is two columns per memento: the 14-digit UTC capture
 timestamp and the URI-M, separated by one space. It exists because full
 link-format TimeMaps carry far more metadata than the sampling pipeline
@@ -9,6 +17,7 @@ needs.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -46,58 +55,21 @@ class LinkEntry:
         return "memento" in self.rel
 
 
-def _split_members(text: str):
-    """Yield (char_offset, raw_member) split on top-level commas.
+# The split rule of the module docstring. Each pattern matches at any
+# position and stops only before a top-level separator or at the end.
+_MEMBER = re.compile(r'(?:<[^>]*>?|"(?:[^"\\]|\\.)*"?|[^,<"]+)*', re.S)
+_PARAM = re.compile(r'(?:"(?:[^"\\]|\\.)*"?|[^;"]+)*', re.S)
 
-    Commas inside ``<...>`` targets or quoted values do not split.
-    """
+
+def _split(pattern: re.Pattern, text: str):
+    """Yield (char_offset, piece) for each piece between top-level separators."""
     start = 0
-    in_target = False
-    in_quote = False
-    escaped = False
-    for i, ch in enumerate(text):
-        if escaped:
-            escaped = False
-            continue
-        if in_quote:
-            if ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_quote = False
-        elif in_target:
-            if ch == ">":
-                in_target = False
-        elif ch == '"':
-            in_quote = True
-        elif ch == "<":
-            in_target = True
-        elif ch == ",":
-            yield start, text[start:i]
-            start = i + 1
-    yield start, text[start:]
-
-
-def _split_params(raw: str):
-    """Split ``; a="b"; c=d`` on semicolons outside quotes."""
-    parts = []
-    start = 0
-    in_quote = False
-    escaped = False
-    for i, ch in enumerate(raw):
-        if escaped:
-            escaped = False
-        elif in_quote:
-            if ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_quote = False
-        elif ch == '"':
-            in_quote = True
-        elif ch == ";":
-            parts.append(raw[start:i])
-            start = i + 1
-    parts.append(raw[start:])
-    return parts
+    while True:
+        end = pattern.match(text, start).end()
+        yield start, text[start:end]
+        if end == len(text):
+            return
+        start = end + 1
 
 
 def _byte_offset(text: str, char_offset: int) -> int:
@@ -117,7 +89,7 @@ def _parse_member(text: str, offset: int, raw: str, strict: bool) -> LinkEntry |
     if not target:
         raise ParseError("empty target", _byte_offset(text, offset))
     attrs: dict[str, str] = {}
-    for part in _split_params(member[end + 1 :]):
+    for _, part in _split(_PARAM, member[end + 1 :]):
         part = part.strip()
         if not part:
             continue
@@ -169,7 +141,7 @@ def parse_link_entries(body: bytes | str, strict: bool = False) -> list[LinkEntr
     if not text.strip():
         raise ParseError("empty link-format document", 0)
     entries = []
-    for offset, raw in _split_members(text):
+    for offset, raw in _split(_MEMBER, text):
         entry = _parse_member(text, offset, raw, strict)
         if entry is not None:
             entries.append(entry)

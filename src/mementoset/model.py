@@ -100,10 +100,6 @@ class ArchiveDescriptor:
     def all_domains(self) -> tuple[str, ...]:
         return self.domains + self.unverified_domains
 
-    def matches_host(self, host: str) -> bool:
-        host = host.lower().rstrip(".")
-        return any(host == d or host.endswith("." + d) for d in self.all_domains())
-
     def to_dict(self) -> dict:
         return {
             "id": self.id,
@@ -133,8 +129,10 @@ class ArchiveDescriptor:
 class ArchiveRegistry:
     """Ordered collection of archive descriptors with host lookup.
 
-    Domain patterns must be mutually disjoint across descriptors so that
-    any URI-M host resolves to at most one archive.
+    Domains, aliases included, must be disjoint across descriptors: no
+    domain may equal another archive's domain or be a label suffix of it.
+    A host then maps to at most one archive, the one with a domain equal
+    to the host or to one of its label suffixes.
     """
 
     def __init__(self, archives: Iterable[ArchiveDescriptor]):
@@ -142,17 +140,22 @@ class ArchiveRegistry:
         self._by_id = {a.id: a for a in self._archives}
         if len(self._by_id) != len(self._archives):
             raise ValueError("duplicate archive ids in registry")
-        self._check_disjoint()
-
-    def _check_disjoint(self):
-        pats = [(d, a.id) for a in self._archives for d in a.all_domains()]
-        for i, (p1, id1) in enumerate(pats):
-            for p2, id2 in pats[i + 1 :]:
-                if id1 == id2:
-                    continue
-                if p1 == p2 or p1.endswith("." + p2) or p2.endswith("." + p1):
+        self._by_domain: dict[str, ArchiveDescriptor] = {}
+        for a in self._archives:
+            for d in a.all_domains():
+                other = self._by_domain.setdefault(d, a)
+                if other is not a:
                     raise ValueError(
-                        f"overlapping domains {p1!r} ({id1}) and {p2!r} ({id2})"
+                        f"overlapping domains {d!r} ({other.id}) and {d!r} ({a.id})"
+                    )
+        for d, a in self._by_domain.items():
+            suffix = d
+            while "." in suffix:
+                suffix = suffix.partition(".")[2]
+                other = self._by_domain.get(suffix, a)
+                if other is not a:
+                    raise ValueError(
+                        f"overlapping domains {d!r} ({a.id}) and {suffix!r} ({other.id})"
                     )
 
     def __iter__(self):
@@ -168,10 +171,13 @@ class ArchiveRegistry:
             raise UnknownArchive(archive_id) from None
 
     def match_host(self, host: str) -> ArchiveDescriptor | None:
-        for a in self._archives:
-            if a.matches_host(host):
-                return a
-        return None
+        """The archive with a domain equal to ``host`` or to a label suffix of it."""
+        host = host.lower().rstrip(".")
+        while True:
+            found = self._by_domain.get(host)
+            if found is not None or "." not in host:
+                return found
+            host = host.partition(".")[2]
 
     def dump(self, path) -> None:
         payload = {"archives": [a.to_dict() for a in self._archives]}
@@ -222,10 +228,9 @@ def _host_of(uri: str) -> str:
 def archive_of(urim: str, registry: Iterable[ArchiveDescriptor]) -> ArchiveDescriptor:
     """Resolve the archive that serves ``urim`` via domain-alias matching."""
     host = _host_of(urim)
-    if isinstance(registry, ArchiveRegistry):
-        found = registry.match_host(host)
-    else:
-        found = next((a for a in registry if a.matches_host(host)), None)
+    if not isinstance(registry, ArchiveRegistry):
+        registry = ArchiveRegistry(registry)
+    found = registry.match_host(host)
     if found is None:
         raise UnknownArchive(host)
     return found

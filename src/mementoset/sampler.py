@@ -83,6 +83,8 @@ def group_by_archive(records: Iterable[TimeMapRecord]) -> Selection:
 
 
 PROBE_SIZE = 20  # mementos timed per archive to estimate download cost
+# Probe threads; at least the 17 bundled archives, so each gets its own.
+PROBE_WORKERS = 17
 
 
 def probe_archives(
@@ -92,11 +94,11 @@ def probe_archives(
 ) -> tuple[dict[str, list[float]], dict[str, Classification]]:
     """Timed raw downloads of each archive's first mementos.
 
-    Runs one worker per archive (the client's lanes keep each archive
-    serial and spaced). Returns wall-clock durations per archive for
-    budget estimation plus the response classification of every probed
-    URI-M. Mementos without raw access or with failing downloads are
-    skipped and logged.
+    Runs one worker per archive, at most ``PROBE_WORKERS`` at a time (the
+    client's lanes keep each archive serial and spaced). Returns
+    wall-clock durations per archive for budget estimation plus the
+    response classification of every probed URI-M. Mementos without raw
+    access or with failing downloads are skipped and logged.
     """
     durations: dict[str, list[float]] = {}
     classifications: dict[str, Classification] = {}
@@ -116,7 +118,7 @@ def probe_archives(
                 classifications[m.urim] = timed.content.classification
 
     if selection:
-        with ThreadPoolExecutor(max_workers=len(selection)) as pool:
+        with ThreadPoolExecutor(max_workers=min(len(selection), PROBE_WORKERS)) as pool:
             list(pool.map(worker, selection))
     return durations, classifications
 

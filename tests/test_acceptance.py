@@ -276,10 +276,7 @@ class TestCriterion8Politeness:
                                 body=b"ok", delay=server_delay)
         client = ArchiveClient(
             registry,
-            FetchPolicy(
-                per_archive_concurrency=1, min_request_interval=interval,
-                retries=0, timeout=10.0,
-            ),
+            FetchPolicy(min_request_interval=interval, retries=0, timeout=10.0),
             ServerTransport(mock_server.base_url),
         )
 

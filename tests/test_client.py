@@ -103,6 +103,28 @@ class TestAggregatorFetch:
         gets = [u for (m, u) in transport.requests if m == "GET"]
         assert len(gets) == len(set(gets)) == 2
 
+    def test_page_chain_is_bounded(self, registry):
+        from mementoset.client import MAX_TIMEMAP_PAGES
+
+        urir = "http://endless.example/"
+        transport = FakeTransport()
+        pages = [AGG.format(uri=urir)] + [
+            f"http://agg.test/page{i}" for i in range(1, MAX_TIMEMAP_PAGES + 5)
+        ]
+        for i, (uri, following) in enumerate(zip(pages, pages[1:] + ["http://agg.test/end"])):
+            body = f'<{following}>; rel="timemap"; type="application/link-format"'
+            if i == 0:
+                body += (
+                    ',\n<http://web.archive.org/web/20000101000000/http://endless.example/>; '
+                    'rel="memento"; datetime="Sat, 01 Jan 2000 00:00:00 GMT"'
+                )
+            transport.add("GET", uri, 200, body=body)
+        transport.add("GET", "http://agg.test/end", 404)
+        client = make_client(transport, registry)
+        with pytest.raises(NetworkError, match="TimeMap pages"):
+            client.fetch_timemap_aggregator(urir)
+        assert len(transport.requests) == MAX_TIMEMAP_PAGES
+
     def test_endpoint_needs_placeholder(self, registry):
         client = make_client(FakeTransport(), registry)
         with pytest.raises(ValueError):
@@ -359,36 +381,3 @@ class TestLaneDiscipline:
         for t in threads:
             t.join()
         assert not overlaps
-
-    def test_wider_lane_allows_overlap(self, registry):
-        transport = FakeTransport()
-        uri = "http://web.archive.org/web/20000101000000id_/http://x/"
-        transport.add("GET", uri, 200, MD_2004, b"z", delay=0.15)
-        policy = FetchPolicy(
-            per_archive_concurrency=2, min_request_interval=0.0, retries=0, timeout=5.0
-        )
-        client = ArchiveClient(registry, policy, transport)
-        peak = [0]
-        active = [0]
-        lock = threading.Lock()
-        real_request = transport.request
-
-        def tracking_request(method, u, headers=None):
-            with lock:
-                active[0] += 1
-                peak[0] = max(peak[0], active[0])
-            try:
-                return real_request(method, u, headers)
-            finally:
-                with lock:
-                    active[0] -= 1
-
-        transport.request = tracking_request
-        threads = [
-            threading.Thread(target=client.request, args=("GET", uri)) for _ in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert peak[0] == 2  # two slots used, never more

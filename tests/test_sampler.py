@@ -1,5 +1,8 @@
 import random
+import threading
+import time
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -326,6 +329,78 @@ class TestProbeArchives:
         budget = estimate_budget("vefsafn.is", durations["vefsafn.is"], CONSTRAINTS)
         assert 0 < budget.allowed_count <= CONSTRAINTS.max_urims_per_archive
         assert budget.probe_mean_cost >= 0.01
+
+    def test_worker_threads_bounded(self, registry):
+        from mementoset.client import RawContent, TimedDownload
+        from mementoset.sampler import PROBE_WORKERS, probe_archives
+
+        class CountingClient:
+            def __init__(self):
+                self.active = self.peak = 0
+                self.lock = threading.Lock()
+
+            def timed_download(self, m):
+                with self.lock:
+                    self.active += 1
+                    self.peak = max(self.peak, self.active)
+                time.sleep(0.05)
+                with self.lock:
+                    self.active -= 1
+                return TimedDownload(RawContent(200, {}, b"", Classification.ARCHIVAL_OK), 0.05)
+
+        selection = {}
+        for i in range(40):
+            m = memento(f"a{i:02d}.example", 2001, i)
+            selection[m.archive_id] = [Memento(m.urim, m.memento_datetime, m.urir_key,
+                                               m.archive_id, raw_urim=m.urim)]
+        client = CountingClient()
+        durations, _ = probe_archives(client, selection)
+        assert len(durations) == 40
+        assert client.peak <= PROBE_WORKERS
+        # Every archive of the bundled registry still gets its own worker.
+        assert PROBE_WORKERS >= len(registry)
+
+
+class TestReadmeDownsampling:
+    """The README's downsampling snippet, run as written on fake data."""
+
+    @staticmethod
+    def snippet() -> str:
+        readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+        after = readme.split("Downsampling a discovered collection end to end:", 1)[1]
+        return after.split("```python\n", 1)[1].split("```", 1)[0]
+
+    def test_runs_with_archives_lacking_raw_access(self, registry):
+        import mementoset as ms
+        from mockserver import FakeTransport
+
+        transport = FakeTransport()
+        records = []
+        for p in range(2):
+            lines = [f"2014010100000{p} http://archive.is/2014{p}/http://p{p}.example/"]
+            for i in range(3):
+                stamp = f"200{i}1020191800"
+                urim = f"http://wayback.vefsafn.is/wayback/{stamp}/http://p{p}.example/"
+                lines.append(f"{stamp} {urim}")
+                raw = urim.replace(stamp, stamp + "id_")
+                if p == 1:  # every raw download of this URI-R fails at the archive
+                    transport.add("GET", raw, 503)
+                else:
+                    transport.add("GET", raw, 200, {"Memento-Datetime": "x"}, b"ok")
+            records.append(ms.parse_compact("\n".join(lines), f"http://p{p}.example/", registry))
+        client = ms.ArchiveClient(
+            registry, ms.FetchPolicy(min_request_interval=0.0, retries=0), transport
+        )
+        scope = {"ms": ms, "client": client, "records": records,
+                 "constraints": SelectionConstraints(max_urims_per_archive=4)}
+        exec(self.snippet(), scope)
+        assert set(scope["selection"]) == {"archive.is", "vefsafn.is"}
+        assert set(scope["capped"]) == {"vefsafn.is"}
+        capped = scope["capped"]["vefsafn.is"]
+        assert len(capped) == 4
+        assert {m.urir_key for m in capped} == {"example,p0)/", "example,p1)/"}
+        kept = [m for m in capped if m.urir_key == "example,p0)/"]
+        assert scope["summary"].per_archive == {"vefsafn.is": (1, len(kept))}
 
 
 class TestGroupByArchive:
