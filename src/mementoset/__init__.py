@@ -38,6 +38,7 @@ from .errors import (
     NetworkError,
     NoTimeMapEndpoint,
     ParseError,
+    PermanentNetworkError,
     RawAccessUnsupported,
     RedirectLoop,
     UnknownArchive,

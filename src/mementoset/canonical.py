@@ -4,10 +4,11 @@ These are the three predicates the initial-selection scan uses to decide
 whether two URI-Rs are the same page and where a page sits in the
 path-length quota buckets.
 
-Redirect resolution does no I/O of its own: ``resolve_redirects`` and
-``same_resource`` take an explicit ``fetch`` callable. Use
-``ArchiveClient.resolve`` to resolve through the client's rate-limited
-lanes, fixtures and User-Agent.
+Redirect resolution does no I/O of its own: ``redirect_steps`` is the
+walk as a generator that yields each request and is sent its response,
+and ``resolve_redirects`` and ``same_resource`` drive it with an explicit
+``fetch`` callable. Use ``ArchiveClient.resolve`` to resolve through the
+client's rate-limited lanes, fixtures and User-Agent.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Generator, Mapping
 from urllib.parse import urljoin, urlsplit
 
 from .errors import HopLimitExceeded, MalformedUri, RedirectLoop
@@ -27,6 +28,8 @@ DEFAULT_MAX_HOPS = 10
 
 # (method, uri) -> (status, headers)
 Fetch = Callable[[str, str], tuple[int, Mapping[str, str]]]
+# Yields (method, uri), is sent (status, headers), returns the chain.
+RedirectSteps = Generator[tuple[str, str], tuple[int, Mapping[str, str]], "RedirectChain"]
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _WWW_LABEL = re.compile(r"^www\d*$")
@@ -170,18 +173,15 @@ class RedirectChain:
     terminal_status: int
 
 
-def resolve_redirects(
-    uri: str,
-    max_hops: int = DEFAULT_MAX_HOPS,
-    *,
-    fetch: Fetch,
-) -> RedirectChain:
+def redirect_steps(uri: str, max_hops: int = DEFAULT_MAX_HOPS) -> RedirectSteps:
     """Follow 3xx Location hops until a non-redirect response.
 
-    HEAD is tried first and replaced by a body-discarding GET when the
-    server rejects it (405/501). Relative Locations resolve against the
-    current URI. Raises RedirectLoop on a repeated URI, HopLimitExceeded
-    past ``max_hops``; whatever ``fetch`` raises propagates.
+    A generator: yields each ``(method, uri)`` to request and must be sent
+    its ``(status, headers)``; returns the ``RedirectChain``. HEAD is tried
+    first and replaced by a body-discarding GET when the server rejects
+    it (405/501). Relative Locations resolve against the current URI.
+    Raises RedirectLoop on a repeated URI, HopLimitExceeded past
+    ``max_hops``.
     """
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")
@@ -189,9 +189,9 @@ def resolve_redirects(
     seen = {current}
     hops: list[tuple[str, int]] = []
     for _ in range(max_hops):
-        status, headers = fetch("HEAD", current)
+        status, headers = yield "HEAD", current
         if status in (405, 501):
-            status, headers = fetch("GET", current)
+            status, headers = yield "GET", current
         hops.append((current, status))
         if not 300 <= status <= 399:
             return RedirectChain(tuple(hops), current, status)
@@ -205,6 +205,23 @@ def resolve_redirects(
         seen.add(nxt)
         current = nxt
     raise HopLimitExceeded(max_hops, [h[0] for h in hops])
+
+
+def resolve_redirects(
+    uri: str,
+    max_hops: int = DEFAULT_MAX_HOPS,
+    *,
+    fetch: Fetch,
+) -> RedirectChain:
+    """``redirect_steps`` with each request made by ``fetch``; whatever
+    ``fetch`` raises propagates."""
+    walk = redirect_steps(uri, max_hops)
+    try:
+        request = next(walk)
+        while True:
+            request = walk.send(fetch(*request))
+    except StopIteration as done:
+        return done.value
 
 
 def same_resource(

@@ -1,36 +1,42 @@
 """Network retrieval: TimeMap fetches, raw memento downloads, HEAD probes.
 
 All traffic to one archive flows through a single serial "lane" that
-enforces a minimum spacing between requests; lanes for different archives
-run concurrently. Every operation can be replayed hermetically from a
-fixture directory, and a recording transport captures live responses into
-one.
+enforces a minimum spacing between requests and stays closed while a
+request to it backs off; lanes for different archives run concurrently.
+Requests are written as step generators that yield their waits, so one
+thread can overlap the waits of many (``request_steps``, ``resolve_steps``);
+the plain methods sleep through them. Every operation can be replayed
+hermetically from a fixture directory, and a recording transport captures
+live responses into one.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
 import logging
 import random
+import socket
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Generator, Mapping, Protocol
 from urllib.parse import urlsplit
 
 import requests
 
-from .canonical import RedirectChain, resolve_redirects
+from .canonical import RedirectChain, redirect_steps
 from .errors import (
     EmptyTimeMap,
     MalformedUri,
     NetworkError,
     NoTimeMapEndpoint,
+    PermanentNetworkError,
     RawAccessUnsupported,
 )
 from .linkformat import parse_link_entries, record_from_entries
@@ -43,6 +49,7 @@ from .model import (
     TimeMapRecord,
     classify_response,
     header_value,
+    parse_http_datetime,
     raw_variant,
 )
 
@@ -56,6 +63,10 @@ USER_AGENT = "mementoset/0.1 (+research dataset collection)"
 # Pages one TimeMap fetch may follow through rel="timemap" links.
 MAX_TIMEMAP_PAGES = 1000
 
+# A blocking operation written as a generator: it yields each wait, in
+# seconds, that it needs before it can go on, and returns its result.
+Steps = Generator[float, None, object]
+
 
 @dataclass(frozen=True, slots=True)
 class TransportResponse:
@@ -68,6 +79,25 @@ class Transport(Protocol):
     def request(
         self, method: str, uri: str, headers: Mapping[str, str] | None = None
     ) -> TransportResponse: ...
+
+
+_UNSENDABLE = (
+    requests.exceptions.InvalidURL,
+    requests.exceptions.MissingSchema,
+    requests.exceptions.InvalidSchema,
+)
+
+
+def _is_permanent(exc: requests.RequestException) -> bool:
+    """An unsendable URL, or a connection that failed on name resolution
+    or was refused: the causes a retry cannot mend."""
+    if isinstance(exc, _UNSENDABLE):
+        return True
+    # requests passes on urllib3's MaxRetryError, whose ``reason`` was
+    # raised while handling the socket error.
+    reason = getattr(exc.args[0], "reason", None) if exc.args else None
+    cause = reason.__cause__ or reason.__context__ if reason is not None else None
+    return isinstance(cause, (socket.gaierror, ConnectionRefusedError))
 
 
 class RequestsTransport:
@@ -90,7 +120,8 @@ class RequestsTransport:
             body = b"" if method == "HEAD" else resp.content
             return TransportResponse(resp.status_code, dict(resp.headers), body)
         except requests.RequestException as exc:
-            raise NetworkError(f"{method} {uri}: {exc}") from exc
+            error = PermanentNetworkError if _is_permanent(exc) else NetworkError
+            raise error(f"{method} {uri}: {exc}") from exc
 
 
 class FixtureStore:
@@ -138,7 +169,7 @@ class FixtureTransport:
     def request(self, method, uri, headers=None) -> TransportResponse:
         found = self.store.load(method, uri)
         if found is None:
-            raise NetworkError(f"no fixture recorded for {method} {uri}")
+            raise PermanentNetworkError(f"no fixture recorded for {method} {uri}")
         return found
 
 
@@ -178,12 +209,42 @@ class FetchPolicy:
             raise ValueError("bad fetch policy")
 
 
+_waiting = threading.local()  # holds this thread's ``while_waiting`` hook
+
+
+@contextlib.contextmanager
+def while_waiting(idle: Callable[[float], None]):
+    """Within the block, a blocking call in this thread that has to wait
+    calls ``idle(seconds)`` in place of ``time.sleep(seconds)``."""
+    previous = getattr(_waiting, "idle", None)
+    _waiting.idle = idle
+    try:
+        yield
+    finally:
+        _waiting.idle = previous
+
+
+def run_steps(steps: Steps):
+    """Drive a step generator to its return value, waiting out each wait
+    it yields."""
+    pause = getattr(_waiting, "idle", None) or time.sleep
+    try:
+        wait = next(steps)
+        while True:
+            pause(wait)
+            wait = next(steps)
+    except StopIteration as done:
+        return done.value
+
+
 class _Lane:
-    """One request at a time, spaced from the end of the previous one."""
+    """One attempt at a time, spaced from the end of the previous one, and
+    none while a request to the lane backs off."""
 
     def __init__(self):
         self.lock = threading.Lock()
         self.last_done = 0.0
+        self.closed_until = 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,7 +267,7 @@ class ArchiveClient:
     """Rate-limited fetch operations against archives and aggregators.
 
     Thread-safe: many workers may call into one client; each archive's
-    lane serializes and spaces their requests.
+    lane serializes and spaces their attempts.
     """
 
     def __init__(
@@ -244,38 +305,65 @@ class ArchiveClient:
     def request(
         self, method: str, uri: str, headers: Mapping[str, str] | None = None
     ) -> TransportResponse:
-        """One polite request: lane lock, spacing, retries with backoff."""
+        """One polite request: lane spacing, retries with backoff.
+
+        A :class:`PermanentNetworkError` is raised after its one attempt;
+        other network errors, 429 and 503 are retried.
+        """
+        return run_steps(self.request_steps(method, uri, headers))
+
+    def request_steps(
+        self, method: str, uri: str, headers: Mapping[str, str] | None = None
+    ) -> Steps:
+        """``request`` as a step generator: yields each wait in seconds, for
+        lane spacing or back-off, instead of sleeping, and returns the
+        response. A back-off closes the lane to every request until it ends."""
         lane = self._lane(uri)
-        with lane.lock:
-            last_error: NetworkError | None = None
-            response = None
-            for attempt in range(self.policy.retries + 1):
-                response, last_error = self._attempt(lane, method, uri, headers)
-                if response is not None and response.status not in (429, 503):
-                    return response
-                if attempt == self.policy.retries:
-                    break
-                time.sleep(self._backoff_delay(attempt, response))
-            if last_error is not None:
-                raise last_error
-            return response  # exhausted retries on 429/503; caller classifies
+        last_error: NetworkError | None = None
+        response = None
+        for attempt in range(self.policy.retries + 1):
+            response, last_error = yield from self._attempt(lane, method, uri, headers)
+            if response is not None and response.status not in (429, 503):
+                return response
+            if attempt == self.policy.retries or isinstance(last_error, PermanentNetworkError):
+                break
+            delay = self._backoff_delay(attempt, response)
+            with lane.lock:
+                lane.closed_until = max(lane.closed_until, time.monotonic() + delay)
+        if last_error is not None:
+            raise last_error
+        return response  # exhausted retries on 429/503; caller classifies
 
     def _attempt(self, lane, method, uri, headers):
-        wait = lane.last_done + self.policy.min_request_interval - time.monotonic()
-        if wait > 0:
-            time.sleep(wait)
-        try:
-            return self.transport.request(method, uri, headers), None
-        except NetworkError as exc:
-            return None, exc
-        finally:
-            lane.last_done = time.monotonic()
+        """Yields waits until the lane opens, then sends once: (response, error)."""
+        while True:
+            with lane.lock:
+                opens = max(lane.last_done + self.policy.min_request_interval, lane.closed_until)
+                wait = opens - time.monotonic()
+                if wait <= 0:
+                    try:
+                        return self.transport.request(method, uri, headers), None
+                    except NetworkError as exc:
+                        return None, exc
+                    finally:
+                        lane.last_done = time.monotonic()
+            yield wait
 
     def _backoff_delay(self, attempt: int, response: TransportResponse | None) -> float:
-        if response is not None:
-            retry_after = header_value(response.headers, "Retry-After")
-            if retry_after and retry_after.strip().isdigit():
+        """``Retry-After`` in seconds or as an HTTP-date (RFC 9110 §10.2.3),
+        capped at the timeout; else exponential back-off with jitter."""
+        retry_after = header_value(response.headers, "Retry-After") if response is not None else None
+        if retry_after:
+            retry_after = retry_after.strip()
+            if retry_after.isdigit():
                 return min(float(retry_after), self.policy.timeout)
+            try:
+                until = parse_http_datetime(retry_after)
+            except ValueError:
+                pass
+            else:
+                wait = (until - datetime.now(timezone.utc)).total_seconds()
+                return min(max(0.0, wait), self.policy.timeout)
         return 0.5 * (2**attempt) + random.uniform(0, 0.1)
 
     # -- fetch operations ------------------------------------------------
@@ -366,8 +454,15 @@ class ArchiveClient:
 
     def resolve(self, uri: str, max_hops: int = 10) -> RedirectChain:
         """Redirect resolution routed through the polite request lanes."""
-        return resolve_redirects(uri, max_hops, fetch=self._probe)
+        return run_steps(self.resolve_steps(uri, max_hops))
 
-    def _probe(self, method: str, uri: str):
-        response = self.request(method, uri)
-        return response.status, response.headers
+    def resolve_steps(self, uri: str, max_hops: int = 10) -> Steps:
+        """``resolve`` as a step generator, like ``request_steps``."""
+        walk = redirect_steps(uri, max_hops)
+        try:
+            method, target = next(walk)
+            while True:
+                response = yield from self.request_steps(method, target)
+                method, target = walk.send((response.status, response.headers))
+        except StopIteration as done:
+            return done.value

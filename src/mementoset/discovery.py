@@ -8,16 +8,20 @@ Source tags are plain strings: ``moz``, ``memento-damage``,
 from __future__ import annotations
 
 import logging
+import math
 import re
+import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from html.parser import HTMLParser
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 from urllib.parse import urljoin, urlsplit
 
-from .canonical import path_length, registrable_domain, surt
-from .client import ArchiveClient
+from .canonical import RedirectChain, path_length, registrable_domain, surt
+from .client import ArchiveClient, run_steps, while_waiting
 from .errors import (
     EmptyTimeMap,
     MalformedUri,
@@ -42,6 +46,9 @@ HTTP_ARCHIVE = "httparchive"
 WAHR_PREFIX = "wahr:"
 
 ROUND_SIZE = 10  # URI-Rs taken per source per interleave round
+# Candidates the initial scan may resolve ahead of its commits. Back-offs
+# of candidates this close overlap; farther apart they wait in series.
+LOOKAHEAD = 128
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,6 +140,10 @@ class SelectionState:
 
     def all_full(self) -> bool:
         return all(self.bucket_full(b) for b in PathBucket)
+
+    def open_capacity(self) -> int:
+        """Admissions left across all buckets."""
+        return sum(max(0, self.quota_per_bucket - n) for n in self.bucket_counts.values())
 
     def admit(self, key: str, bucket: PathBucket, domain: str) -> None:
         if self.bucket_full(bucket):
@@ -253,22 +264,24 @@ class ScreenResult:
     reason: str
 
 
-def screen_candidate(
-    uri: str,
-    source: str,
-    client: ArchiveClient,
-    state: SelectionState,
-    domain_mode: str = "registrable",
-) -> ScreenResult:
-    """Evaluate the selection conditions for one candidate URI-R.
+@dataclass(frozen=True, slots=True)
+class ResolvedCandidate:
+    """The state-free half of screening: where a candidate's redirects
+    end and its keys there, or the error that stopped resolution."""
 
-    A candidate is accepted when (a) its canonical key is new, (b) its
-    path bucket has quota left, (c) its domain is unused in that bucket,
-    and (d) its TimeMap holds at least one memento after dedup. Network
-    failures reject the candidate without aborting the scan.
-    """
+    chain: RedirectChain | None = None
+    key: str = ""
+    bucket: PathBucket | None = None
+    domain: str = ""
+    error: str | None = None
+
+
+def _resolve_steps(uri: str, client: ArchiveClient, domain_mode: str):
+    """Follow a candidate's redirects and key its final URI, as a step
+    generator (see ``ArchiveClient.request_steps``). Reads no selection
+    state, so candidates may be resolved in any order."""
     try:
-        chain = client.resolve(uri)
+        chain = yield from client.resolve_steps(uri)
         final = chain.final_uri
         key = surt(final)
         bucket = path_length(final)
@@ -276,13 +289,40 @@ def screen_candidate(
         domain = host.lower() if domain_mode == "host" else registrable_domain(final)
     except MementosetError as exc:
         logger.info("skipping %s: %s", uri, exc)
-        return ScreenResult(None, None, f"error: {exc}")
+        return ResolvedCandidate(error=f"error: {exc}")
+    return ResolvedCandidate(chain, key, bucket, domain)
+
+
+def screen_candidate(
+    uri: str,
+    source: str,
+    client: ArchiveClient,
+    state: SelectionState,
+    domain_mode: str = "registrable",
+    resolved: ResolvedCandidate | None = None,
+) -> ScreenResult:
+    """Evaluate the selection conditions for one candidate URI-R.
+
+    A candidate is accepted when (a) its canonical key is new, (b) its
+    path bucket has quota left, (c) its domain is unused in that bucket,
+    and (d) its TimeMap holds at least one memento after dedup. Network
+    failures reject the candidate without aborting the scan. ``resolved``
+    is the candidate's redirect resolution when it was made ahead; the
+    checks, the TimeMap fetch and the admission run here, against the
+    current ``state``.
+    """
+    if resolved is None:
+        resolved = run_steps(_resolve_steps(uri, client, domain_mode))
+    if resolved.error is not None:
+        return ScreenResult(None, None, resolved.error)
+    key, bucket, domain = resolved.key, resolved.bucket, resolved.domain
     if key in state.chosen:
         return ScreenResult(None, None, "duplicate resource")
     if state.bucket_full(bucket):
         return ScreenResult(None, None, f"bucket {bucket.value} full")
     if domain in state.chosen_domains[bucket]:
         return ScreenResult(None, None, f"domain {domain} already used in {bucket.value}")
+    final = resolved.chain.final_uri
     try:
         record = dedupe(client.fetch_timemap_aggregator(final))
     except EmptyTimeMap:
@@ -298,10 +338,87 @@ def screen_candidate(
         final_uri=final,
         path_bucket=bucket,
         source=source,
-        live_status=chain.terminal_status,
+        live_status=resolved.chain.terminal_status,
     )
     state.admit(key, bucket, domain)
     return ScreenResult(resource, replace(record, urir=resource), "accepted")
+
+
+class _Slot:
+    __slots__ = ("uri", "source", "steps", "ready_at", "result")
+
+    def __init__(self, uri: str, source: str):
+        self.uri = uri
+        self.source = source
+        self.steps = None  # the resolution's step generator, once started
+        self.ready_at = 0.0  # when its last yielded wait ends
+        self.result: ResolvedCandidate | None = None
+
+
+class _Lookahead:
+    """The window of taken, not yet committed candidates, resolved in the
+    scan's own thread.
+
+    Each resolution is a step generator that yields its waits (lane
+    spacing, back-off) instead of sleeping. The scan resolves the front
+    candidate; only while every started resolution waits is the next
+    candidate's resolution started, in stream order, and run in the gap.
+    The thread sleeps only when every started resolution waits and none
+    is left to start, and it also runs resolutions while a commit's own
+    requests wait. Requests still go through the client's lanes, one per
+    host, so each host sees the spacing and back-off of a sequential scan.
+    """
+
+    def __init__(self, client: ArchiveClient, domain_mode: str):
+        self.client = client
+        self.domain_mode = domain_mode
+        self.window: deque[_Slot] = deque()
+        self.started = 0  # slots at the window's front whose resolution has started
+
+    def take(self, uri: str, source: str) -> None:
+        self.window.append(_Slot(uri, source))
+
+    def pop(self) -> tuple[str, str, ResolvedCandidate]:
+        """The front candidate, once resolved."""
+        front = self.window[0]
+        while front.result is None:
+            self._step(math.inf)
+        self.window.popleft()
+        self.started -= 1
+        return front.uri, front.source, front.result
+
+    def idle(self, seconds: float) -> None:
+        """Wait hook for the commit's requests: resolve ahead meanwhile."""
+        deadline = time.monotonic() + seconds
+        while time.monotonic() < deadline:
+            self._step(deadline)
+
+    def _step(self, deadline: float) -> None:
+        """Advance the first started resolution whose wait is over, else
+        start the next one, else sleep until a wait or ``deadline`` ends."""
+        now = time.monotonic()
+        wake = deadline
+        for slot in islice(self.window, self.started):
+            if slot.result is None:
+                if slot.ready_at <= now:
+                    self._advance(slot)
+                    return
+                wake = min(wake, slot.ready_at)
+        if self.started < len(self.window):
+            slot = self.window[self.started]
+            self.started += 1
+            slot.steps = _resolve_steps(slot.uri, self.client, self.domain_mode)
+            self._advance(slot)
+        elif wake > now:
+            time.sleep(wake - now)
+
+    def _advance(self, slot: _Slot) -> None:
+        try:
+            wait = next(slot.steps)
+        except StopIteration as done:
+            slot.result = done.value
+        else:
+            slot.ready_at = time.monotonic() + wait
 
 
 def select_initial(
@@ -311,25 +428,42 @@ def select_initial(
     target: int = 10_000,
     domain_mode: str = "registrable",
     sink: Callable[[TimeMapRecord], None] | None = None,
+    on_commit: Callable[[ScreenResult], None] | None = None,
 ) -> list[OriginalResource]:
     """Scan the interleaved stream in order until quotas or target are met.
 
-    The stop rule is checked before each candidate is taken, so a lazy
-    ``stream`` is never advanced past the last candidate screened.
+    Candidates commit strictly in stream order: the uniqueness, quota and
+    domain checks, the TimeMap fetch, the admission, ``sink`` for an
+    accepted candidate's record and then ``on_commit`` for every result.
+    Redirect resolution, which reads no selection state, runs ahead of
+    the commits while requests wait: up to ``LOOKAHEAD`` candidates are
+    taken past the last committed one, but never more than the target and
+    the open bucket capacity left, so a lazy ``stream`` is never advanced
+    past a candidate the in-order scan would not screen, and every
+    candidate taken is resolved exactly once. No thread is started.
     """
     state = state if state is not None else SelectionState()
     accepted: list[OriginalResource] = []
     candidates = iter(stream)
-    while not state.all_full() and len(accepted) < target:
-        candidate = next(candidates, None)
-        if candidate is None:
-            break
-        uri, source = candidate
-        result = screen_candidate(uri, source, client, state, domain_mode)
-        if result.accepted is not None:
-            accepted.append(result.accepted)
-            if sink is not None:
-                sink(result.record)
+    lookahead = _Lookahead(client, domain_mode)
+    with while_waiting(lookahead.idle):
+        while True:
+            room = min(LOOKAHEAD, target - len(accepted), state.open_capacity())
+            while len(lookahead.window) < room:
+                candidate = next(candidates, None)
+                if candidate is None:
+                    break
+                lookahead.take(*candidate)
+            if not lookahead.window:
+                break
+            uri, source, resolved = lookahead.pop()
+            result = screen_candidate(uri, source, client, state, domain_mode, resolved)
+            if result.accepted is not None:
+                accepted.append(result.accepted)
+                if sink is not None:
+                    sink(result.record)
+            if on_commit is not None:
+                on_commit(result)
     return accepted
 
 

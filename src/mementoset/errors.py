@@ -40,7 +40,16 @@ class MissingOriginal(MementosetError):
 
 
 class NetworkError(MementosetError):
-    """Transport-level failure (DNS, connect, timeout, exhausted retries)."""
+    """Transport-level failure (DNS, connect, timeout, exhausted retries).
+
+    Transient unless it is a :class:`PermanentNetworkError`: the client
+    backs off and retries it.
+    """
+
+
+class PermanentNetworkError(NetworkError):
+    """A failure no retry can mend: no such host, a refused connection,
+    an invalid URL, or a request with no recorded fixture."""
 
 
 class RedirectLoop(MementosetError):

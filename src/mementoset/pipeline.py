@@ -9,7 +9,6 @@ from disk converges to the same final state as an uninterrupted one
 
 from __future__ import annotations
 
-import inspect
 import json
 import logging
 import os
@@ -21,6 +20,7 @@ from typing import Callable
 from .client import DEFAULT_AGGREGATOR_TEMPLATE, ArchiveClient, FetchPolicy, Transport, open_transport
 from .discovery import (
     MementoCollection,
+    ScreenResult,
     SelectionState,
     interleave_sources,
     ingest_published_list,
@@ -230,7 +230,9 @@ class DiscoveryPipeline:
             "method_tables": self.method_tables,
         }
         tmp = self.state_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True), "utf-8")
+        # Compact separators keep json on its C encoder; load_state reads
+        # indented files from earlier versions just the same.
+        tmp.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")), "utf-8")
         os.replace(tmp, self.state_path)
 
     def load_state(self) -> bool:
@@ -282,38 +284,32 @@ class DiscoveryPipeline:
     def _run_method1(self, max_candidates: int | None) -> bool:
         """Returns True when the stage completed (False: interrupted)."""
         stream = self._stream()
-        interrupted = False
-
-        def checkpoint() -> None:
-            if self.scan_index % self.config.checkpoint_every == 0:
-                self.save_state()
-
-        def cursor():
-            # Takes candidates in stream order, advancing scan_index, and
-            # checkpoints each one once select_initial has screened it.
-            nonlocal interrupted
-            for screened, candidate in enumerate(stream[self.scan_index :]):
-                if max_candidates is not None and screened >= max_candidates:
-                    interrupted = True
-                    self.save_state()
-                    return
-                self.scan_index += 1
-                yield candidate
-                checkpoint()
+        end = len(stream) if max_candidates is None else self.scan_index + max_candidates
 
         def sink(record: TimeMapRecord) -> None:
             self.accepted.append(record.urir)
             self.collection.add(record)
 
-        candidates = cursor()
+        def committed(result: ScreenResult) -> None:
+            # Candidates commit in stream order, so scan_index stays a resume
+            # point: candidates resolved ahead but not committed are redone.
+            self.scan_index += 1
+            if self.scan_index % self.config.checkpoint_every == 0:
+                self.save_state()
+
         remaining = self.config.target - len(self.accepted)
         select_initial(
-            candidates, self.client, self.selection_state, remaining, self.config.domain_mode, sink
+            stream[self.scan_index : end], self.client, self.selection_state, remaining,
+            self.config.domain_mode, sink, committed,
         )
-        if inspect.getgeneratorstate(candidates) == inspect.GEN_SUSPENDED:
-            # Quota or target met: the last screened candidate is still due its checkpoint.
-            checkpoint()
-        return not interrupted
+        completed = (
+            self.selection_state.all_full()
+            or len(self.accepted) >= self.config.target
+            or self.scan_index == len(stream)
+        )
+        if not completed:
+            self.save_state()  # cut at max_candidates
+        return completed
 
     def _run_method2(self) -> None:
         minimum = self.config.constraints.min_urirs_per_archive
