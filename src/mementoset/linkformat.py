@@ -8,6 +8,12 @@ and quotes, a semicolon separates params only outside quotes, and inside
 quotes a backslash escapes the next character. An unterminated ``<`` or
 ``"`` runs to the end of the text.
 
+Most members of a real TimeMap have one plain form,
+``<target>; rel="..."; datetime="..."``: the two params in that order with
+lowercase names, single spaces, no whitespace in the target and no
+backslash or quote inside the values. Such a member is read directly by
+one pattern. Every other member goes through the RFC 6690 split above.
+
 The compact format is two columns per memento: the 14-digit UTC capture
 timestamp and the URI-M, separated by one space. It exists because full
 link-format TimeMaps carry far more metadata than the sampling pipeline
@@ -72,12 +78,26 @@ def _split(pattern: re.Pattern, text: str):
         start = end + 1
 
 
+# The plain member form of the module docstring, matched after the member is
+# stripped. It needs no unquoting, and strict mode changes nothing for it.
+_PLAIN_MEMBER = re.compile(r'<([^\s>]+)>; rel="([^"\\]*)"; datetime="([^"\\]*)"')
+
+
 def _byte_offset(text: str, char_offset: int) -> int:
     return len(text[:char_offset].encode("utf-8"))
 
 
 def _parse_member(text: str, offset: int, raw: str, strict: bool) -> LinkEntry | None:
     member = raw.strip()
+    plain = _PLAIN_MEMBER.fullmatch(member)
+    if plain is not None:
+        target, rel, when = plain.groups()
+        rel = tuple(rel.split())
+        if rel:
+            try:
+                return LinkEntry(target, rel, parse_http_datetime(when))
+            except ValueError:
+                pass  # the general path below raises the ParseError
     if not member:
         return None
     if not member.startswith("<"):

@@ -212,7 +212,17 @@ def load_registry(path=None) -> ArchiveRegistry:
     return ArchiveRegistry.load(path) if path else default_registry()
 
 
+# The plain URI-M form: an http(s) scheme in any case, a host of letters,
+# digits, dots and hyphens, an optional numeric port, then the end of the
+# authority. ``urlsplit`` returns this host unchanged, so it is read directly;
+# every other URI goes through ``urlsplit``.
+_PLAIN_HOST = re.compile(r"[Hh][Tt][Tt][Pp][Ss]?://([A-Za-z0-9.-]+)(?::[0-9]+)?(?:[/?#]|\Z)")
+
+
 def _host_of(uri: str) -> str:
+    plain = _PLAIN_HOST.match(uri)
+    if plain is not None:
+        return plain[1].lower()
     try:
         parts = urlsplit(uri)
     except ValueError as exc:
@@ -263,8 +273,34 @@ def classify_response(status: int, headers: Mapping[str, str]) -> Classification
     return Classification.LIVE
 
 
+# IMF-fixdate (RFC 9110 section 5.6.7), the form TimeMaps use. Years below
+# 1000 are left to the general parser, which maps two-digit years to 19xx/20xx.
+_IMF_FIXDATE = re.compile(
+    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun), ([0-9]{2}) "
+    r"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) ([1-9][0-9]{3}) "
+    r"([0-9]{2}):([0-9]{2}):([0-9]{2}) GMT"
+)
+_MONTHS = {m: i for i, m in enumerate("Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split(), 1)}
+
+
 def parse_http_datetime(value: str) -> datetime:
-    """Parse an HTTP-date (RFC 1123 form) into an aware UTC datetime."""
+    """Parse an HTTP-date into an aware UTC datetime.
+
+    IMF-fixdate (``Sun, 06 Nov 1994 08:49:37 GMT``) with a valid date and a
+    four-digit year from 1000 is read directly. Anything else, obsolete
+    forms and out-of-range fields included, goes to
+    ``email.utils.parsedate_to_datetime``.
+    """
+    fixed = _IMF_FIXDATE.fullmatch(value)
+    if fixed is not None:
+        day, month, year, hour, minute, second = fixed.groups()
+        try:
+            return datetime(
+                int(year), _MONTHS[month], int(day),
+                int(hour), int(minute), int(second), tzinfo=timezone.utc,
+            )
+        except ValueError:
+            pass
     try:
         dt = parsedate_to_datetime(value.strip())
     except (TypeError, ValueError) as exc:
@@ -280,13 +316,18 @@ def format_http_datetime(dt: datetime) -> str:
 
 def compact14(dt: datetime) -> str:
     """14-digit UTC timestamp (YYYYMMDDhhmmss) used by compact TimeMaps."""
-    return dt.astimezone(timezone.utc).strftime("%Y%m%d%H%M%S")
+    u = dt.astimezone(timezone.utc)
+    return "%04d%02d%02d%02d%02d%02d" % (u.year, u.month, u.day, u.hour, u.minute, u.second)
 
 
 def parse_compact14(stamp: str) -> datetime:
-    if len(stamp) != 14 or not stamp.isdigit():
+    """The aware UTC datetime of a 14-digit stamp written by :func:`compact14`."""
+    if len(stamp) != 14 or not stamp.isascii() or not stamp.isdigit():
         raise ValueError(f"expected 14 digits, got {stamp!r}")
-    return datetime.strptime(stamp, "%Y%m%d%H%M%S").replace(tzinfo=timezone.utc)
+    return datetime(
+        int(stamp[:4]), int(stamp[4:6]), int(stamp[6:8]),
+        int(stamp[8:10]), int(stamp[10:12]), int(stamp[12:]), tzinfo=timezone.utc,
+    )
 
 
 _TIMESTAMP_SEGMENT = re.compile(r"/(\d{14})(/)")

@@ -2,8 +2,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property-test depth: "local" unless ``--hypothesis-profile=ci`` is given,
+# which the Hypothesis plugin loads after this file.
+settings.register_profile("local", max_examples=300, deadline=None)
+settings.register_profile("ci", max_examples=2000, deadline=None)
+settings.load_profile("local")
 
 from mockserver import MockArchiveServer  # noqa: E402
 

@@ -1,19 +1,35 @@
-"""Property tests of TimeMap intake against the character loops and the
-linear domain scan it replaced.
+"""Property tests of TimeMap intake against the code it replaced.
 
 The reference implementations below are the previous code, kept here
-verbatim: the tokenizer must split, parse and fail exactly as they did, and
-the registry must match hosts and reject overlaps exactly as they did.
+verbatim: the character-loop splitters, the linear domain scan, and the
+general parsers behind the fixed-form fast paths (``parse_http_datetime``
+through ``parsedate_to_datetime``, ``_host_of`` through ``urlsplit``,
+``_parse_member`` through the RFC 6690 split, ``parse_compact14`` through
+``strptime``). Each new function must return what its reference returns,
+or fail with the same exception class and message; ``parse_compact14``
+only with the same class, and it rejects stamps with non-ASCII digits.
 """
 
+from datetime import datetime, timezone
+from email.utils import parsedate_to_datetime
 from unittest import mock
+from urllib.parse import urlsplit
 
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mementoset import ArchiveDescriptor, ArchiveRegistry, ParseError, Purpose, default_registry
-from mementoset import linkformat
-from mementoset.linkformat import _MEMBER, _PARAM, _split, parse_link_entries
+from mementoset import linkformat, model
+from mementoset.errors import MalformedUri
+from mementoset.linkformat import (
+    _MEMBER,
+    _PARAM,
+    LinkEntry,
+    _byte_offset,
+    _split,
+    parse_link_entries,
+)
+from mementoset.model import parse_compact14, parse_http_datetime
 
 
 def reference_split_members(text: str):
@@ -108,13 +124,11 @@ def outcome(text: str, strict: bool):
 
 
 class TestTokenizerMatchesCharacterLoops:
-    @settings(max_examples=300, deadline=None)
     @given(TEXT)
     def test_splits_identical(self, text):
         assert list(_split(_MEMBER, text)) == list(reference_split_members(text))
         assert [part for _, part in _split(_PARAM, text)] == reference_split_params(text)
 
-    @settings(max_examples=300, deadline=None)
     @given(TEXT)
     def test_entries_and_errors_identical(self, text):
         for strict in (False, True):
@@ -170,7 +184,6 @@ HOST_PARTS = st.tuples(LABELS, st.lists(st.booleans(), max_size=30), st.integers
 
 
 class TestHostIndexMatchesLinearScan:
-    @settings(max_examples=300, deadline=None)
     @given(ARCHIVES, st.lists(st.tuples(st.integers(0, 20), HOST_PARTS), max_size=6))
     def test_rejection_and_lookup_agree(self, archives, probes):
         try:
@@ -185,7 +198,6 @@ class TestHostIndexMatchesLinearScan:
             host = build_host(labels, domains[pick % len(domains)], case, dots)
             assert registry.match_host(host) is reference_match_host(archives, host)
 
-    @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 100), HOST_PARTS, st.booleans())
     def test_bundled_registry_lookup_agrees(self, pick, host_parts, foreign):
         registry = default_registry()
@@ -194,3 +206,299 @@ class TestHostIndexMatchesLinearScan:
         domain = "example.org" if foreign else domains[pick % len(domains)]
         host = build_host(labels, domain, case, dots)
         assert registry.match_host(host) is reference_match_host(registry, host)
+
+
+# The fixed-form fast paths of TimeMap intake against the general parsers
+# they sit in front of. The references are the previous code, verbatim.
+
+
+def reference_parse_http_datetime(value: str) -> datetime:
+    """Parse an HTTP-date (RFC 1123 form) into an aware UTC datetime."""
+    try:
+        dt = parsedate_to_datetime(value.strip())
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad HTTP datetime {value!r}") from exc
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.astimezone(timezone.utc).replace(microsecond=0)
+
+
+def reference_host_of(uri: str) -> str:
+    try:
+        parts = urlsplit(uri)
+    except ValueError as exc:
+        raise MalformedUri(uri, str(exc)) from None
+    if not parts.netloc or parts.scheme not in ("http", "https"):
+        raise MalformedUri(uri)
+    host = parts.hostname
+    if not host:
+        raise MalformedUri(uri, "empty host")
+    return host.lower()
+
+
+def reference_parse_member(text: str, offset: int, raw: str, strict: bool) -> LinkEntry | None:
+    member = raw.strip()
+    if not member:
+        return None
+    if not member.startswith("<"):
+        raise ParseError("member does not start with <target>", _byte_offset(text, offset))
+    end = member.find(">")
+    if end < 0:
+        raise ParseError("unterminated <target>", _byte_offset(text, offset))
+    target = member[1:end].strip()
+    if not target:
+        raise ParseError("empty target", _byte_offset(text, offset))
+    attrs: dict[str, str] = {}
+    for _, part in _split(_PARAM, member[end + 1 :]):
+        part = part.strip()
+        if not part:
+            continue
+        name, eq, value = part.partition("=")
+        name = name.strip().lower()
+        if not eq or not name:
+            raise ParseError(f"bad parameter {part!r}", _byte_offset(text, offset))
+        value = value.strip()
+        if value.startswith('"'):
+            if not value.endswith('"') or len(value) < 2:
+                raise ParseError(
+                    f"unterminated quoted value in {part!r}", _byte_offset(text, offset)
+                )
+            value = value[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+        elif strict:
+            raise ParseError(
+                f"unquoted parameter value in {part!r}", _byte_offset(text, offset)
+            )
+        attrs.setdefault(name, value)
+    rel = tuple(attrs.get("rel", "").split())
+    if not rel:
+        raise ParseError(f"member {target!r} has no rel", _byte_offset(text, offset))
+    dt = from_dt = None
+    try:
+        if "datetime" in attrs:
+            dt = reference_parse_http_datetime(attrs["datetime"])
+        if "from" in attrs:
+            from_dt = reference_parse_http_datetime(attrs["from"])
+    except ValueError as exc:
+        raise ParseError(str(exc), _byte_offset(text, offset)) from None
+    return LinkEntry(
+        target=target,
+        rel=rel,
+        datetime=dt,
+        type_attr=attrs.get("type"),
+        from_attr=from_dt,
+    )
+
+
+def reference_parse_compact14(stamp: str) -> datetime:
+    if len(stamp) != 14 or not stamp.isdigit():
+        raise ValueError(f"expected 14 digits, got {stamp!r}")
+    return datetime.strptime(stamp, "%Y%m%d%H%M%S").replace(tzinfo=timezone.utc)
+
+
+def result(fn, *args):
+    """The value with its repr (which shows the tzinfo), or the error."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    return value, repr(value)
+
+
+def pick(*options):
+    return st.sampled_from(options)
+
+
+def padded(width):
+    return lambda n: f"{n:0{width}d}"
+
+
+# Years on both sides of 1000, the email parser's two-digit mapping, and
+# widths the fixed form does not have.
+YEAR = st.one_of(
+    st.integers(0, 99).map(padded(4)),
+    st.integers(100, 999).map(padded(4)),
+    st.integers(1000, 9999).map(padded(4)),
+    st.integers(0, 999).map(str),
+)
+
+# Each strategy mixes inputs in the fixed form, varied only where that form
+# allows, with inputs that leave it in one place or many.
+
+# Days 00 and 32, Feb 29 in years that are not leap years, hour 24, second 60,
+# and zones other than GMT.
+FIXDATE = st.builds(
+    "{}, {} {} {} {}:{}:{} {}".format,
+    pick("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"),
+    st.integers(0, 32).map(padded(2)),
+    pick("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"),
+    st.one_of(st.integers(1000, 9999).map(padded(4)), YEAR),
+    st.integers(0, 24).map(padded(2)),
+    st.integers(0, 60).map(padded(2)),
+    st.integers(0, 61).map(padded(2)),
+    pick("GMT", "GMT", "GMT", "UTC", "EST", "gmt", "+0000"),
+)
+HTTP_DATE = st.one_of(
+    FIXDATE,
+    st.builds(
+        "{}{}{}{} {} {} {}:{}:{}{}{}".format,
+        pick("", " ", "\t"),
+        pick("Sun,", "Mon,", "Sat,", "sun,", "Xyz,", "Sun", ""),
+        pick(" ", "  ", ""),
+        st.one_of(st.integers(0, 32).map(padded(2)), pick("1", "6", "29")),
+        pick("Jan", "Feb", "Nov", "Dec", "NOV", "nov", "February", "Foo"),
+        YEAR,
+        st.integers(0, 24).map(padded(2)),
+        st.integers(0, 60).map(padded(2)),
+        st.integers(0, 61).map(padded(2)),
+        pick(" GMT", " UTC", " gmt", " +0000", " -0500", " EST", " Z", ""),
+        pick("", " ", "\n"),
+    ),
+    st.text(alphabet="Sun, 0619Nov:GMT-+\t", max_size=32),
+)
+
+# Scheme case, userinfo, bracketed hosts, ports, percent-escapes and the
+# characters urlsplit strips or refuses.
+PLAIN_URI = st.builds(
+    "{}://{}{}{}".format,
+    pick("http", "https", "HTTP", "Https", "hTtPs"),
+    st.text(alphabet="aZ09.-", min_size=1, max_size=12),
+    pick("", ":80", ":0", ":08080"),
+    pick("", "/", "/web/2000/http://a.example/", "?q=1", "#f", "/a@b", "/[x", "/%41", "/\t", "\n"),
+)
+URI = st.one_of(
+    PLAIN_URI,
+    st.builds(
+        "{}{}{}{}{}{}{}".format,
+        pick("", " ", "\x00"),
+        pick("http", "https", "HTTP", "Https", "ftp", "httpx", "http:", ""),
+        pick("://", ":/", "//", ":///", ":"),
+        pick("", "user@", "u:p@", "@"),
+        st.one_of(
+            pick("web.archive.org", "Arquivo.PT", "a", ".", "-", "", "[::1]", "[::1", "1.2.3.4"),
+            st.text(alphabet="abAZ09.-@[]%:\t\x1cé ", max_size=10),
+        ),
+        pick("", ":", ":80", ":abc", ":8a", ":٣"),
+        pick("", "/", "?q=1", "#f", "\n", "\t/", " ", "é"),
+    ),
+)
+
+# Names swapped or in upper case, extra params, separators and escapes
+# inside quotes, and Unicode whitespace where the general path strips it.
+SPACE = pick("", " ", "\t", "\n", "\u00a0", "\u2003", "\x1c")
+PLAIN_MEMBER = st.builds(
+    '{}<{}>; rel="{}"; datetime="{}"{}'.format,
+    SPACE,
+    st.text(alphabet='ab:/.,;<"\\', min_size=1, max_size=12),
+    pick("memento", "first memento", "last memento", " memento ", "", " ", "a;b", "a,b", "a\\\\b", "a\\"),
+    HTTP_DATE.filter(lambda d: '"' not in d and "\\" not in d),
+    SPACE,
+)
+TARGET = pick(
+    "http://web.archive.org/web/20000101000000/http://a.example/",
+    "http://a.example/m,1;x", " http://a.example/ ", "", "a b", 'a"b', "a\\b",
+)
+REL = pick('"memento"', '"first memento"', '""', '"  "', "memento", '"a;b"', '"a,b"', '"q\\"x"')
+WHEN = st.one_of(
+    pick('"Sun, 08 Jan 2017 09:15:41 GMT"', '"Sun, 06 Nov 0099 08:49:37 GMT"', '"bad"', "x", '"a\\\\"'),
+    FIXDATE.map('"{}"'.format),
+)
+PARAM = st.one_of(
+    st.tuples(pick("rel", "REL", "Rel"), REL),
+    st.tuples(pick("datetime", "DateTime"), WHEN),
+    st.tuples(pick("type", "from", "title", ""), st.one_of(REL, WHEN)),
+)
+MEMBER = st.one_of(
+    PLAIN_MEMBER,
+    st.builds(
+        lambda lead, target, inner, params, tail: (
+            f"{lead}<{inner}{target}{inner}>"
+            + "".join(f"{s1};{s2}{name}{s3}={s4}{value}" for (name, value), (s1, s2, s3, s4) in params)
+            + tail
+        ),
+        SPACE,
+        TARGET,
+        SPACE,
+        st.lists(
+            st.tuples(
+                PARAM,
+                st.one_of(st.just(("", " ", "", "")), st.tuples(SPACE, SPACE, SPACE, SPACE)),
+            ),
+            max_size=4,
+        ),
+        SPACE,
+    ),
+)
+
+# Every field at and past its range, non-ASCII digits (which int() and
+# str.isdigit() accept but strptime's patterns may not) in any position,
+# and strings that are not 14 digits.
+FIELDS = st.builds(
+    "{}{:02d}{:02d}{:02d}{:02d}{:02d}".format,
+    YEAR.filter(lambda y: len(y) == 4),
+    st.integers(0, 13),
+    st.integers(0, 32),
+    st.integers(0, 24),
+    st.integers(0, 60),
+    st.integers(0, 61),
+)
+STAMP = st.one_of(
+    FIELDS,
+    st.builds(
+        lambda stamp, i, ch: stamp[:i] + ch + stamp[i + 1 :],
+        FIELDS,
+        st.integers(0, 13),
+        pick("٣", "٠", "²", "a", " "),
+    ),
+    st.text(alphabet="0123456789٣²a ", min_size=13, max_size=15),
+)
+
+
+class TestFastPathsMatchGeneralParsers:
+    @given(HTTP_DATE)
+    @example("Sun, 06 Nov 1994 08:49:37 GMT")
+    @example("Mon, 01 Jan 0999 00:00:00 GMT")
+    @example("Mon, 01 Jan 0099 00:00:00 GMT")
+    @example("Thu, 29 Feb 1900 00:00:00 GMT")
+    @example("Sun, 06 Nov 1994 08:49:60 GMT")
+    @example("Sun, 00 Nov 1994 08:49:37 GMT")
+    @example("Sun, 32 Nov 1994 08:49:37 GMT")
+    def test_http_datetime(self, value):
+        assert result(parse_http_datetime, value) == result(reference_parse_http_datetime, value)
+
+    @given(URI)
+    @example("HTTPS://Web.Archive.org:443/web/")
+    @example("http://user@web.archive.org/")
+    @example("http://web.archive.org:/x")
+    @example("http://web.archive.org:abc/x")
+    @example("http://web%2Earchive.org/")
+    @example("http://web.archive.org\t/")
+    def test_host_of(self, uri):
+        assert result(model._host_of, uri) == result(reference_host_of, uri)
+
+    @given(MEMBER, st.booleans())
+    @example('<http://a.example/>; rel="memento"; datetime="Sun, 06 Nov 1994 08:49:37 GMT"', True)
+    @example('<http://a.example/>; rel=" "; datetime="Sun, 06 Nov 1994 08:49:37 GMT"', False)
+    @example('<http://a.example/>; rel="memento"; datetime="Sun, 06 Nov 0099 08:49:37 GMT"', False)
+    def test_parse_member(self, member, strict):
+        text = "<http://x/>; rel=original,\n" + member
+        offset = text.index(member)
+        new = result(linkformat._parse_member, text, offset, member, strict)
+        assert new == result(reference_parse_member, text, offset, member, strict)
+
+    @given(STAMP)
+    @example("09990101000000")
+    @example("00000101000000")
+    @example("19000229000000")
+    @example("20001301000000")
+    @example("20000101000060")
+    @example("٢٠٠٠0101000000")
+    def test_parse_compact14(self, stamp):
+        # The value, or the error class without strptime's wording. Stamps
+        # with non-ASCII digits, some of which strptime reads in the year,
+        # are rejected.
+        def verdict(fn):
+            outcome = result(fn, stamp)
+            return outcome[:1] if isinstance(outcome[0], type) else outcome
+
+        expected = verdict(reference_parse_compact14) if stamp.isascii() else (ValueError,)
+        assert verdict(parse_compact14) == expected
