@@ -18,7 +18,7 @@ from html.parser import HTMLParser
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
-from urllib.parse import urljoin, urlsplit
+from urllib.parse import urljoin
 
 from .canonical import RedirectChain, path_length, registrable_domain, surt
 from .client import ArchiveClient, run_steps, while_waiting
@@ -57,7 +57,6 @@ class SourceStream:
 
     name: str
     uris: tuple[str, ...]
-    access_time: str | None = None
 
 
 def load_source_file(path: str | Path, name: str | None = None) -> SourceStream:
@@ -152,36 +151,30 @@ class SelectionState:
         self.chosen_domains[bucket].add(domain)
         self.bucket_counts[bucket] += 1
 
-    def to_dict(self) -> dict:
-        return {
-            "quota_per_bucket": self.quota_per_bucket,
-            "chosen": sorted(self.chosen),
-            "chosen_domains": {b.value: sorted(s) for b, s in self.chosen_domains.items()},
-            "bucket_counts": {b.value: n for b, n in self.bucket_counts.items()},
-        }
-
     @classmethod
-    def from_dict(cls, d: dict) -> "SelectionState":
-        state = cls(quota_per_bucket=d["quota_per_bucket"])
-        state.chosen = set(d["chosen"])
-        state.chosen_domains = {
-            PathBucket(b): set(s) for b, s in d["chosen_domains"].items()
-        }
-        state.bucket_counts = {PathBucket(b): n for b, n in d["bucket_counts"].items()}
+    def from_resources(
+        cls, resources: Iterable[OriginalResource], quota_per_bucket: int
+    ) -> "SelectionState":
+        """The state after admitting ``resources``, each keyed as the scan
+        keys it. Counted without the quota check, so a quota lower than
+        the count leaves the bucket full."""
+        state = cls(quota_per_bucket)
+        for r in resources:
+            state.chosen.add(r.canonical_key)
+            state.chosen_domains[r.path_bucket].add(registrable_domain(r.final_uri))
+            state.bucket_counts[r.path_bucket] += 1
         return state
 
 
 class MementoCollection:
     """Merged TimeMapRecords keyed by canonical URI-R, with archive tallies.
 
-    Records are stored deduplicated and (by default) reduced to one
-    memento per archive per year. Mementos that resolve to no registered
-    archive are dropped on the way in: the tallies are per-archive by
-    definition.
+    Records are stored deduplicated and reduced to one memento per
+    archive per year. Mementos that resolve to no registered archive are
+    dropped on the way in: the tallies are per-archive by definition.
     """
 
-    def __init__(self, one_per_year: bool = True):
-        self.one_per_year = one_per_year
+    def __init__(self):
         self._records: dict[str, TimeMapRecord] = {}
         self._urims: dict[str, int] = {}
         self._urirs: dict[str, set[str]] = {}
@@ -229,8 +222,7 @@ class MementoCollection:
                 len(record.mementos) - len(attributed),
                 record.urir.uri,
             )
-        record = dedupe(record.with_mementos(attributed))
-        return yearly_first_filter(record) if self.one_per_year else record
+        return yearly_first_filter(dedupe(record.with_mementos(attributed)))
 
     def _add_tally(self, record: TimeMapRecord) -> None:
         key = record.urir.canonical_key
@@ -276,7 +268,7 @@ class ResolvedCandidate:
     error: str | None = None
 
 
-def _resolve_steps(uri: str, client: ArchiveClient, domain_mode: str):
+def _resolve_steps(uri: str, client: ArchiveClient):
     """Follow a candidate's redirects and key its final URI, as a step
     generator (see ``ArchiveClient.request_steps``). Reads no selection
     state, so candidates may be resolved in any order."""
@@ -285,8 +277,7 @@ def _resolve_steps(uri: str, client: ArchiveClient, domain_mode: str):
         final = chain.final_uri
         key = surt(final)
         bucket = path_length(final)
-        host = urlsplit(final).hostname or ""
-        domain = host.lower() if domain_mode == "host" else registrable_domain(final)
+        domain = registrable_domain(final)
     except MementosetError as exc:
         logger.info("skipping %s: %s", uri, exc)
         return ResolvedCandidate(error=f"error: {exc}")
@@ -298,21 +289,20 @@ def screen_candidate(
     source: str,
     client: ArchiveClient,
     state: SelectionState,
-    domain_mode: str = "registrable",
     resolved: ResolvedCandidate | None = None,
 ) -> ScreenResult:
     """Evaluate the selection conditions for one candidate URI-R.
 
     A candidate is accepted when (a) its canonical key is new, (b) its
     path bucket has quota left, (c) its domain is unused in that bucket,
-    and (d) its TimeMap holds at least one memento after dedup. Network
-    failures reject the candidate without aborting the scan. ``resolved``
-    is the candidate's redirect resolution when it was made ahead; the
-    checks, the TimeMap fetch and the admission run here, against the
-    current ``state``.
+    and (d) its TimeMap holds at least one memento. Network failures
+    reject the candidate without aborting the scan. ``resolved`` is the
+    candidate's redirect resolution when it was made ahead; the checks,
+    the TimeMap fetch and the admission run here, against the current
+    ``state``.
     """
     if resolved is None:
-        resolved = run_steps(_resolve_steps(uri, client, domain_mode))
+        resolved = run_steps(_resolve_steps(uri, client))
     if resolved.error is not None:
         return ScreenResult(None, None, resolved.error)
     key, bucket, domain = resolved.key, resolved.bucket, resolved.domain
@@ -324,14 +314,12 @@ def screen_candidate(
         return ScreenResult(None, None, f"domain {domain} already used in {bucket.value}")
     final = resolved.chain.final_uri
     try:
-        record = dedupe(client.fetch_timemap_aggregator(final))
+        record = client.fetch_timemap_aggregator(final)
     except EmptyTimeMap:
         return ScreenResult(None, None, "empty timemap")
     except (NetworkError, ParseError) as exc:
         logger.info("timemap fetch failed for %s: %s", uri, exc)
         return ScreenResult(None, None, f"error: {exc}")
-    if not record.mementos:
-        return ScreenResult(None, None, "empty timemap")
     resource = OriginalResource(
         uri=uri,
         canonical_key=key,
@@ -340,8 +328,12 @@ def screen_candidate(
         source=source,
         live_status=resolved.chain.terminal_status,
     )
+    mementos = record.mementos
+    if record.urir.canonical_key != key:
+        # The aggregator's rel="original" may name another form of the URI-R.
+        mementos = tuple(replace(m, urir_key=key) for m in mementos)
     state.admit(key, bucket, domain)
-    return ScreenResult(resource, replace(record, urir=resource), "accepted")
+    return ScreenResult(resource, replace(record, urir=resource, mementos=mementos), "accepted")
 
 
 class _Slot:
@@ -369,9 +361,8 @@ class _Lookahead:
     host, so each host sees the spacing and back-off of a sequential scan.
     """
 
-    def __init__(self, client: ArchiveClient, domain_mode: str):
+    def __init__(self, client: ArchiveClient):
         self.client = client
-        self.domain_mode = domain_mode
         self.window: deque[_Slot] = deque()
         self.started = 0  # slots at the window's front whose resolution has started
 
@@ -407,7 +398,7 @@ class _Lookahead:
         if self.started < len(self.window):
             slot = self.window[self.started]
             self.started += 1
-            slot.steps = _resolve_steps(slot.uri, self.client, self.domain_mode)
+            slot.steps = _resolve_steps(slot.uri, self.client)
             self._advance(slot)
         elif wake > now:
             time.sleep(wake - now)
@@ -426,7 +417,6 @@ def select_initial(
     client: ArchiveClient,
     state: SelectionState | None = None,
     target: int = 10_000,
-    domain_mode: str = "registrable",
     sink: Callable[[TimeMapRecord], None] | None = None,
     on_commit: Callable[[ScreenResult], None] | None = None,
 ) -> list[OriginalResource]:
@@ -445,7 +435,7 @@ def select_initial(
     state = state if state is not None else SelectionState()
     accepted: list[OriginalResource] = []
     candidates = iter(stream)
-    lookahead = _Lookahead(client, domain_mode)
+    lookahead = _Lookahead(client)
     with while_waiting(lookahead.idle):
         while True:
             room = min(LOOKAHEAD, target - len(accepted), state.open_capacity())
@@ -457,7 +447,7 @@ def select_initial(
             if not lookahead.window:
                 break
             uri, source, resolved = lookahead.pop()
-            result = screen_candidate(uri, source, client, state, domain_mode, resolved)
+            result = screen_candidate(uri, source, client, state, resolved)
             if result.accepted is not None:
                 accepted.append(result.accepted)
                 if sink is not None:
@@ -493,7 +483,7 @@ def extract_urirs_from_html(body: bytes | str, base: str) -> list[str]:
     try:
         parser.feed(text)
         parser.close()
-    except Exception:  # html.parser is robust; belt and braces
+    except AssertionError:  # html.parser's verdict on an unknown marked section
         logger.debug("HTML parse aborted for base %s", base)
     out: list[str] = []
     seen: set[str] = set()
@@ -612,7 +602,7 @@ def ingest_published_list(
             if key in collection:
                 continue
             try:
-                record = dedupe(client.fetch_timemap_aggregator(uri))
+                record = client.fetch_timemap_aggregator(uri)
             except EmptyTimeMap:
                 continue
             except (NetworkError, ParseError) as exc:

@@ -273,11 +273,11 @@ def classify_response(status: int, headers: Mapping[str, str]) -> Classification
     return Classification.LIVE
 
 
-# IMF-fixdate (RFC 9110 section 5.6.7), the form TimeMaps use. Years below
-# 1000 are left to the general parser, which maps two-digit years to 19xx/20xx.
+# IMF-fixdate (RFC 9110 section 5.6.7), the form TimeMaps use. Its year has
+# four digits and is read as written.
 _IMF_FIXDATE = re.compile(
     r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun), ([0-9]{2}) "
-    r"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) ([1-9][0-9]{3}) "
+    r"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) ([0-9]{4}) "
     r"([0-9]{2}):([0-9]{2}):([0-9]{2}) GMT"
 )
 _MONTHS = {m: i for i, m in enumerate("Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split(), 1)}
@@ -286,10 +286,11 @@ _MONTHS = {m: i for i, m in enumerate("Jan Feb Mar Apr May Jun Jul Aug Sep Oct N
 def parse_http_datetime(value: str) -> datetime:
     """Parse an HTTP-date into an aware UTC datetime.
 
-    IMF-fixdate (``Sun, 06 Nov 1994 08:49:37 GMT``) with a valid date and a
-    four-digit year from 1000 is read directly. Anything else, obsolete
-    forms and out-of-range fields included, goes to
-    ``email.utils.parsedate_to_datetime``.
+    IMF-fixdate (``Sun, 06 Nov 1994 08:49:37 GMT``) is read directly, its
+    four-digit year as written, and a field out of range (year 0000, day 32,
+    second 60) is an error. Every other form goes to
+    ``email.utils.parsedate_to_datetime``, which maps two-digit years to
+    19xx/20xx.
     """
     fixed = _IMF_FIXDATE.fullmatch(value)
     if fixed is not None:
@@ -299,8 +300,8 @@ def parse_http_datetime(value: str) -> datetime:
                 int(year), _MONTHS[month], int(day),
                 int(hour), int(minute), int(second), tzinfo=timezone.utc,
             )
-        except ValueError:
-            pass
+        except ValueError as exc:
+            raise ValueError(f"bad HTTP datetime {value!r}") from exc
     try:
         dt = parsedate_to_datetime(value.strip())
     except (TypeError, ValueError) as exc:
@@ -405,7 +406,6 @@ class SelectionConstraints:
     min_urirs_per_archive: int = 200
     max_urims_per_archive: int = 1600
     download_budget: timedelta = field(default_factory=lambda: timedelta(hours=40))
-    one_per_year: bool = True
 
     def __post_init__(self):
         if self.min_urirs_per_archive <= 0 or self.max_urims_per_archive <= 0:

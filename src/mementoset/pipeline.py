@@ -1,10 +1,14 @@
 """End-to-end discovery run: the four methods in sequence with a
 resumable on-disk state file and per-stage count tables.
 
-The state file is rewritten atomically after every stage and every
-``checkpoint_every`` scanned candidates, so an interrupted run resumed
-from disk converges to the same final state as an uninterrupted one
-(fetches must be deterministic, e.g. fixture-backed, for byte equality).
+The state file holds the stage, the Method 1 scan index, the collected
+records and the per-stage tables. It is rewritten atomically after every
+stage and every ``checkpoint_every`` scanned candidates, so an interrupted
+run resumed from disk converges to the same final state as an
+uninterrupted one (fetches must be deterministic, e.g. fixture-backed, for
+byte equality). Method 1's selection is not stored apart: its URI-Rs are
+the records that carry a source tag, and resuming counts them again under
+the config's ``quota_per_bucket``.
 """
 
 from __future__ import annotations
@@ -63,7 +67,6 @@ class RunConfig:
     constraints: SelectionConstraints = field(default_factory=SelectionConstraints)
     target: int = 10_000
     quota_per_bucket: int = 2_000
-    domain_mode: str = "registrable"
     fixtures_dir: Path | None = None
     record_dir: Path | None = None
     seed: int = 0
@@ -89,7 +92,6 @@ class RunConfig:
             download_budget=timedelta(
                 hours=constraints_raw.get("download_budget_hours", 40)
             ),
-            one_per_year=constraints_raw.get("one_per_year", True),
         )
         config = cls(
             out_dir=resolve(raw.get("out_dir", "out")),
@@ -106,7 +108,6 @@ class RunConfig:
             constraints=constraints,
             target=raw.get("target", 10_000),
             quota_per_bucket=raw.get("quota_per_bucket", 2_000),
-            domain_mode=raw.get("domain_mode", "registrable"),
             fixtures_dir=resolve(raw.get("fixtures")),
             record_dir=resolve(raw.get("record")),
             seed=raw.get("seed", 0),
@@ -209,9 +210,14 @@ class DiscoveryPipeline:
         self.stage = "method1"
         self.scan_index = 0
         self.selection_state = SelectionState(quota_per_bucket=config.quota_per_bucket)
-        self.accepted: list[OriginalResource] = []
-        self.collection = MementoCollection(one_per_year=config.constraints.one_per_year)
+        self.collection = MementoCollection()
         self.method_tables: dict[str, dict[str, list[int]]] = {}
+
+    @property
+    def accepted(self) -> list[OriginalResource]:
+        """Method 1's URI-Rs in acceptance order. Only they come from a
+        source list, and Method 1 adds its records before any other stage."""
+        return [r.urir for r in self.collection.records() if r.urir.source is not None]
 
     # -- state persistence -------------------------------------------------
 
@@ -224,8 +230,6 @@ class DiscoveryPipeline:
         payload = {
             "stage": self.stage,
             "scan_index": self.scan_index,
-            "selection_state": self.selection_state.to_dict(),
-            "accepted": [_resource_to_dict(r) for r in self.accepted],
             "records": [_record_to_dict(r) for r in self.collection.records()],
             "method_tables": self.method_tables,
         }
@@ -241,14 +245,15 @@ class DiscoveryPipeline:
         payload = json.loads(self.state_path.read_text("utf-8"))
         self.stage = payload["stage"]
         self.scan_index = payload["scan_index"]
-        self.selection_state = SelectionState.from_dict(payload["selection_state"])
-        self.accepted = [_resource_from_dict(d) for d in payload["accepted"]]
-        self.collection = MementoCollection(
-            one_per_year=self.config.constraints.one_per_year
-        )
+        self.collection = MementoCollection()
         for d in payload["records"]:
             self.collection.add(_record_from_dict(d))
         self.method_tables = payload["method_tables"]
+        # Files that also hold "accepted" and "selection_state" load the
+        # same: the selection is rebuilt from the records.
+        self.selection_state = SelectionState.from_resources(
+            self.accepted, self.config.quota_per_bucket
+        )
         return True
 
     # -- stages ------------------------------------------------------------
@@ -286,10 +291,6 @@ class DiscoveryPipeline:
         stream = self._stream()
         end = len(stream) if max_candidates is None else self.scan_index + max_candidates
 
-        def sink(record: TimeMapRecord) -> None:
-            self.accepted.append(record.urir)
-            self.collection.add(record)
-
         def committed(result: ScreenResult) -> None:
             # Candidates commit in stream order, so scan_index stays a resume
             # point: candidates resolved ahead but not committed are redone.
@@ -297,10 +298,9 @@ class DiscoveryPipeline:
             if self.scan_index % self.config.checkpoint_every == 0:
                 self.save_state()
 
-        remaining = self.config.target - len(self.accepted)
         select_initial(
-            stream[self.scan_index : end], self.client, self.selection_state, remaining,
-            self.config.domain_mode, sink, committed,
+            stream[self.scan_index : end], self.client, self.selection_state,
+            self.config.target - len(self.accepted), self.collection.add, committed,
         )
         completed = (
             self.selection_state.all_full()

@@ -133,6 +133,11 @@ class TestExtractUrirs:
         html = '<a href="mailto:x@y">m</a><a href="javascript:f()">j</a>'
         assert extract_urirs_from_html(html, "http://h/") == []
 
+    def test_unknown_marked_section_keeps_links_before_it(self):
+        # html.parser raises AssertionError on an unknown marked-section keyword.
+        html = "<a href='/y'><![bogus[ x ]]>"
+        assert extract_urirs_from_html(html, "http://h/") == ["http://h/y"]
+
 
 class TestSelectInitial:
     def test_matches_brute_force_on_planted_stream(self, registry):
@@ -226,6 +231,23 @@ class TestSelectInitial:
         assert resource.final_uri == final
         assert resource.live_status == 200
         assert resource.source == "wahr:#paris"
+
+    def test_original_keyed_differently_is_rekeyed(self, registry):
+        # The aggregator names the URI-R with a trailing slash the candidate lacks.
+        transport = FakeTransport()
+        uri = "http://a.example/x"
+        transport.add("HEAD", uri, 200)
+        transport.add("GET", AGG_TEMPLATE.format(uri=uri), 200,
+                      body=timemap_body("http://a.example/x/", 2))
+        records = []
+        accepted = select_initial(
+            [(uri, "moz")], make_client(transport, registry), SelectionState(), sink=records.append
+        )
+        assert [r.uri for r in accepted] == [uri]
+        (record,) = records
+        assert record.urir == accepted[0]
+        assert len(record.mementos) == 2
+        assert {m.urir_key for m in record.mementos} == {"example,a)/x"}
 
 
 def seed_collection(registry, archive_id, urir, stamps):

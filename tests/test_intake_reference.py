@@ -8,8 +8,12 @@ through ``parsedate_to_datetime``, ``_host_of`` through ``urlsplit``,
 ``strptime``). Each new function must return what its reference returns,
 or fail with the same exception class and message; ``parse_compact14``
 only with the same class, and it rejects stamps with non-ASCII digits.
+``parse_http_datetime`` departs from its reference in one place: an
+IMF-fixdate with a year 0000-0099 keeps that year instead of mapping it to
+19xx/20xx, and year 0000 is rejected.
 """
 
+import re
 from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
 from unittest import mock
@@ -223,6 +227,30 @@ def reference_parse_http_datetime(value: str) -> datetime:
     return dt.astimezone(timezone.utc).replace(microsecond=0)
 
 
+IMF_FIXDATE_EARLY = re.compile(
+    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun), ([0-9]{2}) "
+    r"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) (00[0-9]{2}) "
+    r"([0-9]{2}):([0-9]{2}):([0-9]{2}) GMT"
+)
+MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
+
+
+def expected_http_datetime(value: str) -> datetime:
+    """The reference, except that an IMF-fixdate with a year 0000-0099 is
+    read as written (year 0000 is out of range)."""
+    early = IMF_FIXDATE_EARLY.fullmatch(value)
+    if early is None:
+        return reference_parse_http_datetime(value)
+    day, month, year, hour, minute, second = early.groups()
+    try:
+        return datetime(
+            int(year), MONTHS.index(month) + 1, int(day),
+            int(hour), int(minute), int(second), tzinfo=timezone.utc,
+        )
+    except ValueError:
+        raise ValueError(f"bad HTTP datetime {value!r}") from None
+
+
 def reference_host_of(uri: str) -> str:
     try:
         parts = urlsplit(uri)
@@ -275,9 +303,9 @@ def reference_parse_member(text: str, offset: int, raw: str, strict: bool) -> Li
     dt = from_dt = None
     try:
         if "datetime" in attrs:
-            dt = reference_parse_http_datetime(attrs["datetime"])
+            dt = expected_http_datetime(attrs["datetime"])
         if "from" in attrs:
-            from_dt = reference_parse_http_datetime(attrs["from"])
+            from_dt = expected_http_datetime(attrs["from"])
     except ValueError as exc:
         raise ParseError(str(exc), _byte_offset(text, offset)) from None
     return LinkEntry(
@@ -458,12 +486,14 @@ class TestFastPathsMatchGeneralParsers:
     @example("Sun, 06 Nov 1994 08:49:37 GMT")
     @example("Mon, 01 Jan 0999 00:00:00 GMT")
     @example("Mon, 01 Jan 0099 00:00:00 GMT")
+    @example("Mon, 01 Jan 0000 00:00:00 GMT")
+    @example("Thu, 29 Feb 0001 00:00:00 GMT")
     @example("Thu, 29 Feb 1900 00:00:00 GMT")
     @example("Sun, 06 Nov 1994 08:49:60 GMT")
     @example("Sun, 00 Nov 1994 08:49:37 GMT")
     @example("Sun, 32 Nov 1994 08:49:37 GMT")
     def test_http_datetime(self, value):
-        assert result(parse_http_datetime, value) == result(reference_parse_http_datetime, value)
+        assert result(parse_http_datetime, value) == result(expected_http_datetime, value)
 
     @given(URI)
     @example("HTTPS://Web.Archive.org:443/web/")

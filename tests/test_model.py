@@ -158,7 +158,6 @@ class TestSelectionConstraints:
         assert c.min_urirs_per_archive == 200
         assert c.max_urims_per_archive == 1600
         assert c.download_budget == timedelta(hours=40)
-        assert c.one_per_year
 
     @pytest.mark.parametrize(
         "kwargs",

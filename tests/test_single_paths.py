@@ -83,7 +83,9 @@ class TestMethod1Cursor:
             pipeline.run(max_candidates=1, stop_after="method1")
             assert saved_state(pipeline)["scan_index"] == expected
         assert saved_state(pipeline)["stage"] == "method2"
-        assert [r["uri"] for r in saved_state(pipeline)["accepted"]] == ACCEPTED
+        resumed = DiscoveryPipeline(config, clock=lambda: FIXED_NOW)
+        assert resumed.load_state()
+        assert [r.uri for r in resumed.accepted] == ACCEPTED
 
     def test_target_met_on_last_allowed_candidate_completes(self, config):
         config.target = 2
