@@ -42,15 +42,6 @@ EXIT_USAGE = 2
 EXIT_EMPTY = 3
 
 
-def _build_client(args) -> ArchiveClient:
-    return ArchiveClient(
-        load_registry(args.registry),
-        FetchPolicy(min_request_interval=args.interval, timeout=args.timeout),
-        open_transport(args.fixtures, args.record, args.timeout),
-        aggregator_template=args.endpoint or DEFAULT_AGGREGATOR_TEMPLATE,
-    )
-
-
 def cmd_canon(args) -> int:
     status = EXIT_OK
     for uri in args.uris:
@@ -65,7 +56,16 @@ def cmd_canon(args) -> int:
 
 
 def cmd_timemap(args) -> int:
-    client = _build_client(args)
+    try:
+        client = ArchiveClient(
+            load_registry(args.registry),
+            FetchPolicy(min_request_interval=args.interval, timeout=args.timeout),
+            open_transport(args.fixtures, args.record, args.timeout),
+            aggregator_template=args.endpoint or DEFAULT_AGGREGATOR_TEMPLATE,
+        )
+    except ValueError as exc:  # a bad --endpoint template or --registry file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.direct:
             archive = client.registry.get(args.direct)
@@ -95,11 +95,10 @@ def cmd_discover(args) -> int:
         )
         return EXIT_USAGE
     try:
-        config = RunConfig.from_file(config_path)
-    except (OSError, ValueError, KeyError) as exc:
+        pipeline = DiscoveryPipeline(RunConfig.from_file(config_path))
+    except (OSError, ValueError, KeyError, MementosetError) as exc:
         print(f"error loading config: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
-    pipeline = DiscoveryPipeline(config)
     stage = pipeline.run(resume=not args.fresh)
     print(f"discovery stopped at stage: {stage}")
     print(f"selected URI-Rs: {len(pipeline.accepted)}")

@@ -278,6 +278,9 @@ class ArchiveClient:
         aggregator_template: str = DEFAULT_AGGREGATOR_TEMPLATE,
         clock: Callable[[], datetime] | None = None,
     ):
+        rest = aggregator_template.replace("{uri}", "", 1)
+        if rest == aggregator_template or "{" in rest or "}" in rest:
+            raise ValueError(f"aggregator template needs one field, {{uri}}: {aggregator_template}")
         self.registry = registry
         self.policy = policy or FetchPolicy()
         self.transport = transport or open_transport(timeout=self.policy.timeout)
@@ -394,22 +397,23 @@ class ArchiveClient:
             )
         return entries
 
-    def fetch_timemap_aggregator(
-        self, urir: str, endpoint: str | None = None
-    ) -> TimeMapRecord:
-        """Aggregated TimeMap for a URI-R; EmptyTimeMap when never archived."""
-        template = endpoint or self.aggregator_template
-        if "{uri}" not in template:
-            raise ValueError("aggregator endpoint needs a {uri} placeholder")
+    def _fetch_record(self, template: str, urir: str, provenance: Provenance) -> TimeMapRecord:
+        """The TimeMap at ``template`` for ``urir``; EmptyTimeMap when it lists no memento."""
         entries = self._fetch_timemap_entries(template.format(uri=urir))
+        if not entries:
+            raise EmptyTimeMap(urir)
         record = record_from_entries(
             entries, urir_hint=urir, registry=self.registry,
-            provenance=Provenance.AGGREGATOR,
+            provenance=provenance,
             fetched_at=self.clock(),
-        ) if entries else None
-        if record is None or not record.mementos:
+        )
+        if not record.mementos:
             raise EmptyTimeMap(urir)
         return record
+
+    def fetch_timemap_aggregator(self, urir: str) -> TimeMapRecord:
+        """Aggregated TimeMap for a URI-R; EmptyTimeMap when never archived."""
+        return self._fetch_record(self.aggregator_template, urir, Provenance.AGGREGATOR)
 
     def fetch_timemap_direct(
         self, archive: ArchiveDescriptor, urir: str
@@ -417,16 +421,7 @@ class ArchiveClient:
         """TimeMap straight from one archive, bypassing aggregator caches."""
         if not archive.memento_native or not archive.timemap_template:
             raise NoTimeMapEndpoint(archive.id)
-        entries = self._fetch_timemap_entries(archive.timemap_template.format(uri=urir))
-        if not entries:
-            raise EmptyTimeMap(urir)
-        record = record_from_entries(
-            entries, urir_hint=urir, registry=self.registry,
-            provenance=Provenance.DIRECT_ARCHIVE,
-            fetched_at=self.clock(),
-        )
-        if not record.mementos:
-            raise EmptyTimeMap(urir)
+        record = self._fetch_record(archive.timemap_template, urir, Provenance.DIRECT_ARCHIVE)
         # Everything in a direct TimeMap belongs to the archive that served it.
         attributed = [
             replace(m, archive_id=archive.id, raw_urim=raw_variant(m.urim, archive.raw_scheme))
@@ -452,13 +447,13 @@ class ArchiveClient:
         content = self.fetch_raw_memento(memento)
         return TimedDownload(content, time.monotonic() - started)
 
-    def resolve(self, uri: str, max_hops: int = 10) -> RedirectChain:
+    def resolve(self, uri: str) -> RedirectChain:
         """Redirect resolution routed through the polite request lanes."""
-        return run_steps(self.resolve_steps(uri, max_hops))
+        return run_steps(self.resolve_steps(uri))
 
-    def resolve_steps(self, uri: str, max_hops: int = 10) -> Steps:
+    def resolve_steps(self, uri: str) -> Steps:
         """``resolve`` as a step generator, like ``request_steps``."""
-        walk = redirect_steps(uri, max_hops)
+        walk = redirect_steps(uri)
         try:
             method, target = next(walk)
             while True:

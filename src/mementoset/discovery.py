@@ -1,5 +1,7 @@
-"""URI-R discovery: source interleaving, the five-condition initial scan,
-HTML link harvesting from raw mementos, and published-list ingestion.
+"""URI-R discovery: source interleaving, the five-condition initial scan
+(Method 1), and the top-up of archives below their minimum from HTML links
+in raw mementos, published lists and direct TimeMaps (Methods 2-4), three
+lazy sources of records that one loop drives.
 
 Source tags are plain strings: ``moz``, ``memento-damage``,
 ``httparchive``, and ``wahr:<hashtag>`` for the tweet-derived lists.
@@ -29,7 +31,7 @@ from .errors import (
     NetworkError,
     ParseError,
 )
-from .linkformat import compact_record, dedupe, parse_compact_line, yearly_first_filter
+from .linkformat import compact_record, content_lines, dedupe, parse_compact_line, yearly_first_filter
 from .model import (
     ArchiveDescriptor,
     Memento,
@@ -46,6 +48,7 @@ HTTP_ARCHIVE = "httparchive"
 WAHR_PREFIX = "wahr:"
 
 ROUND_SIZE = 10  # URI-Rs taken per source per interleave round
+LIST_FORMATS = ("urirs_only", "urirs_and_urims")  # published lists Method 3 reads
 # Candidates the initial scan may resolve ahead of its commits. Back-offs
 # of candidates this close overlap; farther apart they wait in series.
 LOOKAHEAD = 128
@@ -62,13 +65,8 @@ class SourceStream:
 def load_source_file(path: str | Path, name: str | None = None) -> SourceStream:
     """Read a one-URI-per-line file; ``#`` comments and blanks skipped."""
     path = Path(path)
-    uris = []
-    for line in path.read_text("utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        uris.append(line)
-    return SourceStream(name or path.stem, tuple(uris))
+    uris = tuple(line for _, line in content_lines(path.read_text("utf-8")))
+    return SourceStream(name or path.stem, uris)
 
 
 def interleave_sources(
@@ -76,13 +74,12 @@ def interleave_sources(
     damage: Iterable[str],
     httparchive: Iterable[str],
     wahr_by_hashtag: dict[str, Iterable[str]],
-    round_size: int = ROUND_SIZE,
 ) -> list[tuple[str, str]]:
     """Merge the four sources into one ordered (uri, source_tag) stream.
 
     Cross-source duplicates are removed first-wins in priority order
     (moz, damage, httparchive, then hashtags as given). Moz leads, then
-    the damage set, then alternating rounds of ``round_size`` URIs from
+    the damage set, then alternating rounds of ``ROUND_SIZE`` URIs from
     HTTP Archive and from one hashtag, cycling hashtags between rounds
     and skipping exhausted sources.
     """
@@ -107,14 +104,14 @@ def interleave_sources(
     tag_cursor = 0
     while ha_pos < len(ha) or any(wahr_pos[t] < len(wahr[t]) for t in wahr):
         if ha_pos < len(ha):
-            chunk = ha[ha_pos : ha_pos + round_size]
+            chunk = ha[ha_pos : ha_pos + ROUND_SIZE]
             stream += [(u, HTTP_ARCHIVE) for u in chunk]
             ha_pos += len(chunk)
         for _ in range(len(wahr)):
             tag = tags[tag_cursor]
             tag_cursor = (tag_cursor + 1) % len(tags)
             if wahr_pos[tag] < len(wahr[tag]):
-                chunk = wahr[tag][wahr_pos[tag] : wahr_pos[tag] + round_size]
+                chunk = wahr[tag][wahr_pos[tag] : wahr_pos[tag] + ROUND_SIZE]
                 stream += [(u, tag) for u in chunk]
                 wahr_pos[tag] += len(chunk)
                 break
@@ -469,6 +466,14 @@ class _AnchorHrefParser(HTMLParser):
                     self.hrefs.append(value.strip())
                     break
 
+    def parse_marked_section(self, i, report=1):
+        # html.parser stops with AssertionError at <![bogus[ or <![ [; HTML5,
+        # and so this parser, reads such a section as a comment up to ">".
+        try:
+            return super().parse_marked_section(i, report)
+        except AssertionError:
+            return self.parse_bogus_comment(i, report)
+
 
 def extract_urirs_from_html(body: bytes | str, base: str) -> list[str]:
     """Harvest absolute http(s) URI-Rs from ``<a href>`` attributes.
@@ -480,11 +485,8 @@ def extract_urirs_from_html(body: bytes | str, base: str) -> list[str]:
     """
     text = body.decode("utf-8", errors="replace") if isinstance(body, bytes) else body
     parser = _AnchorHrefParser()
-    try:
-        parser.feed(text)
-        parser.close()
-    except AssertionError:  # html.parser's verdict on an unknown marked section
-        logger.debug("HTML parse aborted for base %s", base)
+    parser.feed(text)
+    parser.close()
     out: list[str] = []
     seen: set[str] = set()
     for href in parser.hrefs:
@@ -502,12 +504,43 @@ def extract_urirs_from_html(body: bytes | str, base: str) -> list[str]:
     return out
 
 
+def _timemap(fetch: Callable[..., TimeMapRecord], *args) -> TimeMapRecord | None:
+    """``fetch(*args)``, or None when the TimeMap is empty or the fetch
+    failed. The last argument is the URI-R, named in the logged failure."""
+    try:
+        return fetch(*args)
+    except EmptyTimeMap:
+        return None
+    except (NetworkError, ParseError) as exc:
+        logger.info("timemap fetch failed for %s: %s", args[-1], exc)
+        return None
+
+
+def _top_up(
+    archive: ArchiveDescriptor,
+    collection: MementoCollection,
+    records: Iterator[TimeMapRecord],
+    min_urirs: int,
+) -> list[TimeMapRecord]:
+    """Add ``records`` to ``collection`` while ``archive`` holds fewer than
+    ``min_urirs`` URI-Rs, and return those added. The next record is pulled
+    only below the minimum, so a lazy source makes no request once it is met."""
+    added: list[TimeMapRecord] = []
+    while collection.urir_count(archive.id) < min_urirs:
+        record = next(records, None)
+        if record is None:
+            break
+        collection.add(record)
+        added.append(record)
+    logger.info("%s: %d new TimeMaps", archive.id, len(added))
+    return added
+
+
 def method2_expand(
     archive: ArchiveDescriptor,
     collection: MementoCollection,
     client: ArchiveClient,
     min_urirs: int = 200,
-    max_new: int | None = None,
 ) -> list[TimeMapRecord]:
     """Grow an underfilled archive from links inside its own mementos.
 
@@ -516,42 +549,31 @@ def method2_expand(
     selected. Every archive's tallies grow from those TimeMaps, not just
     the target's. Stops at ``min_urirs`` for the target archive.
     """
-    new_records: list[TimeMapRecord] = []
-    if collection.urir_count(archive.id) >= min_urirs:
-        return new_records
-    attempted: set[str] = set()
-    for memento in collection.mementos_of(archive.id):
-        if memento.raw_urim is None:
-            continue
-        base_record = collection.get(memento.urir_key)
-        base = base_record.urir.final_uri if base_record else memento.urim
-        try:
-            raw = client.fetch_raw_memento(memento)
-        except MementosetError as exc:
-            logger.info("raw fetch failed for %s: %s", memento.urim, exc)
-            continue
-        for uri in extract_urirs_from_html(raw.body, base):
+
+    def linked() -> Iterator[TimeMapRecord]:
+        attempted: set[str] = set()
+        for memento in collection.mementos_of(archive.id):
+            if memento.raw_urim is None:
+                continue
+            base = collection.get(memento.urir_key).urir.final_uri
             try:
-                key = surt(uri)
-            except MalformedUri:
+                raw = client.fetch_raw_memento(memento)
+            except MementosetError as exc:
+                logger.info("raw fetch failed for %s: %s", memento.urim, exc)
                 continue
-            if key in collection or key in attempted:
-                continue
-            attempted.add(key)
-            try:
-                record = client.fetch_timemap_aggregator(uri)
-            except EmptyTimeMap:
-                continue
-            except (NetworkError, ParseError) as exc:
-                logger.info("timemap fetch failed for %s: %s", uri, exc)
-                continue
-            collection.add(record)
-            new_records.append(record)
-            if collection.urir_count(archive.id) >= min_urirs:
-                return new_records
-            if max_new is not None and len(new_records) >= max_new:
-                return new_records
-    return new_records
+            for uri in extract_urirs_from_html(raw.body, base):
+                try:
+                    key = surt(uri)
+                except MalformedUri:
+                    continue
+                if key in collection or key in attempted:
+                    continue
+                attempted.add(key)
+                record = _timemap(client.fetch_timemap_aggregator, uri)
+                if record is not None:
+                    yield record
+
+    return _top_up(archive, collection, linked(), min_urirs)
 
 
 _EMBEDDED = re.compile(r"/(\d{14})(?:id_)?/(.+)$")
@@ -582,18 +604,11 @@ def ingest_published_list(
     records are built directly, grouped by the URI-R embedded in each
     URI-M. Unusable lines are skipped and logged.
     """
-    if list_format not in ("urirs_only", "urirs_and_urims"):
+    if list_format not in LIST_FORMATS:
         raise ValueError(f"unknown list format {list_format!r}")
-    text = Path(path).read_text("utf-8")
-    new_records: list[TimeMapRecord] = []
 
-    if list_format == "urirs_only":
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            uri = line.strip()
-            if not uri or uri.startswith("#"):
-                continue
-            if collection.urir_count(archive.id) >= min_urirs:
-                break
+    def listed() -> Iterator[TimeMapRecord]:
+        for lineno, uri in content_lines(Path(path).read_text("utf-8")):
             try:
                 key = surt(uri)
             except MalformedUri as exc:
@@ -601,46 +616,54 @@ def ingest_published_list(
                 continue
             if key in collection:
                 continue
-            try:
-                record = client.fetch_timemap_aggregator(uri)
-            except EmptyTimeMap:
-                continue
-            except (NetworkError, ParseError) as exc:
-                logger.info("timemap fetch failed for %s: %s", uri, exc)
-                continue
-            if not any(m.archive_id == archive.id for m in record.mementos):
-                continue
-            collection.add(record)
-            new_records.append(record)
-        return new_records
+            record = _timemap(client.fetch_timemap_aggregator, uri)
+            if record is not None and any(m.archive_id == archive.id for m in record.mementos):
+                yield record
 
-    # urirs_and_urims: compact lines grouped by their embedded URI-R.
-    groups: dict[str, list[tuple[datetime, str]]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            dt, urim = parse_compact_line(line, lineno)
-        except ParseError as exc:
-            logger.info("line %d skipped: %s", lineno, exc)
-            continue
-        urir = embedded_urir(urim)
-        if urir is None:
-            logger.info("line %d skipped: no URI-R embedded in %s", lineno, urim)
-            continue
-        groups.setdefault(urir, []).append((dt, urim))
-    for urir, mementos in groups.items():
-        if collection.urir_count(archive.id) >= min_urirs:
-            break
-        try:
-            key = surt(urir)
-        except MalformedUri as exc:
-            logger.info("group %s skipped: %s", urir, exc)
-            continue
-        if key in collection:
-            continue
-        record = compact_record(mementos, urir, client.registry, fetched_at=client.clock())
-        collection.add(record)
-        new_records.append(record)
-    return new_records
+    def compact() -> Iterator[TimeMapRecord]:
+        # Compact lines grouped by their embedded URI-R, built without a request.
+        groups: dict[str, list[tuple[datetime, str]]] = {}
+        for lineno, line in content_lines(Path(path).read_text("utf-8")):
+            try:
+                dt, urim = parse_compact_line(line, lineno)
+            except ParseError as exc:
+                logger.info("line %d skipped: %s", lineno, exc)
+                continue
+            urir = embedded_urir(urim)
+            if urir is None:
+                logger.info("line %d skipped: no URI-R embedded in %s", lineno, urim)
+                continue
+            groups.setdefault(urir, []).append((dt, urim))
+        for urir, mementos in groups.items():
+            try:
+                key = surt(urir)
+            except MalformedUri as exc:
+                logger.info("group %s skipped: %s", urir, exc)
+                continue
+            if key in collection:
+                continue
+            yield compact_record(mementos, urir, client.registry, fetched_at=client.clock())
+
+    records = listed() if list_format == "urirs_only" else compact()
+    return _top_up(archive, collection, records, min_urirs)
+
+
+def method4_direct(
+    archive: ArchiveDescriptor,
+    collection: MementoCollection,
+    client: ArchiveClient,
+    min_urirs: int,
+) -> list[TimeMapRecord]:
+    """Grow an underfilled archive from its own TimeMap of each URI-R
+    collected so far, in collection order. A direct TimeMap counts only for
+    the archive that served it. Stops at ``min_urirs``."""
+
+    def direct() -> Iterator[TimeMapRecord]:
+        if not archive.memento_native or not archive.timemap_template:
+            return
+        for record in list(collection.records()):
+            found = _timemap(client.fetch_timemap_direct, archive, record.urir.final_uri)
+            if found is not None:
+                yield found
+
+    return _top_up(archive, collection, direct(), min_urirs)

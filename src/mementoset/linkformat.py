@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .canonical import original_resource
 from .errors import MalformedUri, MissingOriginal, ParseError, UnknownArchive
@@ -260,6 +260,15 @@ def write_compact(
     Path(path).write_text(head + _compact_text(mementos), "utf-8")
 
 
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each stripped line with its 1-based number, skipping blank lines
+    and ``#`` comments."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def parse_compact_line(line: str, lineno: int) -> tuple[datetime, str]:
     """Split one ``YYYYMMDDhhmmss URI-M`` line; ParseError carries ``lineno``."""
     line = line.strip()
@@ -296,11 +305,7 @@ def parse_compact(
 
     Blank lines and ``#`` comment lines are skipped.
     """
-    pairs = (
-        parse_compact_line(line, lineno)
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.strip().startswith("#")
-    )
+    pairs = (parse_compact_line(line, lineno) for lineno, line in content_lines(text))
     return compact_record(pairs, urir, registry, provenance, fetched_at)
 
 

@@ -1,20 +1,22 @@
 """End-to-end discovery run: the four methods in sequence with a
-resumable on-disk state file and per-stage count tables.
+resumable on-disk state file and per-stage count tables. A bad aggregator
+template, or a published list of an unknown archive or format, fails when
+the pipeline is built, before any request.
 
 The state file holds the stage, the Method 1 scan index, the collected
 records and the per-stage tables. It is rewritten atomically after every
-stage and every ``checkpoint_every`` scanned candidates, so an interrupted
-run resumed from disk converges to the same final state as an
-uninterrupted one (fetches must be deterministic, e.g. fixture-backed, for
-byte equality). Method 1's selection is not stored apart: its URI-Rs are
-the records that carry a source tag, and resuming counts them again under
-the config's ``quota_per_bucket``.
+stage, every ``checkpoint_every`` scanned candidates and every archive
+that Methods 2-4 grew, so an interrupted run resumed from disk converges
+to the same final state as an uninterrupted one (fetches must be
+deterministic, e.g. fixture-backed, for byte equality). Method 1's
+selection is not stored apart: its URI-Rs are the records that carry a
+source tag, and resuming counts them again under the config's
+``quota_per_bucket``.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -23,6 +25,7 @@ from typing import Callable
 
 from .client import DEFAULT_AGGREGATOR_TEMPLATE, ArchiveClient, FetchPolicy, Transport, open_transport
 from .discovery import (
+    LIST_FORMATS,
     MementoCollection,
     ScreenResult,
     SelectionState,
@@ -30,9 +33,9 @@ from .discovery import (
     ingest_published_list,
     load_source_file,
     method2_expand,
+    method4_direct,
     select_initial,
 )
-from .errors import EmptyTimeMap, NetworkError, NoTimeMapEndpoint, ParseError
 from .linkformat import write_compact
 from .model import (
     Memento,
@@ -46,8 +49,6 @@ from .model import (
     parse_compact14,
 )
 from .reports import write_csv, write_urir_table
-
-logger = logging.getLogger(__name__)
 
 STAGES = ("method1", "method2", "method3", "method4", "done")
 
@@ -194,6 +195,10 @@ class DiscoveryPipeline:
     ):
         self.config = config
         self.registry = load_registry(config.registry_path)
+        for entry in config.published_lists:
+            self.registry.get(entry["archive"])  # UnknownArchive if it is not registered
+            if entry["format"] not in LIST_FORMATS:
+                raise ValueError(f"published list in unknown format {entry['format']!r}")
         if transport is None:
             transport = open_transport(config.fixtures_dir, config.record_dir, config.timeout)
         if clock is None and config.fixtures_dir:
@@ -270,10 +275,6 @@ class DiscoveryPipeline:
             wahr,
         )
 
-    def _underfilled(self) -> list:
-        minimum = self.config.constraints.min_urirs_per_archive
-        return [a for a in self.registry if self.collection.urir_count(a.id) < minimum]
-
     def _snapshot_table(self, stage: str) -> None:
         self.method_tables[stage] = {
             a: [urims, urirs] for a, (urims, urirs) in self.collection.totals().items()
@@ -313,51 +314,24 @@ class DiscoveryPipeline:
 
     def _run_method2(self) -> None:
         minimum = self.config.constraints.min_urirs_per_archive
-        for archive in list(self.registry):
-            if self.collection.urir_count(archive.id) >= minimum:
-                continue
-            added = method2_expand(
-                archive, self.collection, self.client, min_urirs=minimum
-            )
-            logger.info("method2 %s: %d new TimeMaps", archive.id, len(added))
-            self.save_state()
+        for archive in self.registry:
+            if method2_expand(archive, self.collection, self.client, minimum):
+                self.save_state()
 
     def _run_method3(self) -> None:
         minimum = self.config.constraints.min_urirs_per_archive
         for entry in self.config.published_lists:
             archive = self.registry.get(entry["archive"])
-            if self.collection.urir_count(archive.id) >= minimum:
-                continue
-            added = ingest_published_list(
-                entry["path"],
-                entry["format"],
-                archive,
-                self.collection,
-                self.client,
-                min_urirs=minimum,
-            )
-            logger.info("method3 %s: %d new TimeMaps", archive.id, len(added))
-            self.save_state()
+            if ingest_published_list(
+                entry["path"], entry["format"], archive, self.collection, self.client, minimum
+            ):
+                self.save_state()
 
     def _run_method4(self) -> None:
         minimum = self.config.constraints.min_urirs_per_archive
-        for archive in self._underfilled():
-            if not archive.memento_native or not archive.timemap_template:
-                continue
-            for record in list(self.collection.records()):
-                if self.collection.urir_count(archive.id) >= minimum:
-                    break
-                try:
-                    direct = self.client.fetch_timemap_direct(
-                        archive, record.urir.final_uri
-                    )
-                except (EmptyTimeMap, NoTimeMapEndpoint):
-                    continue
-                except (NetworkError, ParseError) as exc:
-                    logger.info("method4 fetch failed for %s: %s", record.urir.uri, exc)
-                    continue
-                self.collection.add(direct)
-            self.save_state()
+        for archive in self.registry:
+            if method4_direct(archive, self.collection, self.client, minimum):
+                self.save_state()
 
     def _write_outputs(self) -> None:
         out = self.config.out_dir

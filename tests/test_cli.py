@@ -104,6 +104,13 @@ class TestTimemap:
         code = main(timemap_args(tmp_path, "http://unrecorded.example/"))
         assert code == 1
 
+    @pytest.mark.parametrize("endpoint", ["http://agg.test/x", "http://agg.test/{uri}/{x}"])
+    def test_endpoint_without_one_uri_field_exits_two(self, tmp_path, capsys, endpoint):
+        args = ["timemap", "--fixtures", str(tmp_path), "--endpoint", endpoint]
+        code = main([*args, "http://a.example/"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: aggregator template")
+
 
 class TestStats:
     def test_published_dataset_reports(self, tmp_path, capsys):
@@ -176,6 +183,23 @@ class TestDiscoverCommand:
         assert "discovery stopped at stage: done" in out
         assert "selected URI-Rs: 4" in out
         assert (tmp_path / "out" / "counts_method4.csv").exists()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"aggregator_endpoint": "http://agg.test/x"},
+            {"published_lists": [{"archive": "no.test", "path": "moz.txt", "format": "urirs_only"}]},
+            {"published_lists": [{"archive": "perma.cc", "path": "moz.txt", "format": "titles"}]},
+        ],
+    )
+    def test_config_errors_reported_before_the_first_request(self, tmp_path, capsys, change):
+        fixtures_dir = tmp_path / "fixtures"
+        build_fixture_corpus(fixtures_dir)
+        config_path = write_config(tmp_path, fixtures_dir)
+        config_path.write_text(json.dumps({**json.loads(config_path.read_text()), **change}))
+        assert main(["discover", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err.startswith("error loading config:")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config(self, capsys, monkeypatch):
         monkeypatch.delenv("MEMENTOSET_CONFIG", raising=False)

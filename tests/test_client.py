@@ -126,9 +126,20 @@ class TestAggregatorFetch:
         assert len(transport.requests) == MAX_TIMEMAP_PAGES
 
     def test_endpoint_needs_placeholder(self, registry):
-        client = make_client(FakeTransport(), registry)
-        with pytest.raises(ValueError):
-            client.fetch_timemap_aggregator("http://x/", endpoint="http://agg.test/fixed")
+        # Checked when the client is built, before any request.
+        transport = FakeTransport()
+        policy = FetchPolicy(min_request_interval=0.0, retries=0, timeout=5.0)
+        for template in [
+            "http://agg.test/fixed",
+            "http://agg.test/{uri}/{x}",
+            "http://agg.test/{uri}/{uri}",
+            "http://agg.test/{}",
+            "http://agg.test/{uri!r}",
+            "http://agg.test/{",
+        ]:
+            with pytest.raises(ValueError, match="one field"):
+                ArchiveClient(registry, policy, transport, aggregator_template=template)
+        assert transport.requests == []
 
     def test_server_error_raises_network_error(self, registry):
         transport = FakeTransport()

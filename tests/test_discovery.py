@@ -138,6 +138,11 @@ class TestExtractUrirs:
         html = "<a href='/y'><![bogus[ x ]]>"
         assert extract_urirs_from_html(html, "http://h/") == ["http://h/y"]
 
+    @pytest.mark.parametrize("section", ["<![bogus[ x ]]>", "<![ [ x ]]>", "<![if !IE]>"])
+    def test_links_after_a_marked_section_are_kept(self, section):
+        html = f"<a href='/y'>{section}<a href='/z'>z</a>"
+        assert extract_urirs_from_html(html, "http://h/") == ["http://h/y", "http://h/z"]
+
 
 class TestSelectInitial:
     def test_matches_brute_force_on_planted_stream(self, registry):
@@ -346,13 +351,6 @@ class TestMethod2:
         for archive_id, (urims, urirs) in before.items():
             assert after[archive_id][0] >= urims
             assert after[archive_id][1] >= urirs
-
-    def test_max_new_bounds_work(self, registry):
-        collection, client = self.build(registry)
-        added = method2_expand(
-            client.registry.get("vefsafn.is"), collection, client, min_urirs=100, max_new=2
-        )
-        assert len(added) == 2
 
 
 class TestIngestPublishedList:

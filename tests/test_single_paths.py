@@ -15,6 +15,7 @@ from mementoset import (
     ParseError,
     Provenance,
     SelectionState,
+    UnknownArchive,
     default_registry,
     ingest_published_list,
     parse_compact,
@@ -130,6 +131,30 @@ class TestStageLoop:
         assert not urirs.exists()
         assert pipeline.run(stop_after="method4") == "done"
         assert urirs.exists()
+
+    def test_methods_2_to_4_save_only_after_an_archive_that_grew(self, config):
+        # Every other archive stays short or full without a save. A stage's
+        # end saves under the next stage's name.
+        pipeline, saves = pipeline_with_saves(config)
+        assert pipeline.run() == "done"
+        assert saves[3:] == [
+            ("method2", 6),  # Method 1's end
+            ("method2", 6),  # vefsafn.is grew
+            ("method3", 6),  # Method 2's end
+            ("method3", 6),  # webarchive.org.uk grew
+            ("method4", 6),  # Method 3's end
+            ("method4", 6),  # perma.cc grew
+            ("done", 6),  # Method 4's end
+        ]
+
+    @pytest.mark.parametrize(
+        "entry, error",
+        [({"archive": "nowhere.test"}, UnknownArchive), ({"format": "urirs_and_titles"}, ValueError)],
+    )
+    def test_bad_published_list_is_rejected_when_the_pipeline_is_built(self, config, entry, error):
+        config.published_lists = [{**config.published_lists[0], **entry}]
+        with pytest.raises(error):
+            DiscoveryPipeline(config)
 
     def test_resumed_done_run_rewrites_outputs(self, config):
         DiscoveryPipeline(config, clock=lambda: FIXED_NOW).run()
