@@ -33,6 +33,7 @@ RedirectSteps = Generator[tuple[str, str], tuple[int, Mapping[str, str]], "Redir
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _WWW_LABEL = re.compile(r"^www\d*$")
+_SPACE_OR_CONTROL = re.compile(r"[\s\x00-\x1f\x7f]")
 
 
 def _split_http_uri(uri: str):
@@ -66,7 +67,7 @@ def _split_http_uri(uri: str):
     if not host:
         raise MalformedUri(uri, "empty host")
     host = host.rstrip(".")
-    if not host or any(not label for label in host.split(".")):
+    if not host or any(not label for label in host.split(".")) or _SPACE_OR_CONTROL.search(host):
         raise MalformedUri(uri, "bad host")
     return parts, host, port
 

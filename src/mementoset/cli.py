@@ -16,9 +16,10 @@ import sys
 from pathlib import Path
 
 from .canonical import surt
-from .client import DEFAULT_AGGREGATOR_TEMPLATE, ArchiveClient, FetchPolicy, open_transport
+from .client import ArchiveClient, FetchPolicy, open_transport
+from .discovery import MementoCollection
 from .errors import EmptyTimeMap, MalformedUri, MementosetError
-from .linkformat import dedupe, serialize_compact, serialize_linkformat, yearly_first_filter
+from .linkformat import serialize_compact, serialize_linkformat
 from .model import load_registry
 from .pipeline import DiscoveryPipeline, RunConfig
 from .reports import (
@@ -61,9 +62,9 @@ def cmd_timemap(args) -> int:
             load_registry(args.registry),
             FetchPolicy(min_request_interval=args.interval, timeout=args.timeout),
             open_transport(args.fixtures, args.record, args.timeout),
-            aggregator_template=args.endpoint or DEFAULT_AGGREGATOR_TEMPLATE,
+            aggregator_template=args.endpoint,
         )
-    except ValueError as exc:  # a bad --endpoint template or --registry file
+    except (OSError, ValueError) as exc:  # a bad --endpoint template or --registry file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -79,7 +80,8 @@ def cmd_timemap(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
     if args.filter_yearly:
-        record = yearly_first_filter(dedupe(record))
+        # Discovery's reduction: unattributed mementos dropped, dedupe, yearly filter.
+        record = MementoCollection().add(record)
     sys.stdout.write(
         serialize_compact(record) if args.compact else serialize_linkformat(record)
     )
@@ -96,7 +98,7 @@ def cmd_discover(args) -> int:
         return EXIT_USAGE
     try:
         pipeline = DiscoveryPipeline(RunConfig.from_file(config_path))
-    except (OSError, ValueError, KeyError, MementosetError) as exc:
+    except (OSError, ValueError, MementosetError) as exc:
         print(f"error loading config: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
     stage = pipeline.run(resume=not args.fresh)
@@ -137,11 +139,11 @@ def _add_fetch_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fixtures", help="replay responses from this fixture directory")
     parser.add_argument("--record", help="record live responses into this directory")
     parser.add_argument("--endpoint", help="aggregator URI template with {uri} placeholder")
-    parser.add_argument("--timeout", type=float, default=30.0)
+    parser.add_argument("--timeout", type=float, default=FetchPolicy.timeout)
     parser.add_argument(
         "--interval",
         type=float,
-        default=1.0,
+        default=FetchPolicy.min_request_interval,
         help="minimum seconds between requests to one archive",
     )
 

@@ -47,6 +47,7 @@ from .model import (
     Memento,
     Provenance,
     TimeMapRecord,
+    check_fields,
     classify_response,
     header_value,
     parse_http_datetime,
@@ -81,6 +82,20 @@ class Transport(Protocol):
     ) -> TransportResponse: ...
 
 
+@dataclass(frozen=True)
+class FetchPolicy:
+    """Politeness knobs; each archive always gets one serial lane. The
+    class attributes are the defaults of a run, a CLI command and a
+    transport that name none."""
+
+    min_request_interval: float = 1.0  # seconds between requests to one archive
+    retries: int = 3
+    timeout: float = 30.0
+
+    def __post_init__(self):
+        check_fields(self, positive=("timeout",), nonnegative=("min_request_interval", "retries"))
+
+
 _UNSENDABLE = (
     requests.exceptions.InvalidURL,
     requests.exceptions.MissingSchema,
@@ -103,7 +118,7 @@ def _is_permanent(exc: requests.RequestException) -> bool:
 class RequestsTransport:
     """Live HTTP transport; redirects are never followed implicitly."""
 
-    def __init__(self, timeout: float = 30.0):
+    def __init__(self, timeout: float):
         self.timeout = timeout
         self._session = requests.Session()
         self._session.headers["User-Agent"] = USER_AGENT
@@ -187,26 +202,15 @@ class RecordingTransport:
 
 
 def open_transport(
-    fixtures: str | Path | None = None, record: str | Path | None = None, timeout: float = 30.0
+    fixtures: str | Path | None = None,
+    record: str | Path | None = None,
+    timeout: float = FetchPolicy.timeout,
 ) -> Transport:
     """Replay ``fixtures`` if given, else go live, recording into ``record`` if given."""
     if fixtures:
         return FixtureTransport(fixtures)
     live = RequestsTransport(timeout)
     return RecordingTransport(live, record) if record else live
-
-
-@dataclass(frozen=True, slots=True)
-class FetchPolicy:
-    """Politeness knobs; each archive always gets one serial lane."""
-
-    min_request_interval: float = 1.0  # seconds between requests to one archive
-    retries: int = 3
-    timeout: float = 30.0
-
-    def __post_init__(self):
-        if self.min_request_interval < 0 or self.timeout <= 0 or self.retries < 0:
-            raise ValueError("bad fetch policy")
 
 
 _waiting = threading.local()  # holds this thread's ``while_waiting`` hook
@@ -275,16 +279,17 @@ class ArchiveClient:
         registry: ArchiveRegistry,
         policy: FetchPolicy | None = None,
         transport: Transport | None = None,
-        aggregator_template: str = DEFAULT_AGGREGATOR_TEMPLATE,
+        aggregator_template: str | None = None,
         clock: Callable[[], datetime] | None = None,
     ):
-        rest = aggregator_template.replace("{uri}", "", 1)
-        if rest == aggregator_template or "{" in rest or "}" in rest:
-            raise ValueError(f"aggregator template needs one field, {{uri}}: {aggregator_template}")
+        template = aggregator_template or DEFAULT_AGGREGATOR_TEMPLATE
+        rest = template.replace("{uri}", "", 1)
+        if rest == template or "{" in rest or "}" in rest:
+            raise ValueError(f"aggregator template needs one field, {{uri}}: {template}")
         self.registry = registry
         self.policy = policy or FetchPolicy()
         self.transport = transport or open_transport(timeout=self.policy.timeout)
-        self.aggregator_template = aggregator_template
+        self.aggregator_template = template
         self.clock = clock or (lambda: datetime.now(timezone.utc))
         self._lanes: dict[str, _Lane] = {}
         self._lanes_lock = threading.Lock()

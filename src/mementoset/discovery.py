@@ -48,6 +48,7 @@ HTTP_ARCHIVE = "httparchive"
 WAHR_PREFIX = "wahr:"
 
 ROUND_SIZE = 10  # URI-Rs taken per source per interleave round
+TARGET = 10_000  # URI-Rs the initial scan selects at most, unless given another target
 LIST_FORMATS = ("urirs_only", "urirs_and_urims")  # published lists Method 3 reads
 # Candidates the initial scan may resolve ahead of its commits. Back-offs
 # of candidates this close overlap; farther apart they wait in series.
@@ -229,7 +230,9 @@ class MementoCollection:
             self._urirs.setdefault(archive_id, set()).add(key)
 
     def add(self, record: TimeMapRecord) -> TimeMapRecord:
-        """Merge a record in; returns the stored (reduced) form."""
+        """Merge a record in and return the stored form: its mementos of no
+        registered archive dropped, then deduplicated and filtered to the
+        first per archive per year."""
         key = record.urir.canonical_key
         existing = self._records.get(key)
         if existing is not None:
@@ -413,7 +416,7 @@ def select_initial(
     stream: Iterable[tuple[str, str]],
     client: ArchiveClient,
     state: SelectionState | None = None,
-    target: int = 10_000,
+    target: int = TARGET,
     sink: Callable[[TimeMapRecord], None] | None = None,
     on_commit: Callable[[ScreenResult], None] | None = None,
 ) -> list[OriginalResource]:
@@ -540,7 +543,7 @@ def method2_expand(
     archive: ArchiveDescriptor,
     collection: MementoCollection,
     client: ArchiveClient,
-    min_urirs: int = 200,
+    min_urirs: int,
 ) -> list[TimeMapRecord]:
     """Grow an underfilled archive from links inside its own mementos.
 
@@ -594,7 +597,7 @@ def ingest_published_list(
     archive: ArchiveDescriptor,
     collection: MementoCollection,
     client: ArchiveClient,
-    min_urirs: int = 200,
+    min_urirs: int,
 ) -> list[TimeMapRecord]:
     """Ingest an archive-published URI list until the archive hits its minimum.
 

@@ -14,11 +14,13 @@ class MalformedUri(MementosetError):
 
 
 class UnknownArchive(MementosetError):
-    """No archive in the registry matches the given URI-M host."""
+    """No archive in the registry has ``name`` as its id (``kind`` "id"),
+    or matches it as a ``kind`` of "host" or "URI-M"."""
 
-    def __init__(self, host: str):
-        super().__init__(f"no registered archive matches host {host!r}")
-        self.host = host
+    def __init__(self, name: str, kind: str):
+        what = "has the id" if kind == "id" else f"matches {kind}"
+        super().__init__(f"no registered archive {what} {name!r}")
+        self.name = name
 
 
 class ParseError(MementosetError):

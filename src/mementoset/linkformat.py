@@ -342,7 +342,7 @@ def yearly_first_filter(record: TimeMapRecord) -> TimeMapRecord:
     winners: dict[str, dict[int, Memento]] = {}
     for m in record.mementos:
         if m.archive_id is None:
-            raise UnknownArchive(m.urim)
+            raise UnknownArchive(m.urim, "URI-M")
         years = winners.setdefault(m.archive_id, {})
         best = years.get(m.year)
         if best is None or (m.memento_datetime, m.urim) < (best.memento_datetime, best.urim):

@@ -7,14 +7,16 @@ public archive (domain aliases included) and can be extended by users.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime, parsedate_to_datetime
 from enum import Enum
 from importlib import resources
-from typing import Iterable, Mapping
+from types import UnionType
+from typing import Iterable, Mapping, Union, get_args, get_origin, get_type_hints
 from urllib.parse import urlsplit
 
 from .errors import MalformedUri, UnknownArchive
@@ -32,10 +34,12 @@ __all__ = [
     "SelectionConstraints",
     "TimeMapRecord",
     "archive_of",
+    "check_fields",
     "classify_response",
     "compact14",
     "default_registry",
     "header_value",
+    "json_kwargs",
     "load_registry",
     "parse_compact14",
     "parse_http_datetime",
@@ -79,6 +83,56 @@ class Classification(str, Enum):
     LIVE = "live"
 
 
+def json_kwargs(raw, keys: Mapping[str, str], where: str) -> dict:
+    """The JSON object ``raw`` with each key replaced by the keyword that
+    ``keys`` maps it to. ``raw`` not an object, or a key that ``keys``
+    lacks, is a ValueError naming ``where`` and the key."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {raw!r}")
+    for key in raw:
+        if key not in keys:
+            raise ValueError(f"{where}: unknown key {key!r}")
+    return {keys[key]: value for key, value in raw.items()}
+
+
+def check_fields(obj, positive: Iterable[str] = (), nonnegative: Iterable[str] = ()) -> None:
+    """Raise ValueError naming the first field of dataclass ``obj`` whose
+    value does not have the field's annotated type (an int passes as a
+    float, a bool as neither), or is not above zero for a field named in
+    ``positive``, or is below zero for one named in ``nonnegative``."""
+    hints = _type_hints(type(obj))
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not _has_type(value, hints[f.name]):
+            raise ValueError(f"{f.name}: expected {f.type}, got {value!r}")
+        if f.name in positive or f.name in nonnegative:
+            zero = type(value)()  # 0, 0.0 or timedelta(0)
+            if not (value > zero if f.name in positive else value >= zero):
+                raise ValueError(f"{f.name}: out of range: {value!r}")
+
+
+# Cached: evaluating the annotations anew in a forked worker would copy
+# the parent's pages it touches.
+_type_hints = functools.cache(get_type_hints)
+
+
+def _has_type(value, hint) -> bool:
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        return any(_has_type(value, arg) for arg in args)
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    if origin is None:
+        return isinstance(value, hint)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _has_type(k, args[0]) and _has_type(v, args[1]) for k, v in value.items()
+        )
+    return isinstance(value, origin) and all(_has_type(v, args[0]) for v in value)
+
+
 @dataclass(frozen=True, slots=True)
 class ArchiveDescriptor:
     """One configured web archive and the hostnames it answers under."""
@@ -94,36 +148,30 @@ class ArchiveDescriptor:
     unverified_domains: tuple[str, ...] = ()
 
     def __post_init__(self):
+        check_fields(self)
         if not self.domains:
             raise ValueError(f"archive {self.id!r} needs at least one domain")
 
     def all_domains(self) -> tuple[str, ...]:
         return self.domains + self.unverified_domains
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "name": self.name,
-            "domains": list(self.domains),
-            "purpose": self.purpose.value,
-            "memento_native": self.memento_native,
-            "raw_scheme": self.raw_scheme.value,
-            "timemap_template": self.timemap_template,
-            "unverified_domains": list(self.unverified_domains),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ArchiveDescriptor":
-        return cls(
-            id=d["id"],
-            name=d["name"],
-            domains=tuple(d["domains"]),
-            purpose=Purpose(d["purpose"]),
-            memento_native=bool(d.get("memento_native", False)),
-            raw_scheme=RawScheme(d.get("raw_scheme", "none")),
-            timemap_template=d.get("timemap_template"),
-            unverified_domains=tuple(d.get("unverified_domains", ())),
-        )
+        """A registry entry: each key names a field, and a key left out
+        keeps the field's default. An unknown key, a required one left out
+        or a value of the wrong type is a ValueError naming it."""
+        where = f"archive {d.get('id')!r}" if isinstance(d, dict) else "archive"
+        kwargs = json_kwargs(d, {f.name: f.name for f in fields(cls)}, where)
+        try:
+            for name in ("domains", "unverified_domains"):
+                if isinstance(kwargs.get(name), list):
+                    kwargs[name] = tuple(kwargs[name])
+            for name, enum in (("purpose", Purpose), ("raw_scheme", RawScheme)):
+                if name in kwargs:
+                    kwargs[name] = enum(kwargs[name])
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:  # TypeError: a required key left out
+            raise ValueError(f"{where}: {exc}") from None
 
 
 class ArchiveRegistry:
@@ -168,7 +216,7 @@ class ArchiveRegistry:
         try:
             return self._by_id[archive_id]
         except KeyError:
-            raise UnknownArchive(archive_id) from None
+            raise UnknownArchive(archive_id, "id") from None
 
     def match_host(self, host: str) -> ArchiveDescriptor | None:
         """The archive with a domain equal to ``host`` or to a label suffix of it."""
@@ -180,31 +228,28 @@ class ArchiveRegistry:
             host = host.partition(".")[2]
 
     def dump(self, path) -> None:
-        payload = {"archives": [a.to_dict() for a in self._archives]}
+        payload = {"archives": [asdict(a) for a in self._archives]}
         with open(path, "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2)
             f.write("\n")
 
     @classmethod
     def load(cls, path) -> "ArchiveRegistry":
+        """The registry in the JSON file at ``path``: an object whose one
+        key, ``archives``, lists the entries ``ArchiveDescriptor.from_dict`` reads."""
         with open(path, encoding="utf-8") as f:
-            payload = json.load(f)
-        return cls(ArchiveDescriptor.from_dict(d) for d in payload["archives"])
+            payload = json_kwargs(json.load(f), {"archives": "archives"}, "registry")
+        archives = payload.get("archives")
+        if not isinstance(archives, list):
+            raise ValueError(f"registry: expected a list of archives, got {archives!r}")
+        return cls(ArchiveDescriptor.from_dict(d) for d in archives)
 
 
-_default_registry: ArchiveRegistry | None = None
-
-
+@functools.cache
 def default_registry() -> ArchiveRegistry:
     """The registry bundled with the package (17 public archives)."""
-    global _default_registry
-    if _default_registry is None:
-        text = resources.files("mementoset").joinpath("data/archives.json").read_text("utf-8")
-        payload = json.loads(text)
-        _default_registry = ArchiveRegistry(
-            ArchiveDescriptor.from_dict(d) for d in payload["archives"]
-        )
-    return _default_registry
+    with resources.as_file(resources.files("mementoset") / "data" / "archives.json") as path:
+        return ArchiveRegistry.load(path)
 
 
 def load_registry(path=None) -> ArchiveRegistry:
@@ -242,7 +287,7 @@ def archive_of(urim: str, registry: Iterable[ArchiveDescriptor]) -> ArchiveDescr
         registry = ArchiveRegistry(registry)
     found = registry.match_host(host)
     if found is None:
-        raise UnknownArchive(host)
+        raise UnknownArchive(host, "host")
     return found
 
 
@@ -408,7 +453,22 @@ class SelectionConstraints:
     download_budget: timedelta = field(default_factory=lambda: timedelta(hours=40))
 
     def __post_init__(self):
-        if self.min_urirs_per_archive <= 0 or self.max_urims_per_archive <= 0:
-            raise ValueError("counts must be positive")
-        if self.download_budget <= timedelta(0):
-            raise ValueError("download budget must be positive")
+        check_fields(
+            self, positive=("min_urirs_per_archive", "max_urims_per_archive", "download_budget")
+        )
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SelectionConstraints":
+        """A config's ``constraints`` object, which gives the budget in
+        ``download_budget_hours``; each other key names a field."""
+        keys = {f.name: f.name for f in fields(cls) if f.name != "download_budget"}
+        kwargs = json_kwargs(d, {**keys, "download_budget_hours": "download_budget"}, "constraints")
+        if "download_budget" in kwargs:
+            hours = kwargs["download_budget"]
+            if not _has_type(hours, float):
+                raise ValueError(f"download_budget_hours: expected float, got {hours!r}")
+            try:
+                kwargs["download_budget"] = timedelta(hours=hours)
+            except (ValueError, OverflowError) as exc:  # NaN, or beyond timedelta's range
+                raise ValueError(f"download_budget_hours: {exc}") from None
+        return cls(**kwargs)

@@ -3,29 +3,29 @@ resumable on-disk state file and per-stage count tables. A bad aggregator
 template, or a published list of an unknown archive or format, fails when
 the pipeline is built, before any request.
 
-The state file holds the stage, the Method 1 scan index, the collected
-records and the per-stage tables. It is rewritten atomically after every
-stage, every ``checkpoint_every`` scanned candidates and every archive
-that Methods 2-4 grew, so an interrupted run resumed from disk converges
-to the same final state as an uninterrupted one (fetches must be
-deterministic, e.g. fixture-backed, for byte equality). Method 1's
-selection is not stored apart: its URI-Rs are the records that carry a
-source tag, and resuming counts them again under the config's
-``quota_per_bucket``.
+The state file holds the stage, the Method 1 scan index and the collected
+records. It is rewritten atomically after every stage, every
+``checkpoint_every`` scanned candidates and every archive that Methods 2-4
+grew, so an interrupted run resumed from disk converges to the same final
+state as an uninterrupted one (fetches must be deterministic, e.g.
+fixture-backed, for byte equality). Method 1's selection is not stored
+apart: its URI-Rs are the records that carry a source tag, and resuming
+counts them again under the config's ``quota_per_bucket``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from dataclasses import dataclass, field, fields
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-from .client import DEFAULT_AGGREGATOR_TEMPLATE, ArchiveClient, FetchPolicy, Transport, open_transport
+from .client import ArchiveClient, FetchPolicy, Transport, open_transport
 from .discovery import (
     LIST_FORMATS,
+    TARGET,
     MementoCollection,
     ScreenResult,
     SelectionState,
@@ -44,89 +44,99 @@ from .model import (
     Provenance,
     SelectionConstraints,
     TimeMapRecord,
+    check_fields,
     compact14,
+    json_kwargs,
     load_registry,
     parse_compact14,
 )
 from .reports import write_csv, write_urir_table
+from .sampler import SEED
 
 STAGES = ("method1", "method2", "method3", "method4", "done")
 
 
+# Config keys that fill a RunConfig field of another name: at the top level,
+# and in the "sources" object. Every other top-level key is a field's name.
+_RENAMED = {"registry": "registry_path", "fixtures": "fixtures_dir", "record": "record_dir"}
+_SOURCES = {
+    "moz": "moz_path",
+    "memento_damage": "damage_path",
+    "httparchive": "httparchive_path",
+    "wahr": "wahr_paths",
+}
+_PATHS = {"out_dir", "moz_path", "damage_path", "httparchive_path", *_RENAMED.values()}
+_LIST_KEYS = {"archive": "archive", "path": "path", "format": "format"}
+
+
 @dataclass
 class RunConfig:
-    """Everything one discovery run needs, loadable from a JSON file."""
+    """Everything one discovery run needs, loadable from a JSON file.
 
-    out_dir: Path
+    ``seed`` and the constraints' ``max_urims_per_archive`` and
+    ``download_budget`` are read by the downsampling, not by ``discover``."""
+
+    out_dir: Path = Path("out")
     registry_path: Path | None = None
-    aggregator_endpoint: str | None = None
+    aggregator_endpoint: str | None = None  # None: the client's default template
     moz_path: Path | None = None
     damage_path: Path | None = None
     httparchive_path: Path | None = None
     wahr_paths: dict[str, Path] = field(default_factory=dict)
     published_lists: list[dict] = field(default_factory=list)
     constraints: SelectionConstraints = field(default_factory=SelectionConstraints)
-    target: int = 10_000
-    quota_per_bucket: int = 2_000
+    target: int = TARGET
+    quota_per_bucket: int = SelectionState.quota_per_bucket
     fixtures_dir: Path | None = None
     record_dir: Path | None = None
-    seed: int = 0
-    min_request_interval: float = 1.0
-    timeout: float = 30.0
-    retries: int = 3
+    seed: int = SEED
+    min_request_interval: float = FetchPolicy.min_request_interval
+    timeout: float = FetchPolicy.timeout
+    retries: int = FetchPolicy.retries
     checkpoint_every: int = 25
+
+    def __post_init__(self):  # FetchPolicy checks the fetch settings' ranges
+        check_fields(self, positive=("target", "quota_per_bucket", "checkpoint_every"))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
+        """The run in the JSON file at ``path``, its paths relative to the
+        file. A key fills the field of its name, or the one ``_RENAMED`` or
+        ``_SOURCES`` maps it to, and a key left out keeps the field's
+        default. An unknown key, or a value of the wrong type or out of
+        range, is a ValueError naming the key; a file named but missing is
+        a FileNotFoundError."""
         path = Path(path)
+        hidden = {*_RENAMED.values(), *_SOURCES.values()}
+        keys = {f.name: f.name for f in fields(cls) if f.name not in hidden}
         raw = json.loads(path.read_text("utf-8"))
-        base = path.parent
+        kwargs = json_kwargs(raw, {**keys, **_RENAMED, "sources": "sources"}, "config")
+        kwargs |= json_kwargs(kwargs.pop("sources", {}), _SOURCES, "sources")
+        if "constraints" in kwargs:
+            kwargs["constraints"] = SelectionConstraints.from_dict(kwargs["constraints"])
 
-        def resolve(p):
-            return (base / p).resolve() if p else None
+        def resolve(p, key):
+            if not isinstance(p, (str, Path)):
+                raise ValueError(f"{key}: expected a path, got {p!r}")
+            resolved = (path.parent / p).resolve()
+            if key not in ("out_dir", "fixtures", "record") and not resolved.exists():
+                raise FileNotFoundError(f"configured file missing: {resolved}")
+            return resolved
 
-        sources = raw.get("sources", {})
-        constraints_raw = raw.get("constraints", {})
-        constraints = SelectionConstraints(
-            min_urirs_per_archive=constraints_raw.get("min_urirs_per_archive", 200),
-            max_urims_per_archive=constraints_raw.get("max_urims_per_archive", 1600),
-            download_budget=timedelta(
-                hours=constraints_raw.get("download_budget_hours", 40)
-            ),
-        )
-        config = cls(
-            out_dir=resolve(raw.get("out_dir", "out")),
-            registry_path=resolve(raw.get("registry")),
-            aggregator_endpoint=raw.get("aggregator_endpoint"),
-            moz_path=resolve(sources.get("moz")),
-            damage_path=resolve(sources.get("memento_damage")),
-            httparchive_path=resolve(sources.get("httparchive")),
-            wahr_paths={t: resolve(p) for t, p in sources.get("wahr", {}).items()},
-            published_lists=[
-                {**entry, "path": str(resolve(entry["path"]))}
-                for entry in raw.get("published_lists", [])
-            ],
-            constraints=constraints,
-            target=raw.get("target", 10_000),
-            quota_per_bucket=raw.get("quota_per_bucket", 2_000),
-            fixtures_dir=resolve(raw.get("fixtures")),
-            record_dir=resolve(raw.get("record")),
-            seed=raw.get("seed", 0),
-            min_request_interval=raw.get("min_request_interval", 1.0),
-            timeout=raw.get("timeout", 30.0),
-            retries=raw.get("retries", 3),
-            checkpoint_every=raw.get("checkpoint_every", 25),
-        )
-        for p in (
-            config.registry_path,
-            config.moz_path,
-            config.damage_path,
-            config.httparchive_path,
-            *config.wahr_paths.values(),
-            *(Path(e["path"]) for e in config.published_lists),
-        ):
-            if p is not None and not Path(p).exists():
-                raise FileNotFoundError(f"configured file missing: {p}")
+        key_of = {name: key for key, name in {**_RENAMED, **_SOURCES}.items()}
+        for name in _PATHS & kwargs.keys():
+            if kwargs[name] is not None:
+                kwargs[name] = resolve(kwargs[name], key_of.get(name, name))
+        wahr = kwargs.get("wahr_paths")
+        if isinstance(wahr, dict):
+            kwargs["wahr_paths"] = {tag: resolve(p, f"wahr {tag!r}") for tag, p in wahr.items()}
+        config = cls(**kwargs)
+        config.out_dir = resolve(config.out_dir, "out_dir")  # the default, too
+        for i, entry in enumerate(config.published_lists):
+            entry = json_kwargs(entry, _LIST_KEYS, f"published_lists[{i}]")
+            if len(entry) < len(_LIST_KEYS) or not all(isinstance(v, str) for v in entry.values()):
+                raise ValueError(f"published_lists[{i}]: expected strings {', '.join(_LIST_KEYS)}")
+            config.published_lists[i] = {**entry, "path": str(resolve(entry["path"], "path"))}
         return config
 
 
@@ -204,19 +214,15 @@ class DiscoveryPipeline:
         if clock is None and config.fixtures_dir:
             # Hermetic replays must be byte-reproducible, fetch stamps included.
             clock = lambda: datetime(2000, 1, 1, tzinfo=timezone.utc)  # noqa: E731
-        policy = FetchPolicy(
-            min_request_interval=config.min_request_interval,
-            retries=config.retries,
-            timeout=config.timeout,
+        policy = FetchPolicy(config.min_request_interval, config.retries, config.timeout)
+        self.client = ArchiveClient(
+            self.registry, policy, transport, config.aggregator_endpoint, clock
         )
-        template = config.aggregator_endpoint or DEFAULT_AGGREGATOR_TEMPLATE
-        self.client = ArchiveClient(self.registry, policy, transport, template, clock)
 
         self.stage = "method1"
         self.scan_index = 0
         self.selection_state = SelectionState(quota_per_bucket=config.quota_per_bucket)
         self.collection = MementoCollection()
-        self.method_tables: dict[str, dict[str, list[int]]] = {}
 
     @property
     def accepted(self) -> list[OriginalResource]:
@@ -236,7 +242,6 @@ class DiscoveryPipeline:
             "stage": self.stage,
             "scan_index": self.scan_index,
             "records": [_record_to_dict(r) for r in self.collection.records()],
-            "method_tables": self.method_tables,
         }
         tmp = self.state_path.with_suffix(".json.tmp")
         # Compact separators keep json on its C encoder; load_state reads
@@ -253,9 +258,8 @@ class DiscoveryPipeline:
         self.collection = MementoCollection()
         for d in payload["records"]:
             self.collection.add(_record_from_dict(d))
-        self.method_tables = payload["method_tables"]
-        # Files that also hold "accepted" and "selection_state" load the
-        # same: the selection is rebuilt from the records.
+        # Files that also hold "accepted", "selection_state" or "method_tables"
+        # load the same: the selection is rebuilt from the records.
         self.selection_state = SelectionState.from_resources(
             self.accepted, self.config.quota_per_bucket
         )
@@ -276,9 +280,6 @@ class DiscoveryPipeline:
         )
 
     def _snapshot_table(self, stage: str) -> None:
-        self.method_tables[stage] = {
-            a: [urims, urirs] for a, (urims, urirs) in self.collection.totals().items()
-        }
         table = [["archive", "urims", "urirs"]]
         for archive_id, (urims, urirs) in sorted(
             self.collection.totals().items(), key=lambda kv: (-kv[1][0], kv[0])

@@ -37,6 +37,7 @@ from .tsv import read_tsv, write_tsv
 logger = logging.getLogger(__name__)
 
 Selection = dict[str, list[Memento]]
+SEED = 0  # seeds cap_mementos' draws unless it is given another seed
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,7 +177,7 @@ def _cap_one(mementos: list[Memento], allowed: int, rng: random.Random) -> list[
 def cap_mementos(
     selection: Selection,
     budgets: Mapping[str, ArchiveBudget],
-    seed: int = 0,
+    seed: int = SEED,
 ) -> Selection:
     """Trim each archive to its budgeted allowance.
 

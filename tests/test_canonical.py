@@ -50,7 +50,8 @@ class TestSurt:
     @pytest.mark.parametrize(
         "bad",
         ["", "   ", "ftp://example.com/", "mailto:someone@example.com",
-         "javascript:void(0)", "http://", "http:///path", "http://..../"],
+         "javascript:void(0)", "http://", "http:///path", "http://..../",
+         "not a uri", "http://a b.test/", "http://a\x00b.test/", "a\u3000b.test"],
     )
     def test_malformed(self, bad):
         with pytest.raises(MalformedUri):

@@ -1,9 +1,10 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
 from mementoset.cli import main
-from mementoset.client import FixtureStore, TransportResponse
+from mementoset.client import FixtureStore, FixtureTransport, TransportResponse
 from mementoset.linkformat import parse_compact, serialize_linkformat
 from mementoset.model import default_registry
 
@@ -50,6 +51,13 @@ def aggregator_fixture(tmp_path, fom_full_compact):
     body = serialize_linkformat(record).encode()
     store.save("GET", AGG.format(uri=URIR_FOM), TransportResponse(200, {}, body))
     return tmp_path / "fixtures"
+
+
+def write_registry(path, change):
+    """The bundled registry, ``change`` merged into its first entry."""
+    entries = [asdict(a) for a in default_registry()]
+    entries[0] |= change
+    path.write_text(json.dumps({"archives": entries}))
 
 
 def timemap_args(fixtures, *extra):
@@ -99,6 +107,43 @@ class TestTimemap:
         code = main(timemap_args(tmp_path, "http://gone.example/"))
         assert code == 3
         assert "empty timemap" in capsys.readouterr().err
+
+    def test_filter_yearly_drops_mementos_of_unregistered_archives(self, tmp_path, capsys):
+        urir = "http://a.example/"
+        wayback = f"http://web.archive.org/web/20100101000000/{urir}"
+        body = (
+            f'<{urir}>; rel="original",\n'
+            f'<{wayback}>; rel="memento"; datetime="Fri, 01 Jan 2010 00:00:00 GMT",\n'
+            f'<http://unregistered.test/20110101000000/{urir}>; rel="memento"; '
+            f'datetime="Sat, 01 Jan 2011 00:00:00 GMT"\n'
+        )
+        response = TransportResponse(200, {}, body.encode())
+        FixtureStore(tmp_path).save("GET", AGG.format(uri=urir), response)
+        code = main(timemap_args(tmp_path, "--filter-yearly", "--compact", urir))
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [f"20100101000000 {wayback}"]
+
+    def test_direct_from_an_unknown_archive_names_its_id(self, tmp_path, capsys):
+        code = main(timemap_args(tmp_path, "--direct", "bogus", "http://a.example/"))
+        assert code == 1
+        assert capsys.readouterr().err == "error: no registered archive has the id 'bogus'\n"
+
+    @pytest.mark.parametrize(
+        "entry, named",
+        [({"timemap-template": "http://x.test/{uri}"}, "'timemap-template'"),
+         ({"memento_native": "false"}, "memento_native"),
+         ({"domains": "web.archive.org"}, "domains"),
+         ({"purpose": "museum"}, "Purpose"),
+         (None, "No such file")],
+    )
+    def test_registry_errors_exit_two(self, tmp_path, capsys, entry, named):
+        registry = tmp_path / "registry.json"
+        if entry is not None:
+            write_registry(registry, entry)
+        code = main(timemap_args(tmp_path, "--registry", str(registry), "http://a.example/"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
 
     def test_network_failure_exit_one(self, tmp_path, capsys):
         code = main(timemap_args(tmp_path, "http://unrecorded.example/"))
@@ -185,20 +230,42 @@ class TestDiscoverCommand:
         assert (tmp_path / "out" / "counts_method4.csv").exists()
 
     @pytest.mark.parametrize(
-        "change",
+        "change, named",
         [
-            {"aggregator_endpoint": "http://agg.test/x"},
-            {"published_lists": [{"archive": "no.test", "path": "moz.txt", "format": "urirs_only"}]},
-            {"published_lists": [{"archive": "perma.cc", "path": "moz.txt", "format": "titles"}]},
+            ({"aggregator_endpoint": "http://agg.test/x"}, "aggregator template"),
+            ({"published_lists": [{"archive": "no.test", "path": "moz.txt", "format": "urirs_only"}]},
+             "no registered archive has the id 'no.test'"),
+            ({"published_lists": [{"archive": "perma.cc", "path": "moz.txt", "format": "titles"}]},
+             "'titles'"),
+            ({"min_request_intervall": 5}, "'min_request_intervall'"),
+            ({"sources": {"moz": "moz.txt", "memento-damage": "moz.txt"}}, "'memento-damage'"),
+            ({"constraints": {"min_urirs": 2}}, "'min_urirs'"),
+            ({"constraints": {"download_budget_hours": True}}, "download_budget_hours"),
+            ({"published_lists": [{"archive": "perma.cc", "path": "moz.txt",
+                                   "format": "urirs_only", "note": "x"}]}, "'note'"),
+            ({"registry": {"timemap-template": "http://x.test/{uri}"}}, "'timemap-template'"),
+            ({"retries": "3"}, "retries"),
+            ({"target": "5"}, "target"),
+            ({"checkpoint_every": 0}, "checkpoint_every"),
+            ({"registry": {"memento_native": "false"}}, "memento_native"),
         ],
     )
-    def test_config_errors_reported_before_the_first_request(self, tmp_path, capsys, change):
+    def test_config_errors_reported_before_the_first_request(
+        self, tmp_path, capsys, monkeypatch, change, named
+    ):
         fixtures_dir = tmp_path / "fixtures"
         build_fixture_corpus(fixtures_dir)
         config_path = write_config(tmp_path, fixtures_dir)
+        if isinstance(change.get("registry"), dict):
+            write_registry(tmp_path / "registry.json", change["registry"])
+            change = {"registry": "registry.json"}
         config_path.write_text(json.dumps({**json.loads(config_path.read_text()), **change}))
+        sent = []
+        monkeypatch.setattr(FixtureTransport, "request", lambda self, *args: sent.append(args))
         assert main(["discover", "--config", str(config_path)]) == 1
-        assert capsys.readouterr().err.startswith("error loading config:")
+        err = capsys.readouterr().err
+        assert err.startswith("error loading config:") and named in err
+        assert sent == []
         assert not (tmp_path / "out").exists()
 
     def test_missing_config(self, capsys, monkeypatch):

@@ -382,6 +382,20 @@ class TestIngestPublishedList:
         # The screened-out TimeMap was not ingested for anyone.
         assert collection.urir_count("web.archive.org") == 3
 
+    def test_line_that_is_not_a_uri_is_skipped_without_a_request(self, registry, tmp_path):
+        listing = tmp_path / "ukwa.txt"
+        uri = "http://uk0.example/"
+        listing.write_text(f"not a uri\n{uri}\n")
+        transport = FakeTransport()
+        agg = AGG_TEMPLATE.format(uri=uri)
+        transport.add("GET", agg, 200, body=multi_archive_timemap(uri, ["www.webarchive.org.uk"]))
+        added = ingest_published_list(
+            listing, "urirs_only", registry.get("webarchive.org.uk"),
+            MementoCollection(), make_client(transport, registry), min_urirs=10,
+        )
+        assert [r.urir.uri for r in added] == [uri]
+        assert transport.requests == [("GET", agg)]
+
     def test_urirs_and_urims_built_directly(self, registry, tmp_path):
         canada = registry.get("collectionscanada.gc.ca")
         listing = tmp_path / "canada.txt"
@@ -421,7 +435,7 @@ class TestIngestPublishedList:
         listing.write_text("")
         client = make_client(FakeTransport(), registry)
         added = ingest_published_list(
-            listing, "urirs_only", registry.get("perma.cc"), MementoCollection(), client
+            listing, "urirs_only", registry.get("perma.cc"), MementoCollection(), client, 10
         )
         assert added == []
 
@@ -431,5 +445,5 @@ class TestIngestPublishedList:
         client = make_client(FakeTransport(), registry)
         with pytest.raises(ValueError):
             ingest_published_list(
-                listing, "nope", registry.get("perma.cc"), MementoCollection(), client
+                listing, "nope", registry.get("perma.cc"), MementoCollection(), client, 10
             )

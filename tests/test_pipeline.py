@@ -1,10 +1,14 @@
+import csv
 import json
+import re
 from datetime import datetime, timezone
 from email.utils import format_datetime
+from pathlib import Path
 
 import pytest
 
-from mementoset.client import FixtureStore, TransportResponse
+from mementoset.client import DEFAULT_AGGREGATOR_TEMPLATE, FixtureStore, TransportResponse
+from mementoset.model import ArchiveDescriptor, default_registry
 from mementoset.pipeline import DiscoveryPipeline, RunConfig
 
 FIXED_NOW = datetime(2017, 11, 15, tzinfo=timezone.utc)
@@ -134,6 +138,13 @@ def run_pipeline(config_path, **kwargs):
     return pipeline, stage
 
 
+def read_counts(pipeline, stage):
+    """The stage's counts_<stage>.csv: archive id -> [urims, urirs]."""
+    with open(pipeline.config.out_dir / f"counts_{stage}.csv", newline="") as f:
+        rows = csv.DictReader(f)
+        return {row["archive"]: [int(row["urims"]), int(row["urirs"])] for row in rows}
+
+
 class TestDiscoveryPipeline:
     def test_full_run_counts(self, corpus):
         pipeline, stage = run_pipeline(corpus)
@@ -153,8 +164,8 @@ class TestDiscoveryPipeline:
 
     def test_method_tables_monotone(self, corpus):
         pipeline, _ = run_pipeline(corpus)
-        tables = pipeline.method_tables
         stages = ["method1", "method2", "method3", "method4"]
+        tables = {stage: read_counts(pipeline, stage) for stage in stages}
         archives = set().union(*(tables[s].keys() for s in stages))
         for earlier, later in zip(stages, stages[1:]):
             for archive_id in archives:
@@ -210,11 +221,18 @@ class TestDiscoveryPipeline:
         config.out_dir = config.out_dir.parent / "easy_out"
         pipeline = DiscoveryPipeline(config, clock=lambda: FIXED_NOW)
         pipeline.run()
-        tables = pipeline.method_tables
+        tables = {stage: read_counts(pipeline, stage) for stage in ("method1", "method4")}
         # Archives that had any URI-R after method 1 gained nothing later
         # except perma (method 4 needs no shortfall in other archives).
         assert tables["method1"]["web.archive.org"] == tables["method4"]["web.archive.org"]
         assert tables["method1"]["vefsafn.is"] == tables["method4"]["vefsafn.is"]
+
+    def test_config_with_only_out_dir_is_all_defaults(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"out_dir": "o"}))
+        assert RunConfig.from_file(path) == RunConfig(out_dir=(tmp_path / "o").resolve())
+        path.write_text("{}")  # out_dir too has a default, next to the file
+        assert RunConfig.from_file(path) == RunConfig(out_dir=(tmp_path / "out").resolve())
 
     def test_missing_config_file_rejected(self, tmp_path):
         config = tmp_path / "run.json"
@@ -251,3 +269,57 @@ class TestDiscoveryPipeline:
             assert pipeline.run(resume=False) == "done"
             states.append(pipeline.state_path.read_bytes())
         assert states[0] == states[1]
+
+
+class TestReadmeSchemas:
+    """The README's config and registry JSON blocks, read as written."""
+
+    @staticmethod
+    def readme() -> str:
+        return (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+
+    def block(self, after: str) -> str:
+        return self.readme().split(after, 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+
+    def test_config_block_loads_and_its_numbers_are_the_defaults(self, tmp_path):
+        base = tmp_path.resolve()
+        text = self.block("### Discover config")
+        for name in re.findall(r'"([\w/]+\.txt)"', text):
+            (base / name).parent.mkdir(exist_ok=True)
+            (base / name).write_text("http://a.example/\n")
+        path = base / "run.json"
+        path.write_text(text)
+        assert RunConfig.from_file(path) == RunConfig(
+            out_dir=base / "out",
+            aggregator_endpoint=DEFAULT_AGGREGATOR_TEMPLATE,
+            moz_path=base / "sources/moz.txt",
+            damage_path=base / "sources/damage.txt",
+            httparchive_path=base / "sources/httparchive.txt",
+            wahr_paths={"#climatemarch": base / "sources/climatemarch.txt"},
+            published_lists=[
+                {"archive": "webarchive.org.uk", "path": str(base / "lists/ukwa.txt"),
+                 "format": "urirs_only"}
+            ],
+        )
+
+    def test_every_key_in_the_config_table_is_known(self, tmp_path):
+        table = self.readme().split("| key | default |", 1)[1].split("\n\n", 1)[0]
+        rows = table.splitlines()[2:]
+        keys = [k for row in rows for k in re.findall(r"`(\w+)`", row.split("|")[1])]
+        assert len(keys) == 15
+        path = tmp_path / "run.json"
+
+        def error(key):
+            path.write_text(json.dumps({key: None}))
+            try:
+                RunConfig.from_file(path)
+            except ValueError as exc:
+                return str(exc)
+            return ""
+
+        assert error("checkpoint") == "config: unknown key 'checkpoint'"
+        assert [k for k in keys if "unknown key" in error(k)] == []
+
+    def test_registry_entry_is_the_bundled_one(self):
+        entry = json.loads(self.block("A registry file is"))
+        assert ArchiveDescriptor.from_dict(entry) == default_registry().get(entry["id"])

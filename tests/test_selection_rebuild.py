@@ -56,10 +56,11 @@ def selection(pipeline):
 
 
 def write_previous_format(pipeline):
-    """Rewrite the state file as the previous format had it: the selection
+    """Rewrite the state file as earlier formats had it: the selection
     stored twice more beside the records, as ``accepted`` and
-    ``selection_state``."""
+    ``selection_state``, and the per-stage tables as ``method_tables``."""
     payload = json.loads(pipeline.state_path.read_text())
+    payload["method_tables"] = {"method1": {"web.archive.org": [1, 1]}}
     s = pipeline.selection_state
     payload["accepted"] = [_resource_to_dict(r) for r in pipeline.accepted]
     payload["selection_state"] = {
@@ -73,11 +74,11 @@ def write_previous_format(pipeline):
 
 def outputs(out):
     """Every file of a run's directory, the state file parsed without the
-    keys of the previous format (a run resumed at ``done`` leaves it as is)."""
+    keys of earlier formats (a run resumed at ``done`` leaves it as is)."""
     files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
     state = json.loads(files.pop(Path("state.json")))
-    state.pop("accepted", None)
-    state.pop("selection_state", None)
+    for key in ("accepted", "selection_state", "method_tables"):
+        state.pop(key, None)
     return files, state
 
 
@@ -100,7 +101,7 @@ class TestRebuild:
     def test_loaded_selection_equals_the_writers(self, make, stop):
         writer = stop(make)
         payload = json.loads(writer.state_path.read_text())
-        assert sorted(payload) == ["method_tables", "records", "scan_index", "stage"]
+        assert sorted(payload) == ["records", "scan_index", "stage"]
         reader = make(stop.__name__)
         assert reader.load_state()
         assert selection(reader) == selection(writer)

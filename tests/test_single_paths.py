@@ -277,7 +277,7 @@ class TestPublishedListClock:
         client = make_client(FakeTransport(), registry, clock=lambda: FIXED_NOW)
         (record,) = ingest_published_list(
             listing, "urirs_and_urims", registry.get("collectionscanada.gc.ca"),
-            MementoCollection(), client,
+            MementoCollection(), client, min_urirs=10,
         )
         assert record.fetched_at == FIXED_NOW
 
