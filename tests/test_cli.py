@@ -249,6 +249,7 @@ class TestDiscoverCommand:
             ({"checkpoint_every": 0}, "checkpoint_every"),
             ({"registry": {"memento_native": "false"}}, "memento_native"),
         ],
+        ids=[f"change{i}" for i in range(13)],
     )
     def test_config_errors_reported_before_the_first_request(
         self, tmp_path, capsys, monkeypatch, change, named
