@@ -45,6 +45,7 @@ from .errors import (
 )
 from .linkformat import (
     LinkEntry,
+    TimeMapReducer,
     dedupe,
     parse_compact,
     parse_timemap,

@@ -17,9 +17,8 @@ from pathlib import Path
 
 from .canonical import surt
 from .client import ArchiveClient, FetchPolicy, open_transport
-from .discovery import MementoCollection
 from .errors import EmptyTimeMap, MalformedUri, MementosetError
-from .linkformat import serialize_compact, serialize_linkformat
+from .linkformat import TimeMapReducer, serialize_compact, serialize_linkformat
 from .model import load_registry
 from .pipeline import DiscoveryPipeline, RunConfig
 from .reports import (
@@ -67,21 +66,20 @@ def cmd_timemap(args) -> int:
     except (OSError, ValueError) as exc:  # a bad --endpoint template or --registry file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # Discovery's reduction: unattributed mementos dropped, dedupe, yearly filter.
+    reducer = TimeMapReducer(client.registry) if args.filter_yearly else None
     try:
         if args.direct:
             archive = client.registry.get(args.direct)
-            record = client.fetch_timemap_direct(archive, args.urir)
+            record = client.fetch_timemap_direct(archive, args.urir, reducer)
         else:
-            record = client.fetch_timemap_aggregator(args.urir)
+            record = client.fetch_timemap_aggregator(args.urir, reducer)
     except EmptyTimeMap as exc:
         print(f"empty timemap: {exc}", file=sys.stderr)
         return EXIT_EMPTY
     except MementosetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
-    if args.filter_yearly:
-        # Discovery's reduction: unattributed mementos dropped, dedupe, yearly filter.
-        record = MementoCollection().add(record)
     sys.stdout.write(
         serialize_compact(record) if args.compact else serialize_linkformat(record)
     )

@@ -39,7 +39,7 @@ from .errors import (
     PermanentNetworkError,
     RawAccessUnsupported,
 )
-from .linkformat import parse_link_entries, record_from_entries
+from .linkformat import LinkEntry, TimeMapReducer, parse_link_entries, record_from_entries
 from .model import (
     ArchiveDescriptor,
     ArchiveRegistry,
@@ -363,7 +363,7 @@ class ArchiveClient:
         retry_after = header_value(response.headers, "Retry-After") if response is not None else None
         if retry_after:
             retry_after = retry_after.strip()
-            if retry_after.isdigit():
+            if retry_after.isascii() and retry_after.isdigit():  # "²".isdigit() too
                 return min(float(retry_after), self.policy.timeout)
             try:
                 until = parse_http_datetime(retry_after)
@@ -376,11 +376,13 @@ class ArchiveClient:
 
     # -- fetch operations ------------------------------------------------
 
-    def _fetch_timemap_entries(self, first_uri: str):
-        """GET a TimeMap and follow rel="timemap" pages transitively."""
+    def _read_pages(self, first_uri: str, read: Callable[[bytes], list[str]]) -> int:
+        """GET a TimeMap and follow rel="timemap" pages transitively: each
+        page's body goes to ``read``, which returns the page's links to
+        pages. Returns the number of pages read."""
         queue = deque([first_uri])
         visited: set[str] = set()
-        entries = []
+        pages = 0
         while queue:
             uri = queue.popleft()
             if uri in visited:
@@ -393,46 +395,68 @@ class ArchiveClient:
                 continue
             if response.status != 200:
                 raise NetworkError(f"GET {uri}: status {response.status}")
-            page = parse_link_entries(response.body)
-            entries.extend(page)
-            queue.extend(
-                e.target
-                for e in page
-                if "timemap" in e.rel and "self" not in e.rel and e.target not in visited
-            )
-        return entries
+            queue.extend(target for target in read(response.body) if target not in visited)
+            pages += 1
+        return pages
 
-    def _fetch_record(self, template: str, urir: str, provenance: Provenance) -> TimeMapRecord:
-        """The TimeMap at ``template`` for ``urir``; EmptyTimeMap when it lists no memento."""
-        entries = self._fetch_timemap_entries(template.format(uri=urir))
-        if not entries:
+    def _fetch_record(
+        self,
+        template: str,
+        urir: str,
+        provenance: Provenance,
+        reducer: TimeMapReducer | None,
+        archive: ArchiveDescriptor | None = None,
+    ) -> TimeMapRecord:
+        """The TimeMap at ``template`` for ``urir``, reduced by ``reducer``
+        when given; its mementos all ``archive``'s when given. EmptyTimeMap
+        when it lists no memento."""
+        entries: list[LinkEntry] = []
+
+        def read(body: bytes) -> list[str]:
+            if reducer is not None:
+                return reducer.read(body, archive)
+            page = parse_link_entries(body)
+            entries.extend(page)
+            return [e.target for e in page if "timemap" in e.rel and "self" not in e.rel]
+
+        if not self._read_pages(template.format(uri=urir), read):
             raise EmptyTimeMap(urir)
-        record = record_from_entries(
-            entries, urir_hint=urir, registry=self.registry,
-            provenance=provenance,
-            fetched_at=self.clock(),
-        )
-        if not record.mementos:
+        if reducer is not None:
+            record = reducer.record(urir, provenance, self.clock())
+            found = reducer.mementos
+        else:
+            record = record_from_entries(entries, urir, self.registry, provenance, self.clock())
+            found = len(record.mementos)
+            if archive is not None:
+                record = record.with_mementos(
+                    replace(
+                        m, archive_id=archive.id, raw_urim=raw_variant(m.urim, archive.raw_scheme)
+                    )
+                    for m in record.mementos
+                )
+        if not found:
             raise EmptyTimeMap(urir)
         return record
 
-    def fetch_timemap_aggregator(self, urir: str) -> TimeMapRecord:
-        """Aggregated TimeMap for a URI-R; EmptyTimeMap when never archived."""
-        return self._fetch_record(self.aggregator_template, urir, Provenance.AGGREGATOR)
+    def fetch_timemap_aggregator(
+        self, urir: str, reducer: TimeMapReducer | None = None
+    ) -> TimeMapRecord:
+        """Aggregated TimeMap for a URI-R; EmptyTimeMap when never archived.
+        With ``reducer``, the TimeMap is reduced while it is read, and the
+        record holds the mementos ``reducer`` keeps."""
+        return self._fetch_record(self.aggregator_template, urir, Provenance.AGGREGATOR, reducer)
 
     def fetch_timemap_direct(
-        self, archive: ArchiveDescriptor, urir: str
+        self, archive: ArchiveDescriptor, urir: str, reducer: TimeMapReducer | None = None
     ) -> TimeMapRecord:
-        """TimeMap straight from one archive, bypassing aggregator caches."""
+        """TimeMap straight from one archive, bypassing aggregator caches.
+        Everything in it belongs to the archive that served it. ``reducer``
+        as in ``fetch_timemap_aggregator``."""
         if not archive.memento_native or not archive.timemap_template:
             raise NoTimeMapEndpoint(archive.id)
-        record = self._fetch_record(archive.timemap_template, urir, Provenance.DIRECT_ARCHIVE)
-        # Everything in a direct TimeMap belongs to the archive that served it.
-        attributed = [
-            replace(m, archive_id=archive.id, raw_urim=raw_variant(m.urim, archive.raw_scheme))
-            for m in record.mementos
-        ]
-        return record.with_mementos(attributed)
+        return self._fetch_record(
+            archive.timemap_template, urir, Provenance.DIRECT_ARCHIVE, reducer, archive
+        )
 
     def fetch_raw_memento(self, memento: Memento) -> RawContent:
         """Download unaltered content via the archive's raw-access scheme."""

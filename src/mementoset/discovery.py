@@ -31,9 +31,17 @@ from .errors import (
     NetworkError,
     ParseError,
 )
-from .linkformat import compact_record, content_lines, dedupe, parse_compact_line, yearly_first_filter
+from .linkformat import (
+    TimeMapReducer,
+    compact_record,
+    content_lines,
+    dedupe,
+    parse_compact_line,
+    yearly_first_filter,
+)
 from .model import (
     ArchiveDescriptor,
+    ArchiveRegistry,
     Memento,
     OriginalResource,
     PathBucket,
@@ -212,6 +220,17 @@ class MementoCollection:
             out.extend(m for m in record.mementos if m.archive_id == archive_id)
         return out
 
+    def reducer(self, registry: ArchiveRegistry) -> TimeMapReducer:
+        """A reducer for a TimeMap to be added here: it drops the URI-Ms
+        stored under the TimeMap's key, so adding its record stores what
+        adding the whole TimeMap would."""
+
+        def stored(urir_key: str) -> Iterator[str]:
+            record = self._records.get(urir_key)
+            return (m.urim for m in record.mementos) if record is not None else iter(())
+
+        return TimeMapReducer(registry, stored)
+
     def _reduce(self, record: TimeMapRecord) -> TimeMapRecord:
         attributed = [m for m in record.mementos if m.archive_id is not None]
         if len(attributed) != len(record.mementos):
@@ -314,7 +333,8 @@ def screen_candidate(
         return ScreenResult(None, None, f"domain {domain} already used in {bucket.value}")
     final = resolved.chain.final_uri
     try:
-        record = client.fetch_timemap_aggregator(final)
+        # Nothing is stored under the candidate's key, which is new.
+        record = client.fetch_timemap_aggregator(final, TimeMapReducer(client.registry))
     except EmptyTimeMap:
         return ScreenResult(None, None, "empty timemap")
     except (NetworkError, ParseError) as exc:
@@ -507,11 +527,13 @@ def extract_urirs_from_html(body: bytes | str, base: str) -> list[str]:
     return out
 
 
-def _timemap(fetch: Callable[..., TimeMapRecord], *args) -> TimeMapRecord | None:
-    """``fetch(*args)``, or None when the TimeMap is empty or the fetch
-    failed. The last argument is the URI-R, named in the logged failure."""
+def _timemap(
+    fetch: Callable[..., TimeMapRecord], *args, reducer: TimeMapReducer
+) -> TimeMapRecord | None:
+    """``fetch(*args, reducer)``, or None when the TimeMap is empty or the
+    fetch failed. The last argument is the URI-R, named in the logged failure."""
     try:
-        return fetch(*args)
+        return fetch(*args, reducer)
     except EmptyTimeMap:
         return None
     except (NetworkError, ParseError) as exc:
@@ -572,7 +594,8 @@ def method2_expand(
                 if key in collection or key in attempted:
                     continue
                 attempted.add(key)
-                record = _timemap(client.fetch_timemap_aggregator, uri)
+                reducer = collection.reducer(client.registry)
+                record = _timemap(client.fetch_timemap_aggregator, uri, reducer=reducer)
                 if record is not None:
                     yield record
 
@@ -619,8 +642,9 @@ def ingest_published_list(
                 continue
             if key in collection:
                 continue
-            record = _timemap(client.fetch_timemap_aggregator, uri)
-            if record is not None and any(m.archive_id == archive.id for m in record.mementos):
+            reducer = collection.reducer(client.registry)
+            record = _timemap(client.fetch_timemap_aggregator, uri, reducer=reducer)
+            if record is not None and archive.id in reducer.archives:
                 yield record
 
     def compact() -> Iterator[TimeMapRecord]:
@@ -665,7 +689,9 @@ def method4_direct(
         if not archive.memento_native or not archive.timemap_template:
             return
         for record in list(collection.records()):
-            found = _timemap(client.fetch_timemap_direct, archive, record.urir.final_uri)
+            reducer = collection.reducer(client.registry)
+            uri = record.urir.final_uri
+            found = _timemap(client.fetch_timemap_direct, archive, uri, reducer=reducer)
             if found is not None:
                 yield found
 

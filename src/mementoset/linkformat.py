@@ -10,9 +10,15 @@ quotes a backslash escapes the next character. An unterminated ``<`` or
 
 Most members of a real TimeMap have one plain form,
 ``<target>; rel="..."; datetime="..."``: the two params in that order with
-lowercase names, single spaces, no whitespace in the target and no
-backslash or quote inside the values. Such a member is read directly by
-one pattern. Every other member goes through the RFC 6690 split above.
+lowercase names, single spaces, no whitespace in the target, rel values
+separated by single spaces, and an IMF-fixdate (RFC 9110 section 5.6.7)
+as the datetime. Such a member is read directly by one pattern. Every
+other member goes through the RFC 6690 split above.
+
+The pipeline does not build the TimeMaps it fetches: a
+:class:`TimeMapReducer` reduces each one while it reads it, page by page,
+to the first memento per archive per year, and builds a ``Memento`` only
+for those. ``parse_timemap`` still builds every memento.
 
 The compact format is two columns per memento: the 14-digit UTC capture
 timestamp and the URI-M, separated by one space. It exists because full
@@ -22,18 +28,22 @@ needs.
 
 from __future__ import annotations
 
+import calendar
 import logging
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .canonical import original_resource
 from .errors import MalformedUri, MissingOriginal, ParseError, UnknownArchive
 from .model import (
+    _MONTHS,
+    ArchiveDescriptor,
     ArchiveRegistry,
     Memento,
+    OriginalResource,
     Provenance,
     TimeMapRecord,
     archive_of,
@@ -78,9 +88,31 @@ def _split(pattern: re.Pattern, text: str):
         start = end + 1
 
 
-# The plain member form of the module docstring, matched after the member is
-# stripped. It needs no unquoting, and strict mode changes nothing for it.
-_PLAIN_MEMBER = re.compile(r'<([^\s>]+)>; rel="([^"\\]*)"; datetime="([^"\\]*)"')
+# The plain member form of the module docstring, with the separators
+# around it: what the RFC 6690 split yields for such a member, stripped, is
+# exactly the match without them. The IMF-fixdate's fields are held to
+# their ranges, save the day to its month; the host is the one ``_host_of``
+# reads from a plain URI-M.
+_PLAIN = re.compile(
+    r"""\s*<(?=[^\s>])(?P<target>
+        (?:[Hh][Tt][Tt][Pp][Ss]?://(?P<host>[A-Za-z0-9.-]+)(?::[0-9]+)?(?=[/?#>]))?
+        [^\s>]*)>
+    ;\ rel="(?P<rel>[^\s"\\]+(?:\ [^\s"\\]+)*)"
+    ;\ datetime="(?P<when>(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun),
+        \ (?P<day>0[1-9]|[12][0-9]|3[01])
+        \ (?P<month>Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec)
+        \ (?P<year>(?!0000)[0-9]{4})
+        \ (?P<clock>(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9])\ GMT)"
+    \s*(?:,|\Z)""",
+    re.X,
+)
+
+
+def _day_exists(plain: re.Match) -> bool:
+    day = plain["day"]
+    if day <= "28":
+        return True
+    return int(day) <= calendar.monthrange(int(plain["year"]), _MONTHS[plain["month"]])[1]
 
 
 def _byte_offset(text: str, char_offset: int) -> int:
@@ -89,15 +121,6 @@ def _byte_offset(text: str, char_offset: int) -> int:
 
 def _parse_member(text: str, offset: int, raw: str, strict: bool) -> LinkEntry | None:
     member = raw.strip()
-    plain = _PLAIN_MEMBER.fullmatch(member)
-    if plain is not None:
-        target, rel, when = plain.groups()
-        rel = tuple(rel.split())
-        if rel:
-            try:
-                return LinkEntry(target, rel, parse_http_datetime(when))
-            except ValueError:
-                pass  # the general path below raises the ParseError
     if not member:
         return None
     if not member.startswith("<"):
@@ -149,8 +172,17 @@ def _parse_member(text: str, offset: int, raw: str, strict: bool) -> LinkEntry |
     )
 
 
-def parse_link_entries(body: bytes | str, strict: bool = False) -> list[LinkEntry]:
-    """Tokenize a link-format document into entries, order preserved."""
+def parse_link_entries(
+    body: bytes | str,
+    strict: bool = False,
+    visit: Callable[[LinkEntry | re.Match], None] | None = None,
+) -> list[LinkEntry]:
+    """Tokenize a link-format document into entries, order preserved.
+
+    With ``visit``, each member is passed to it as it is read: a member of
+    the plain form as its match of ``_PLAIN``, not built into an entry, and
+    any other member as its entry. The entries built are returned as well.
+    """
     if isinstance(body, bytes):
         try:
             text = body.decode("utf-8")
@@ -161,20 +193,41 @@ def parse_link_entries(body: bytes | str, strict: bool = False) -> list[LinkEntr
     if not text.strip():
         raise ParseError("empty link-format document", 0)
     entries = []
-    for offset, raw in _split(_MEMBER, text):
-        entry = _parse_member(text, offset, raw, strict)
+    members = 0
+    start, size = 0, len(text)
+    while True:
+        plain = _PLAIN.match(text, start)
+        if plain is not None and _day_exists(plain):
+            members += 1
+            if visit is not None:
+                visit(plain)
+            else:
+                rel = tuple(plain["rel"].split(" "))
+                entries.append(LinkEntry(plain["target"], rel, parse_http_datetime(plain["when"])))
+            start = plain.end()
+            if start == size:
+                break
+            continue
+        end = _MEMBER.match(text, start).end()
+        entry = _parse_member(text, start, text[start:end], strict)
         if entry is not None:
+            members += 1
             entries.append(entry)
-    if not entries:
+            if visit is not None:
+                visit(entry)
+        if end == size:
+            break
+        start = end + 1
+    if not members:
         raise ParseError("no members found", 0)
     return entries
 
 
-def _attribute(urim: str, registry: ArchiveRegistry | None) -> str | None:
+def _attribute(urim: str, registry: ArchiveRegistry | None) -> ArchiveDescriptor | None:
     if registry is None:
         return None
     try:
-        return archive_of(urim, registry).id
+        return archive_of(urim, registry)
     except (UnknownArchive, MalformedUri):
         logger.debug("no registered archive for %s", urim)
         return None
@@ -183,17 +236,10 @@ def _attribute(urim: str, registry: ArchiveRegistry | None) -> str | None:
 def _build_memento(
     urim: str, dt: datetime, urir_key: str, registry: ArchiveRegistry | None
 ) -> Memento:
-    archive_id = _attribute(urim, registry)
-    raw = None
-    if archive_id is not None:
-        raw = raw_variant(urim, registry.get(archive_id).raw_scheme)
-    return Memento(
-        urim=urim,
-        memento_datetime=dt,
-        urir_key=urir_key,
-        archive_id=archive_id,
-        raw_urim=raw,
-    )
+    archive = _attribute(urim, registry)
+    if archive is None:
+        return Memento(urim, dt, urir_key)
+    return Memento(urim, dt, urir_key, archive.id, raw_variant(urim, archive.raw_scheme))
 
 
 def record_from_entries(
@@ -241,6 +287,164 @@ def parse_timemap(
     """Parse a link-format TimeMap body into a TimeMapRecord."""
     entries = parse_link_entries(body, strict=strict)
     return record_from_entries(entries, urir_hint, registry, provenance, fetched_at)
+
+
+def _sort_key(dt: datetime) -> str:
+    """The order key the plain form's fields give, for a UTC datetime."""
+    return "%04d%02d%02d%02d:%02d:%02d" % (dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second)
+
+
+_MONTH_DIGITS = {month: "%02d" % number for month, number in _MONTHS.items()}
+
+
+def _nothing_stored(urir_key: str) -> tuple[str, ...]:
+    return ()
+
+
+class TimeMapReducer:
+    """One TimeMap reduced while it is read, page by page, to the mementos
+    ``MementoCollection.add`` keeps of it: of the memento members that name
+    a registered archive, the first of each URI-M, and of those the earliest
+    per (archive, UTC year), ties to the smaller URI-M.
+
+    ``stored(key)`` names the URI-Ms already stored under the TimeMap's key,
+    once that is known: they are dropped before the earliest are picked, so
+    merging the record into the stored one gives what merging the whole
+    TimeMap gives. A plain member costs one match and a sort key made of its
+    date's fields; its archive comes from a memo of the hosts seen. Only the
+    winners become ``Memento`` objects. The record raises what
+    ``record_from_entries`` would raise for the same members.
+    """
+
+    def __init__(
+        self,
+        registry: ArchiveRegistry,
+        stored: Callable[[str], Iterable[str]] = _nothing_stored,
+    ):
+        self.registry = registry
+        self.stored = stored
+        self.mementos = 0  # memento members read
+        self._serving: ArchiveDescriptor | None = None
+        self._hosts: dict[str, ArchiveDescriptor | None] = {}
+        self._links: list[str] = []
+        self._original: str | None = None
+        self._resource: OriginalResource | None = None
+        self._failure: MalformedUri | None = None
+        self._undated: str | None = None  # the first memento member without a datetime
+        self._seen: set[str] | None = None  # None until the key is known
+        self._pending: list[tuple] = []  # candidates read before that
+        # archive id -> year -> (sort key, URI-M, its datetime or IMF-fixdate)
+        self._winners: dict[str, dict[str, tuple[str, str, str | datetime]]] = {}
+        self._archive_by_id: dict[str, ArchiveDescriptor] = {}
+
+    @property
+    def archives(self) -> set[str]:
+        """The archives the memento members read are attributed to."""
+        return set(self._archive_by_id)
+
+    def read(self, body: bytes | str, archive: ArchiveDescriptor | None = None) -> list[str]:
+        """Read one page and return its ``rel="timemap"`` targets but self.
+        ``archive``, when given, served the page as its own TimeMap: all its
+        mementos are that archive's."""
+        self._serving = archive
+        self._links = []
+        parse_link_entries(body, visit=self._visit)
+        return self._links
+
+    def _visit(self, member: LinkEntry | re.Match) -> None:
+        if isinstance(member, LinkEntry):
+            if not self._roles(member.target, member.rel):
+                return
+            self.mementos += 1
+            if member.datetime is None:
+                self._undated = self._undated or member.target
+                return
+            self._candidate(member.target, None, _sort_key(member.datetime), member.datetime)
+            return
+        target, host, rel, when, day, month, year, clock = member.groups()
+        if rel != "memento" and not self._roles(target, rel.split(" ")):
+            return
+        self.mementos += 1
+        self._candidate(target, host, year + _MONTH_DIGITS[month] + day + clock, when)
+
+    def _roles(self, target: str, rel: Iterable[str]) -> bool:
+        """Note an original or a page link; whether the member is a memento."""
+        if "original" in rel and self._original is None:
+            self._original = target
+            self._resolve(target)
+        if "timemap" in rel and "self" not in rel:
+            self._links.append(target)
+        return "memento" in rel
+
+    def _resolve(self, urir: str) -> None:
+        """Key the TimeMap by ``urir`` and offer the candidates held back."""
+        try:
+            self._resource = original_resource(urir)
+        except MalformedUri as exc:
+            self._failure = exc  # record() raises it; what is kept no longer matters
+            self._seen = set()
+            return
+        self._seen = set(self.stored(self._resource.canonical_key))
+        for candidate in self._pending:
+            self._offer(*candidate)
+        self._pending.clear()
+
+    def _candidate(self, urim: str, host: str | None, key: str, when: str | datetime) -> None:
+        archive = self._serving
+        if archive is None:
+            if host is None:
+                archive = _attribute(urim, self.registry)
+            else:
+                try:
+                    archive = self._hosts[host]
+                except KeyError:
+                    archive = self._hosts[host] = self.registry.match_host(host)
+            if archive is None:
+                return
+        self._archive_by_id.setdefault(archive.id, archive)
+        if self._seen is None:
+            self._pending.append((urim, archive.id, key, when))
+        else:
+            self._offer(urim, archive.id, key, when)
+
+    def _offer(self, urim: str, archive_id: str, key: str, when: str | datetime) -> None:
+        if urim in self._seen:
+            return
+        self._seen.add(urim)
+        years = self._winners.get(archive_id)
+        if years is None:
+            years = self._winners[archive_id] = {}
+        best = years.get(key[:4])
+        if best is None or key < best[0] or (key == best[0] and urim < best[1]):
+            years[key[:4]] = (key, urim, when)
+
+    def record(
+        self,
+        urir_hint: str | None = None,
+        provenance: Provenance = Provenance.AGGREGATOR,
+        fetched_at: datetime | None = None,
+    ) -> TimeMapRecord:
+        """The reduced record of the pages read. The first ``rel="original"``
+        names the URI-R, else ``urir_hint`` does."""
+        if self._seen is None:
+            if urir_hint is None:
+                raise MissingOriginal("no rel=original entry and no URI-R hint")
+            self._resolve(urir_hint)
+        if self._failure is not None:
+            raise self._failure
+        if self._undated is not None:
+            raise ParseError(f"memento {self._undated!r} lacks a datetime attribute")
+        key = self._resource.canonical_key
+        mementos = []
+        for archive_id, years in self._winners.items():
+            scheme = self._archive_by_id[archive_id].raw_scheme
+            for year in sorted(years):
+                _, urim, when = years[year]
+                dt = parse_http_datetime(when) if isinstance(when, str) else when
+                mementos.append(Memento(urim, dt, key, archive_id, raw_variant(urim, scheme)))
+        return TimeMapRecord(
+            self._resource, tuple(mementos), fetched_at or datetime.now(timezone.utc), provenance
+        )
 
 
 def _compact_text(mementos: Iterable[Memento]) -> str:

@@ -95,8 +95,28 @@ class RunConfig:
     retries: int = FetchPolicy.retries
     checkpoint_every: int = 25
 
-    def __post_init__(self):  # FetchPolicy checks the fetch settings' ranges
+    def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        """Raise ValueError naming the first field of the wrong type or out
+        of range, or the first bad key of a published list: one not among
+        ``archive``, ``path`` and ``format`` or left out, a value that is
+        not a string (``path`` may be a Path), or an unknown format.
+        ``FetchPolicy`` checks the fetch settings' ranges, and the pipeline
+        that the archives are registered."""
         check_fields(self, positive=("target", "quota_per_bucket", "checkpoint_every"))
+        for i, entry in enumerate(self.published_lists):
+            where = f"published_lists[{i}]"
+            json_kwargs(entry, _LIST_KEYS, where)
+            for key in _LIST_KEYS:
+                if key not in entry:
+                    raise ValueError(f"{where}: missing key {key!r}")
+                value = entry[key]
+                if not isinstance(value, (str, Path) if key == "path" else str):
+                    raise ValueError(f"{where}: {key}: expected a string, got {value!r}")
+            if entry["format"] not in LIST_FORMATS:
+                raise ValueError(f"{where}: unknown format {entry['format']!r}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -132,11 +152,8 @@ class RunConfig:
             kwargs["wahr_paths"] = {tag: resolve(p, f"wahr {tag!r}") for tag, p in wahr.items()}
         config = cls(**kwargs)
         config.out_dir = resolve(config.out_dir, "out_dir")  # the default, too
-        for i, entry in enumerate(config.published_lists):
-            entry = json_kwargs(entry, _LIST_KEYS, f"published_lists[{i}]")
-            if len(entry) < len(_LIST_KEYS) or not all(isinstance(v, str) for v in entry.values()):
-                raise ValueError(f"published_lists[{i}]: expected strings {', '.join(_LIST_KEYS)}")
-            config.published_lists[i] = {**entry, "path": str(resolve(entry["path"], "path"))}
+        for entry in config.published_lists:
+            entry["path"] = str(resolve(entry["path"], "path"))
         return config
 
 
@@ -204,11 +221,10 @@ class DiscoveryPipeline:
         clock: Callable[[], datetime] | None = None,
     ):
         self.config = config
+        config.check()  # again: a config's fields may have been set since it was built
         self.registry = load_registry(config.registry_path)
         for entry in config.published_lists:
             self.registry.get(entry["archive"])  # UnknownArchive if it is not registered
-            if entry["format"] not in LIST_FORMATS:
-                raise ValueError(f"published list in unknown format {entry['format']!r}")
         if transport is None:
             transport = open_transport(config.fixtures_dir, config.record_dir, config.timeout)
         if clock is None and config.fixtures_dir:

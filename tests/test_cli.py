@@ -1,12 +1,13 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 from mementoset.cli import main
 from mementoset.client import FixtureStore, FixtureTransport, TransportResponse
-from mementoset.linkformat import parse_compact, serialize_linkformat
-from mementoset.model import default_registry
+from mementoset.discovery import MementoCollection
+from mementoset.linkformat import parse_compact, parse_timemap, serialize_compact, serialize_linkformat
+from mementoset.model import default_registry, raw_variant
 
 from published_counts import build_published_manifest
 from mementoset.sampler import write_manifest
@@ -99,6 +100,34 @@ class TestTimemap:
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 57
+
+    @pytest.mark.parametrize("fixture", ["inria_timemap", "cnn_timemap", "perma_timemap"])
+    @pytest.mark.parametrize("direct", [False, True])
+    @pytest.mark.parametrize("form", [[], ["--compact"]])
+    def test_filter_yearly_prints_what_discovery_stores(
+        self, tmp_path, capsys, request, fixture, direct, form
+    ):
+        """The reduced fetch prints byte for byte what the full record,
+        added to an empty collection, holds."""
+        body = request.getfixturevalue(fixture)
+        urir = "http://www.whitehouse.gov/"
+        registry = default_registry()
+        record = parse_timemap(body, urir, registry)
+        if direct:
+            perma = registry.get("perma.cc")
+            uri = perma.timemap_template.format(uri=urir)
+            record = record.with_mementos(
+                replace(m, archive_id=perma.id, raw_urim=raw_variant(m.urim, perma.raw_scheme))
+                for m in record.mementos
+            )
+            form = [*form, "--direct", "perma.cc"]
+        else:
+            uri = AGG.format(uri=urir)
+        stored = MementoCollection().add(record)
+        FixtureStore(tmp_path).save("GET", uri, TransportResponse(200, {}, body))
+        assert main(timemap_args(tmp_path, "--filter-yearly", *form, urir)) == 0
+        write = serialize_compact if "--compact" in form else serialize_linkformat
+        assert capsys.readouterr().out == write(stored)
 
     def test_empty_timemap_exit_three(self, tmp_path, capsys):
         store = FixtureStore(tmp_path)
@@ -248,8 +277,12 @@ class TestDiscoverCommand:
             ({"target": "5"}, "target"),
             ({"checkpoint_every": 0}, "checkpoint_every"),
             ({"registry": {"memento_native": "false"}}, "memento_native"),
+            ({"published_lists": [{"path": "moz.txt", "format": "urirs_only"}]}, "'archive'"),
+            ({"published_lists": [{"archive": "perma.cc", "format": "urirs_only"}]}, "'path'"),
+            ({"published_lists": [{"archive": "perma.cc", "path": 3, "format": "urirs_only"}]},
+             "path: expected a string, got 3"),
         ],
-        ids=[f"change{i}" for i in range(13)],
+        ids=[f"change{i}" for i in range(16)],
     )
     def test_config_errors_reported_before_the_first_request(
         self, tmp_path, capsys, monkeypatch, change, named

@@ -130,6 +130,7 @@ class TestRetryAfterDate:
     def test_unparseable_value_falls_back_to_exponential(self, registry):
         client = make_client(FakeTransport(), registry)
         assert 0.5 <= client._backoff_delay(0, busy("soon, please")) <= 0.6
+        assert 0.5 <= client._backoff_delay(0, busy("\xb2")) <= 0.6  # a digit, but not ASCII
         assert 1.0 <= client._backoff_delay(1, busy("-1")) <= 1.1
 
     def test_past_date_retries_at_once(self, registry):

@@ -1,4 +1,5 @@
-"""Property tests of TimeMap intake against the code it replaced.
+"""Property tests of TimeMap intake against the code it replaced, and of
+the TimeMap reducer against the full records it stands in for.
 
 The reference implementations below are the previous code, kept here
 verbatim: the character-loop splitters, the linear domain scan, and the
@@ -11,9 +12,15 @@ only with the same class, and it rejects stamps with non-ASCII digits.
 ``parse_http_datetime`` departs from its reference in one place: an
 IMF-fixdate with a year 0000-0099 keeps that year instead of mapping it to
 19xx/20xx, and year 0000 is rejected.
+
+``TimeMapReducer`` is held to the full-record path: reducing each page
+while it is read and adding the record must store what adding
+``record_from_entries`` of all the pages' entries stores, into an empty
+collection or over a record already stored, and fail the same way.
 """
 
 import re
+from dataclasses import replace
 from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
 from unittest import mock
@@ -22,7 +29,18 @@ from urllib.parse import urlsplit
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mementoset import ArchiveDescriptor, ArchiveRegistry, ParseError, Purpose, default_registry
+from mementoset import (
+    ArchiveClient,
+    ArchiveDescriptor,
+    ArchiveRegistry,
+    FetchPolicy,
+    MementoCollection,
+    ParseError,
+    Provenance,
+    Purpose,
+    RawScheme,
+    default_registry,
+)
 from mementoset import linkformat, model
 from mementoset.errors import MalformedUri
 from mementoset.linkformat import (
@@ -32,8 +50,10 @@ from mementoset.linkformat import (
     _byte_offset,
     _split,
     parse_link_entries,
+    record_from_entries,
 )
-from mementoset.model import parse_compact14, parse_http_datetime
+from mementoset.model import parse_compact14, parse_http_datetime, raw_variant
+from mockserver import FakeTransport
 
 
 def reference_split_members(text: str):
@@ -120,26 +140,42 @@ TEXT = st.lists(
 ).map("".join)
 
 
-def outcome(text: str, strict: bool):
+def reference_parse_link_entries(text: str, strict: bool) -> list[LinkEntry]:
+    if not text.strip():
+        raise ParseError("empty link-format document", 0)
+    with mock.patch.object(linkformat, "_split", reference_split):
+        entries = [
+            entry
+            for offset, raw in reference_split_members(text)
+            if (entry := reference_parse_member(text, offset, raw, strict)) is not None
+        ]
+    if not entries:
+        raise ParseError("no members found", 0)
+    return entries
+
+
+def visited(text: str, strict: bool) -> list[LinkEntry]:
+    """parse_link_entries with a visitor that builds each plain member's
+    entry from its match; and the entries returned are the others."""
+    seen = []
+
+    def visit(member):
+        if isinstance(member, LinkEntry):
+            seen.append(member)
+        else:
+            rel = tuple(member["rel"].split())
+            seen.append(LinkEntry(member["target"], rel, parse_http_datetime(member["when"])))
+
+    built = parse_link_entries(text, strict=strict, visit=visit)
+    assert built == [m for m in seen if m in built]
+    return seen
+
+
+def outcome(parse, text: str, strict: bool):
     try:
-        return parse_link_entries(text, strict=strict)
+        return parse(text, strict)
     except ParseError as exc:
         return ("ParseError", str(exc), exc.offset)
-
-
-class TestTokenizerMatchesCharacterLoops:
-    @given(TEXT)
-    def test_splits_identical(self, text):
-        assert list(_split(_MEMBER, text)) == list(reference_split_members(text))
-        assert [part for _, part in _split(_PARAM, text)] == reference_split_params(text)
-
-    @given(TEXT)
-    def test_entries_and_errors_identical(self, text):
-        for strict in (False, True):
-            new = outcome(text, strict)
-            with mock.patch.object(linkformat, "_split", reference_split):
-                old = outcome(text, strict)
-            assert new == old
 
 
 def reference_matches_host(archive: ArchiveDescriptor, host: str) -> bool:
@@ -457,6 +493,49 @@ MEMBER = st.one_of(
     ),
 )
 
+# Documents of generated members, the plain form often among them.
+# IMF-fixdates in range but for the day of the month (Feb 30, Apr 31, Feb 29
+# of years that are not leap years).
+IN_RANGE_FIXDATE = st.builds(
+    "{}, {} {} {} {}:{}:{} GMT".format,
+    pick("Mon", "Sun"),
+    st.integers(1, 31).map(padded(2)),
+    pick("Jan", "Feb", "Apr", "Dec"),
+    st.integers(1, 9999).map(padded(4)),
+    st.integers(0, 23).map(padded(2)),
+    st.integers(0, 59).map(padded(2)),
+    st.integers(0, 59).map(padded(2)),
+)
+FIXED_MEMBER = st.builds(
+    '{}<{}>; rel="{}"; datetime="{}"{}'.format,
+    SPACE,
+    st.one_of(PLAIN_URI.filter(lambda u: not any(c.isspace() or c == ">" for c in u)), TARGET),
+    pick("memento", "first memento", "original", "timemap", "memento  x", "self timemap"),
+    IN_RANGE_FIXDATE,
+    SPACE,
+)
+DOCUMENT = st.lists(st.tuples(st.one_of(MEMBER, FIXED_MEMBER), pick(",", ",\n", " , ")), max_size=5).map(
+    lambda members: "".join(m + sep for m, sep in members)
+)
+
+
+class TestTokenizerMatchesCharacterLoops:
+    @given(TEXT)
+    def test_splits_identical(self, text):
+        assert list(_split(_MEMBER, text)) == list(reference_split_members(text))
+        assert [part for _, part in _split(_PARAM, text)] == reference_split_params(text)
+
+    @given(st.one_of(TEXT, DOCUMENT, DOCUMENT.map(lambda d: d.rstrip(", \n"))))
+    @example('<http://a.example/>; rel="memento"; datetime="Sun, 06 Nov 1994 08:49:37 GMT"')
+    @example('<http://a.example/>; rel="memento"; datetime="Thu, 29 Feb 1900 00:00:00 GMT",')
+    @example(' <http://a.example/>; rel="memento"; datetime="Sun, 06 Nov 1994 08:49:37 GMT" x')
+    def test_entries_and_errors_identical(self, text):
+        for strict in (False, True):
+            new = outcome(lambda t, s: parse_link_entries(t, strict=s), text, strict)
+            assert new == outcome(reference_parse_link_entries, text, strict)
+            assert outcome(visited, text, strict) == new
+
+
 # Every field at and past its range, non-ASCII digits (which int() and
 # str.isdigit() accept but strptime's patterns may not) in any position,
 # and strings that are not 14 digits.
@@ -532,3 +611,183 @@ class TestFastPathsMatchGeneralParsers:
 
         expected = verdict(reference_parse_compact14) if stamp.isascii() else (ValueError,)
         assert verdict(parse_compact14) == expected
+
+
+# -- the TimeMap reducer against the full-record path -------------------------
+
+REDUCER_REGISTRY = ArchiveRegistry([
+    ArchiveDescriptor("a0", "A0", ("a0.test",), Purpose.GENERAL, True,
+                      RawScheme.WAYBACK_ID_SUFFIX, "http://a0.test/timemap/{uri}"),
+    ArchiveDescriptor("a1", "A1", ("a1.test", "alias1.test"), Purpose.GENERAL, True),
+])
+FETCHED = datetime(2017, 11, 15, tzinfo=timezone.utc)
+URIR = "http://site.test/page"
+# The same key spelt another way, another key, and a URI-R surt refuses.
+ORIGINALS = (URIR, "http://www.site.test/page", "http://other.test/", "not a uri")
+# Attributed hosts in several spellings, an unregistered one, and URI-Ms
+# whose host only the general path reads or that have none.
+URIMS = tuple(
+    f"{prefix}/web/2000{i}/{URIR}"
+    for i, prefix in enumerate([
+        "http://a0.test", "http://a0.test", "HTTP://A0.Test:80", "http://x.a0.test",
+        "http://a1.test", "https://alias1.test", "http://unknown.test",
+        "http://user@a1.test", "http://:80", "ftp://a0.test",
+    ])
+) + ("not-a-uri",)
+# Duplicate URI-Ms pick among these: the same year, other years, dates the
+# general path reads, and dates no path accepts.
+DATES = (
+    "Sun, 06 Nov 1994 08:49:37 GMT", "Sun, 06 Nov 1994 08:49:38 GMT", "Mon, 07 Nov 1994 00:00:00 GMT",
+    "Sat, 01 Jan 2000 00:00:00 GMT", "Fri, 31 Dec 1999 23:59:59 GMT",
+    "Sunday, 06-Nov-94 08:49:37 GMT", "Sat, 01 Jan 2000 00:30:00 +0100",
+)
+BAD_DATES = ("Sat, 31 Feb 2001 00:00:00 GMT", "Sun, 06 Nov 1994 24:00:00 GMT", "soon")
+MEMENTO_RELS = ("memento", "first memento", "last memento", "memento  first", "original memento")
+
+
+# Mostly URI-Ms of a0, so that the stored record and the TimeMap share some.
+URIM = st.one_of(st.integers(0, 3), st.integers(0, len(URIMS) - 1))
+
+
+def memento_member(urim, rel, when, extra):
+    return f'<{URIMS[urim]}>; rel="{rel}"; datetime="{when}"{extra}'
+
+
+MEMENTO_MEMBER = st.builds(
+    memento_member,
+    URIM,
+    st.sampled_from(MEMENTO_RELS),
+    st.sampled_from(DATES * 12 + BAD_DATES),
+    pick("", "", "", '; type="text/html"', " "),
+)
+# Mostly mementos; the members that fail, rarely.
+TIMEMAP_MEMBER = st.one_of(
+    MEMENTO_MEMBER,
+    MEMENTO_MEMBER,
+    MEMENTO_MEMBER,
+    MEMENTO_MEMBER,
+    st.builds('<{}>; rel="original"{}'.format, st.sampled_from(ORIGINALS * 3 + ORIGINALS[3:]),
+              st.sampled_from(["", f'; datetime="{DATES[0]}"'] * 4 + [f'; datetime="{BAD_DATES[0]}"'])),
+    pick(
+        '<http://agg.test/2>; rel="timemap"; type="application/link-format"',
+        f'<http://agg.test/3>; rel="timemap"; datetime="{DATES[3]}"',
+        '<http://agg.test/1>; rel="self timemap"',
+        f'<http://agg.test/tg>; rel="timegate"; datetime="{DATES[4]}"',
+    ),
+    pick(
+        '<http://agg.test/2>; rel="timemap"; type="application/link-format"',
+        f'<http://agg.test/tg>; rel="timegate"; from="{BAD_DATES[0]}"',
+        f'<http://agg.test/tg>; rel="timegate"; datetime="{BAD_DATES[1]}"',
+        f"<{URIMS[0]}>; rel=memento",  # no datetime
+    ),
+)
+
+
+@st.composite
+def timemap_pages(draw):
+    """One to three pages, a page often repeating the end of the one before."""
+    pages = []
+    for _ in range(draw(st.integers(1, 3))):
+        members = draw(st.lists(TIMEMAP_MEMBER, min_size=1, max_size=8))
+        if pages and draw(st.booleans()):
+            members = pages[-1][-draw(st.integers(1, 3)):] + members
+        pages.append(members)
+    return [",\n".join(members) + draw(pick("", "\n", ",")) for members in pages]
+
+
+STORED = st.one_of(
+    st.none(),
+    st.tuples(
+        st.sampled_from(ORIGINALS[:3]),
+        st.lists(st.tuples(URIM, st.sampled_from(DATES)), max_size=6),
+    ),
+)
+
+
+def stored_collection(stored) -> MementoCollection:
+    collection = MementoCollection()
+    if stored is not None:
+        urir, mementos = stored
+        entries = [LinkEntry(URIMS[i], ("memento",), parse_http_datetime(when)) for i, when in mementos]
+        collection.add(record_from_entries(entries, urir, REDUCER_REGISTRY, fetched_at=FETCHED))
+    return collection
+
+
+def links(entries):
+    return [e.target for e in entries if "timemap" in e.rel and "self" not in e.rel]
+
+
+def full_intake(pages, hint, archive, stored):
+    """The full-record path: every page's entries, one record of them all,
+    re-attributed to a serving archive, then added."""
+    collection = stored_collection(stored)
+    parsed = [parse_link_entries(page) for page in pages]
+    record = record_from_entries(
+        [e for page in parsed for e in page], hint, REDUCER_REGISTRY, Provenance.AGGREGATOR, FETCHED
+    )
+    if archive is not None:
+        record = record.with_mementos(
+            replace(m, archive_id=archive.id, raw_urim=raw_variant(m.urim, archive.raw_scheme))
+            for m in record.mementos
+        )
+    archives = {m.archive_id for m in record.mementos} - {None}
+    stored_form = collection.add(record)
+    return [links(page) for page in parsed], len(record.mementos), archives, stored_form, collection.totals()
+
+
+def reduced_intake(pages, hint, archive, stored):
+    collection = stored_collection(stored)
+    reducer = collection.reducer(REDUCER_REGISTRY)
+    read = [reducer.read(page, archive) for page in pages]
+    record = reducer.record(hint, Provenance.AGGREGATOR, FETCHED)
+    stored_form = collection.add(record)
+    return read, reducer.mementos, reducer.archives, stored_form, collection.totals()
+
+
+def intake(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestReducerMatchesFullRecords:
+    @given(timemap_pages(), pick(URIR, ORIGINALS[1], "not a uri"),
+           st.sampled_from([None, *REDUCER_REGISTRY]), STORED)
+    @example(  # a duplicate URI-M: its first datetime, not a later one, competes
+        [f'<{URIR}>; rel="original",\n{memento_member(0, "memento", DATES[1], "")},\n'
+         f'{memento_member(0, "memento", DATES[0], "")},\n{memento_member(1, "memento", DATES[2], "")}'],
+        URIR, None, None,
+    )
+    @example(  # a stored URI-M read again, earlier, does not compete
+        [f'{memento_member(0, "memento", DATES[0], "")},\n{memento_member(1, "memento", DATES[1], "")},\n'
+         f'<{URIR}>; rel="original"'],
+        URIR, None, (URIR, [(0, DATES[2])]),
+    )
+    @example(  # only unattributed mementos: read, counted, none kept
+        [f'<{URIR}>; rel="original",\n{memento_member(6, "memento", DATES[0], "")}'], URIR, None, None,
+    )
+    @example(  # the direct fetch: every memento is the serving archive's
+        [f'{memento_member(6, "memento", DATES[0], "")},\n{memento_member(9, "memento", DATES[1], "")}'],
+        URIR, REDUCER_REGISTRY.get("a1"), (URIR, [(6, DATES[2])]),
+    )
+    def test_adding_the_reduced_record_stores_what_the_full_record_does(
+        self, pages, hint, archive, stored
+    ):
+        assert intake(reduced_intake, pages, hint, archive, stored) == intake(
+            full_intake, pages, hint, archive, stored
+        )
+
+    def test_all_unattributed_timemap_is_accepted_and_stored_empty(self):
+        transport = FakeTransport()
+        body = f'<{URIR}>; rel="original",\n' + memento_member(6, "memento", DATES[0], "")
+        transport.add("GET", f"http://agg.test/{URIR}", 200, {}, body.encode())
+        client = ArchiveClient(
+            REDUCER_REGISTRY, FetchPolicy(min_request_interval=0.0, retries=0), transport,
+            aggregator_template="http://agg.test/{uri}",
+        )
+        collection = MementoCollection()
+        record = client.fetch_timemap_aggregator(URIR, collection.reducer(client.registry))
+        assert record.mementos == ()
+        assert collection.add(record).mementos == ()
+        assert record.urir.canonical_key in collection

@@ -156,6 +156,19 @@ class TestStageLoop:
         with pytest.raises(error):
             DiscoveryPipeline(config)
 
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ({"path": "x.txt", "format": "urirs_only"}, "missing key 'archive'"),
+            ({"archive": "perma.cc", "format": "urirs_only"}, "missing key 'path'"),
+            ({"archive": "perma.cc", "path": 3, "format": "urirs_only"}, "path: expected a string"),
+            ({"archive": "perma.cc", "path": "x.txt", "format": "titles"}, "'titles'"),
+        ],
+    )
+    def test_bad_published_list_is_rejected_when_the_config_is_built(self, entry, named):
+        with pytest.raises(ValueError, match=named):
+            RunConfig(published_lists=[entry])
+
     def test_resumed_done_run_rewrites_outputs(self, config):
         DiscoveryPipeline(config, clock=lambda: FIXED_NOW).run()
         urirs = config.out_dir / "urirs.tsv"

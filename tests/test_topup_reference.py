@@ -4,8 +4,10 @@ The reference functions below are the previous code, kept verbatim:
 ``method2_expand`` and ``ingest_published_list`` as they were, and the
 stage loops of ``DiscoveryPipeline`` (``_run_method2``..``_run_method4``)
 with their state saves left out. Each stage of the new code must send the
-same requests in the same order, add the same records, and leave the same
-per-archive totals.
+same requests in the same order, add records of the same URI-Rs in the
+same order, and leave the same stored records and per-archive totals. The
+records it adds hold only what their TimeMap's reducer kept, where the
+previous code added every memento.
 
 A world is a small registry, an initial collection and a ``FakeTransport``
 generated from a seed. Every world plants links to URI-Rs already
@@ -437,7 +439,8 @@ def raw_urims(body: str):
 
 def run_stages(world, stages):
     """Methods 2, 3 and 4 in turn on a fresh copy of the world: per stage,
-    the requests sent, the records added and the totals after it."""
+    the requests sent, the records added, the totals after it and the
+    records stored then."""
     transport, client, collection = world.install()
     out = []
     for stage in stages:
@@ -446,8 +449,13 @@ def run_stages(world, stages):
         if stage in (stage3, reference_stage3):
             args += (world.published_lists,)
         added = stage(*args)
-        out.append((transport.requests[sent:], added, collection.totals()))
+        out.append((transport.requests[sent:], added, collection.totals(), list(collection.records())))
     return out
+
+
+def added(record):
+    """What a stage added, apart from the mementos it read."""
+    return record.urir, record.provenance, record.fetched_at
 
 
 NEW = [stage2, stage3, stage4]
@@ -461,8 +469,9 @@ def test_methods_2_to_4_match_the_previous_loops(seed, tmp_path):
     old = run_stages(world, REFERENCE)
     for method, (n, o) in enumerate(zip(new, old), start=2):
         assert n[0] == o[0], f"method {method}: requests differ"
-        assert n[1] == o[1], f"method {method}: added records differ"
+        assert [added(r) for r in n[1]] == [added(r) for r in o[1]], f"method {method}: added records differ"
         assert n[2] == o[2], f"method {method}: totals differ"
+        assert n[3] == o[3], f"method {method}: stored records differ"
 
 
 def test_worlds_reach_every_planted_case(tmp_path):
@@ -474,7 +483,7 @@ def test_worlds_reach_every_planted_case(tmp_path):
     )
     for seed in SEEDS:
         world = build_world(seed, tmp_path)
-        (sent2, _, totals2), (sent3, added3, _), (sent4, added4, totals4) = run_stages(
+        (sent2, _, totals2, _), (sent3, added3, _, _), (sent4, added4, totals4, _) = run_stages(
             world, REFERENCE
         )
         agg = [("GET", AGG.format(uri=u)) for u in world.fresh_a0]
