@@ -20,7 +20,6 @@ from .client import (
 from .discovery import (
     MementoCollection,
     SelectionState,
-    SourceStream,
     extract_urirs_from_html,
     ingest_published_list,
     interleave_sources,

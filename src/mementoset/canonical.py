@@ -20,7 +20,7 @@ from typing import Callable, Generator, Mapping
 from urllib.parse import urljoin, urlsplit
 
 from .errors import HopLimitExceeded, MalformedUri, RedirectLoop
-from .model import PathBucket, header_value
+from .model import OriginalResource, PathBucket, header_value
 
 logger = logging.getLogger(__name__)
 
@@ -149,14 +149,11 @@ _TWO_LEVEL_SUFFIXES = frozenset(
 def registrable_domain(host_or_uri: str) -> str:
     """Host minus its public suffix (``a.b.example.co.uk`` -> ``example.co.uk``).
 
-    Uses an embedded table of common two-level suffixes rather than a full
-    public-suffix list; callers that need exact matching can compare full
-    hosts instead.
+    A bare host is read as ``http://host``. Uses an embedded table of
+    common two-level suffixes rather than a full public-suffix list;
+    callers that need exact matching can compare full hosts instead.
     """
-    if "/" in host_or_uri or ":" in host_or_uri or not host_or_uri:
-        _, host, _ = _split_http_uri(host_or_uri)
-    else:
-        host = host_or_uri.lower().rstrip(".")
+    _, host, _ = _split_http_uri(host_or_uri)
     labels = host.split(".")
     if len(labels) <= 2:
         return host
@@ -225,36 +222,17 @@ def resolve_redirects(
         return done.value
 
 
-def same_resource(
-    a: str,
-    b: str,
-    max_hops: int = DEFAULT_MAX_HOPS,
-    *,
-    fetch: Fetch,
-) -> bool:
+def same_resource(a: str, b: str, *, fetch: Fetch) -> bool:
     """True when two URI-Rs canonicalize or redirect to the same page."""
     if surt(a) == surt(b):
         return True
-    final_a = resolve_redirects(a, max_hops, fetch=fetch).final_uri
-    final_b = resolve_redirects(b, max_hops, fetch=fetch).final_uri
+    final_a = resolve_redirects(a, fetch=fetch).final_uri
+    final_b = resolve_redirects(b, fetch=fetch).final_uri
     return surt(final_a) == surt(final_b)
 
 
-def original_resource(
-    uri: str,
-    final_uri: str | None = None,
-    source: str | None = None,
-    live_status: int | None = None,
-):
-    """Build an OriginalResource whose key/bucket derive from final_uri."""
-    from .model import OriginalResource
-
-    final = final_uri or uri
+def original_resource(uri: str) -> OriginalResource:
+    """The OriginalResource of ``uri``, keyed and bucketed by it."""
     return OriginalResource(
-        uri=uri,
-        canonical_key=surt(final),
-        final_uri=final,
-        path_bucket=path_length(final),
-        source=source,
-        live_status=live_status,
+        uri=uri, canonical_key=surt(uri), final_uri=uri, path_bucket=path_length(uri)
     )

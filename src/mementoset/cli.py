@@ -108,23 +108,20 @@ def cmd_discover(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # Both inputs are read before anything is written.
     try:
         rows = read_manifest(args.manifest)
-    except MementosetError as exc:
+        resources = read_urir_table(args.urirs) if args.urirs else None
+    except (OSError, MementosetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(build_urims_per_year(rows), out_dir / "urims-per-year.csv")
     write_csv(build_archive_totals(rows), out_dir / "archive-totals.csv")
     write_csv(build_path_histogram(rows), out_dir / "path-histogram.csv")
     written = ["urims-per-year.csv", "archive-totals.csv", "path-histogram.csv"]
-    if args.urirs:
-        try:
-            resources = read_urir_table(args.urirs)
-        except MementosetError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARTIAL
+    if resources is not None:
         write_csv(build_source_bucket_table(resources), out_dir / "source-buckets.csv")
         write_csv(build_status_table(resources), out_dir / "live-status.csv")
         written += ["source-buckets.csv", "live-status.csv"]

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Generator, Mapping, Protocol
+from typing import Callable, Generator, Protocol
 from urllib.parse import urlsplit
 
 import requests
@@ -77,9 +77,7 @@ class TransportResponse:
 
 
 class Transport(Protocol):
-    def request(
-        self, method: str, uri: str, headers: Mapping[str, str] | None = None
-    ) -> TransportResponse: ...
+    def request(self, method: str, uri: str) -> TransportResponse: ...
 
 
 @dataclass(frozen=True)
@@ -123,14 +121,10 @@ class RequestsTransport:
         self._session = requests.Session()
         self._session.headers["User-Agent"] = USER_AGENT
 
-    def request(self, method, uri, headers=None) -> TransportResponse:
+    def request(self, method, uri) -> TransportResponse:
         try:
             resp = self._session.request(
-                method,
-                uri,
-                headers=dict(headers or {}),
-                allow_redirects=False,
-                timeout=self.timeout,
+                method, uri, allow_redirects=False, timeout=self.timeout
             )
             body = b"" if method == "HEAD" else resp.content
             return TransportResponse(resp.status_code, dict(resp.headers), body)
@@ -178,10 +172,10 @@ class FixtureStore:
 class FixtureTransport:
     """Replays recorded responses; unknown requests fail loudly."""
 
-    def __init__(self, store: FixtureStore | str | Path):
-        self.store = store if isinstance(store, FixtureStore) else FixtureStore(store)
+    def __init__(self, root: str | Path):
+        self.store = FixtureStore(root)
 
-    def request(self, method, uri, headers=None) -> TransportResponse:
+    def request(self, method, uri) -> TransportResponse:
         found = self.store.load(method, uri)
         if found is None:
             raise PermanentNetworkError(f"no fixture recorded for {method} {uri}")
@@ -191,12 +185,12 @@ class FixtureTransport:
 class RecordingTransport:
     """Passes requests to a live transport and captures the responses."""
 
-    def __init__(self, inner: Transport, store: FixtureStore | str | Path):
+    def __init__(self, inner: Transport, root: str | Path):
         self.inner = inner
-        self.store = store if isinstance(store, FixtureStore) else FixtureStore(store)
+        self.store = FixtureStore(root)
 
-    def request(self, method, uri, headers=None) -> TransportResponse:
-        response = self.inner.request(method, uri, headers)
+    def request(self, method, uri) -> TransportResponse:
+        response = self.inner.request(method, uri)
         self.store.save(method, uri, response)
         return response
 
@@ -310,19 +304,15 @@ class ArchiveClient:
                 lane = self._lanes[key] = _Lane()
         return lane
 
-    def request(
-        self, method: str, uri: str, headers: Mapping[str, str] | None = None
-    ) -> TransportResponse:
+    def request(self, method: str, uri: str) -> TransportResponse:
         """One polite request: lane spacing, retries with backoff.
 
         A :class:`PermanentNetworkError` is raised after its one attempt;
         other network errors, 429 and 503 are retried.
         """
-        return run_steps(self.request_steps(method, uri, headers))
+        return run_steps(self.request_steps(method, uri))
 
-    def request_steps(
-        self, method: str, uri: str, headers: Mapping[str, str] | None = None
-    ) -> Steps:
+    def request_steps(self, method: str, uri: str) -> Steps:
         """``request`` as a step generator: yields each wait in seconds, for
         lane spacing or back-off, instead of sleeping, and returns the
         response. A back-off closes the lane to every request until it ends."""
@@ -330,7 +320,7 @@ class ArchiveClient:
         last_error: NetworkError | None = None
         response = None
         for attempt in range(self.policy.retries + 1):
-            response, last_error = yield from self._attempt(lane, method, uri, headers)
+            response, last_error = yield from self._attempt(lane, method, uri)
             if response is not None and response.status not in (429, 503):
                 return response
             if attempt == self.policy.retries or isinstance(last_error, PermanentNetworkError):
@@ -342,7 +332,7 @@ class ArchiveClient:
             raise last_error
         return response  # exhausted retries on 429/503; caller classifies
 
-    def _attempt(self, lane, method, uri, headers):
+    def _attempt(self, lane, method, uri):
         """Yields waits until the lane opens, then sends once: (response, error)."""
         while True:
             with lane.lock:
@@ -350,7 +340,7 @@ class ArchiveClient:
                 wait = opens - time.monotonic()
                 if wait <= 0:
                     try:
-                        return self.transport.request(method, uri, headers), None
+                        return self.transport.request(method, uri), None
                     except NetworkError as exc:
                         return None, exc
                     finally:

@@ -63,19 +63,10 @@ LIST_FORMATS = ("urirs_only", "urirs_and_urims")  # published lists Method 3 rea
 LOOKAHEAD = 128
 
 
-@dataclass(frozen=True, slots=True)
-class SourceStream:
-    """One loaded URI-R source, order preserved exactly as loaded."""
-
-    name: str
-    uris: tuple[str, ...]
-
-
-def load_source_file(path: str | Path, name: str | None = None) -> SourceStream:
-    """Read a one-URI-per-line file; ``#`` comments and blanks skipped."""
-    path = Path(path)
-    uris = tuple(line for _, line in content_lines(path.read_text("utf-8")))
-    return SourceStream(name or path.stem, uris)
+def load_source_file(path: str | Path) -> tuple[str, ...]:
+    """The URIs of a one-URI-per-line file, in file order; ``#`` comments
+    and blanks skipped."""
+    return tuple(line for _, line in content_lines(Path(path).read_text("utf-8")))
 
 
 def interleave_sources(
@@ -90,7 +81,8 @@ def interleave_sources(
     (moz, damage, httparchive, then hashtags as given). Moz leads, then
     the damage set, then alternating rounds of ``ROUND_SIZE`` URIs from
     HTTP Archive and from one hashtag, cycling hashtags between rounds
-    and skipping exhausted sources.
+    and skipping exhausted sources. Each hashtag ``key`` is tagged
+    ``wahr:<key>``.
     """
     seen: set[str] = set()
 
@@ -105,8 +97,8 @@ def interleave_sources(
     stream = [(u, MOZ) for u in uniq(moz)]
     stream += [(u, MEMENTO_DAMAGE) for u in uniq(damage)]
     ha = uniq(httparchive)
-    tags = [t if t.startswith(WAHR_PREFIX) else WAHR_PREFIX + t for t in wahr_by_hashtag]
-    wahr = {tag: uniq(uris) for tag, uris in zip(tags, wahr_by_hashtag.values())}
+    wahr = {WAHR_PREFIX + key: uniq(uris) for key, uris in wahr_by_hashtag.items()}
+    tags = list(wahr)
 
     ha_pos = 0
     wahr_pos = {tag: 0 for tag in wahr}
@@ -437,14 +429,13 @@ def select_initial(
     client: ArchiveClient,
     state: SelectionState | None = None,
     target: int = TARGET,
-    sink: Callable[[TimeMapRecord], None] | None = None,
     on_commit: Callable[[ScreenResult], None] | None = None,
 ) -> list[OriginalResource]:
     """Scan the interleaved stream in order until quotas or target are met.
 
     Candidates commit strictly in stream order: the uniqueness, quota and
-    domain checks, the TimeMap fetch, the admission, ``sink`` for an
-    accepted candidate's record and then ``on_commit`` for every result.
+    domain checks, the TimeMap fetch, the admission and then ``on_commit``
+    for every result, whose ``record`` an accepted candidate carries.
     Redirect resolution, which reads no selection state, runs ahead of
     the commits while requests wait: up to ``LOOKAHEAD`` candidates are
     taken past the last committed one, but never more than the target and
@@ -470,8 +461,6 @@ def select_initial(
             result = screen_candidate(uri, source, client, state, resolved)
             if result.accepted is not None:
                 accepted.append(result.accepted)
-                if sink is not None:
-                    sink(result.record)
             if on_commit is not None:
                 on_commit(result)
     return accepted
@@ -603,14 +592,17 @@ def method2_expand(
 
 
 _EMBEDDED = re.compile(r"/(\d{14})(?:id_)?/(.+)$")
+_ONE_SLASH_SCHEME = re.compile(r"^(https?):/(?!/)", re.IGNORECASE)
 
 
 def embedded_urir(urim: str) -> str | None:
-    """The URI-R a Wayback-style URI-M embeds after its timestamp, if any."""
+    """The URI-R a Wayback-style URI-M embeds after its timestamp, if any.
+    A scheme written with one slash, ``http:/example.com``, is read as
+    ``http://example.com``."""
     m = _EMBEDDED.search(urim)
     if not m:
         return None
-    rest = m.group(2)
+    rest = _ONE_SLASH_SCHEME.sub(r"\1://", m.group(2))
     return rest if rest.lower().startswith(("http://", "https://")) else "http://" + rest
 
 

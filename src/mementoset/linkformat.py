@@ -91,8 +91,8 @@ def _split(pattern: re.Pattern, text: str):
 # The plain member form of the module docstring, with the separators
 # around it: what the RFC 6690 split yields for such a member, stripped, is
 # exactly the match without them. The IMF-fixdate's fields are held to
-# their ranges, save the day to its month; the host is the one ``_host_of``
-# reads from a plain URI-M.
+# their ranges, save the day to its month; the host, in a URI-M of the plain
+# form ``http(s)://host[:port]``, is the one ``urlsplit`` reads from it.
 _PLAIN = re.compile(
     r"""\s*<(?=[^\s>])(?P<target>
         (?:[Hh][Tt][Tt][Pp][Ss]?://(?P<host>[A-Za-z0-9.-]+)(?::[0-9]+)?(?=[/?#>]))?
@@ -119,7 +119,7 @@ def _byte_offset(text: str, char_offset: int) -> int:
     return len(text[:char_offset].encode("utf-8"))
 
 
-def _parse_member(text: str, offset: int, raw: str, strict: bool) -> LinkEntry | None:
+def _parse_member(text: str, offset: int, raw: str) -> LinkEntry | None:
     member = raw.strip()
     if not member:
         return None
@@ -147,10 +147,6 @@ def _parse_member(text: str, offset: int, raw: str, strict: bool) -> LinkEntry |
                     f"unterminated quoted value in {part!r}", _byte_offset(text, offset)
                 )
             value = value[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-        elif strict:
-            raise ParseError(
-                f"unquoted parameter value in {part!r}", _byte_offset(text, offset)
-            )
         attrs.setdefault(name, value)
     rel = tuple(attrs.get("rel", "").split())
     if not rel:
@@ -173,9 +169,7 @@ def _parse_member(text: str, offset: int, raw: str, strict: bool) -> LinkEntry |
 
 
 def parse_link_entries(
-    body: bytes | str,
-    strict: bool = False,
-    visit: Callable[[LinkEntry | re.Match], None] | None = None,
+    body: bytes | str, visit: Callable[[LinkEntry | re.Match], None] | None = None
 ) -> list[LinkEntry]:
     """Tokenize a link-format document into entries, order preserved.
 
@@ -209,7 +203,7 @@ def parse_link_entries(
                 break
             continue
         end = _MEMBER.match(text, start).end()
-        entry = _parse_member(text, start, text[start:end], strict)
+        entry = _parse_member(text, start, text[start:end])
         if entry is not None:
             members += 1
             entries.append(entry)
@@ -242,6 +236,15 @@ def _build_memento(
     return Memento(urim, dt, urir_key, archive.id, raw_variant(urim, archive.raw_scheme))
 
 
+def _timemap_original(urir: str) -> OriginalResource:
+    """The resource a TimeMap's ``rel="original"`` names; one that is not
+    an http(s) URI is a ParseError of the TimeMap."""
+    try:
+        return original_resource(urir)
+    except MalformedUri as exc:
+        raise ParseError(f'malformed rel="original": {exc}') from None
+
+
 def record_from_entries(
     entries: Iterable[LinkEntry],
     urir_hint: str | None = None,
@@ -257,10 +260,9 @@ def record_from_entries(
     """
     entries = list(entries)
     original = next((e.target for e in entries if "original" in e.rel), None)
-    urir = original or urir_hint
-    if urir is None:
+    if original is None and urir_hint is None:
         raise MissingOriginal("no rel=original entry and no URI-R hint")
-    resource = original_resource(urir)
+    resource = _timemap_original(original) if original is not None else original_resource(urir_hint)
     mementos = []
     for e in entries:
         if not e.is_memento():
@@ -280,13 +282,11 @@ def parse_timemap(
     body: bytes | str,
     urir_hint: str | None = None,
     registry: ArchiveRegistry | None = None,
-    provenance: Provenance = Provenance.AGGREGATOR,
-    strict: bool = False,
     fetched_at: datetime | None = None,
 ) -> TimeMapRecord:
     """Parse a link-format TimeMap body into a TimeMapRecord."""
-    entries = parse_link_entries(body, strict=strict)
-    return record_from_entries(entries, urir_hint, registry, provenance, fetched_at)
+    entries = parse_link_entries(body)
+    return record_from_entries(entries, urir_hint, registry, fetched_at=fetched_at)
 
 
 def _sort_key(dt: datetime) -> str:
@@ -327,9 +327,8 @@ class TimeMapReducer:
         self._serving: ArchiveDescriptor | None = None
         self._hosts: dict[str, ArchiveDescriptor | None] = {}
         self._links: list[str] = []
-        self._original: str | None = None
         self._resource: OriginalResource | None = None
-        self._failure: MalformedUri | None = None
+        self._failure: ParseError | None = None
         self._undated: str | None = None  # the first memento member without a datetime
         self._seen: set[str] | None = None  # None until the key is known
         self._pending: list[tuple] = []  # candidates read before that
@@ -369,22 +368,22 @@ class TimeMapReducer:
 
     def _roles(self, target: str, rel: Iterable[str]) -> bool:
         """Note an original or a page link; whether the member is a memento."""
-        if "original" in rel and self._original is None:
-            self._original = target
-            self._resolve(target)
+        if "original" in rel and self._seen is None:
+            try:
+                resource = _timemap_original(target)
+            except ParseError as exc:
+                self._failure = exc  # record() raises it; what is kept no longer matters
+                self._seen = set()
+            else:
+                self._resolve(resource)
         if "timemap" in rel and "self" not in rel:
             self._links.append(target)
         return "memento" in rel
 
-    def _resolve(self, urir: str) -> None:
-        """Key the TimeMap by ``urir`` and offer the candidates held back."""
-        try:
-            self._resource = original_resource(urir)
-        except MalformedUri as exc:
-            self._failure = exc  # record() raises it; what is kept no longer matters
-            self._seen = set()
-            return
-        self._seen = set(self.stored(self._resource.canonical_key))
+    def _resolve(self, resource: OriginalResource) -> None:
+        """Key the TimeMap by ``resource`` and offer the candidates held back."""
+        self._resource = resource
+        self._seen = set(self.stored(resource.canonical_key))
         for candidate in self._pending:
             self._offer(*candidate)
         self._pending.clear()
@@ -429,7 +428,7 @@ class TimeMapReducer:
         if self._seen is None:
             if urir_hint is None:
                 raise MissingOriginal("no rel=original entry and no URI-R hint")
-            self._resolve(urir_hint)
+            self._resolve(original_resource(urir_hint))
         if self._failure is not None:
             raise self._failure
         if self._undated is not None:

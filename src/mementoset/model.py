@@ -257,17 +257,7 @@ def load_registry(path=None) -> ArchiveRegistry:
     return ArchiveRegistry.load(path) if path else default_registry()
 
 
-# The plain URI-M form: an http(s) scheme in any case, a host of letters,
-# digits, dots and hyphens, an optional numeric port, then the end of the
-# authority. ``urlsplit`` returns this host unchanged, so it is read directly;
-# every other URI goes through ``urlsplit``.
-_PLAIN_HOST = re.compile(r"[Hh][Tt][Tt][Pp][Ss]?://([A-Za-z0-9.-]+)(?::[0-9]+)?(?:[/?#]|\Z)")
-
-
 def _host_of(uri: str) -> str:
-    plain = _PLAIN_HOST.match(uri)
-    if plain is not None:
-        return plain[1].lower()
     try:
         parts = urlsplit(uri)
     except ValueError as exc:
@@ -280,11 +270,9 @@ def _host_of(uri: str) -> str:
     return host.lower()
 
 
-def archive_of(urim: str, registry: Iterable[ArchiveDescriptor]) -> ArchiveDescriptor:
+def archive_of(urim: str, registry: ArchiveRegistry) -> ArchiveDescriptor:
     """Resolve the archive that serves ``urim`` via domain-alias matching."""
     host = _host_of(urim)
-    if not isinstance(registry, ArchiveRegistry):
-        registry = ArchiveRegistry(registry)
     found = registry.match_host(host)
     if found is None:
         raise UnknownArchive(host, "host")

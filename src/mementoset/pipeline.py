@@ -285,7 +285,7 @@ class DiscoveryPipeline:
 
     def _stream(self) -> list[tuple[str, str]]:
         def load(path):
-            return load_source_file(path).uris if path else ()
+            return load_source_file(path) if path else ()
 
         wahr = {tag: load(p) for tag, p in self.config.wahr_paths.items()}
         return interleave_sources(
@@ -312,13 +312,15 @@ class DiscoveryPipeline:
         def committed(result: ScreenResult) -> None:
             # Candidates commit in stream order, so scan_index stays a resume
             # point: candidates resolved ahead but not committed are redone.
+            if result.accepted is not None:
+                self.collection.add(result.record)
             self.scan_index += 1
             if self.scan_index % self.config.checkpoint_every == 0:
                 self.save_state()
 
         select_initial(
             stream[self.scan_index : end], self.client, self.selection_state,
-            self.config.target - len(self.accepted), self.collection.add, committed,
+            self.config.target - len(self.accepted), committed,
         )
         completed = (
             self.selection_state.all_full()

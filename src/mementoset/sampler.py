@@ -56,14 +56,14 @@ def estimate_budget(
 ) -> ArchiveBudget:
     """Derive the per-archive cap from measured download costs.
 
-    ``probe`` holds wall-clock durations in seconds (timed_download
-    results). The allowance is the download budget divided by the mean
-    cost, never above the configured per-archive maximum.
+    ``probe`` holds wall-clock durations in seconds (the ``elapsed`` of
+    ``timed_download`` results). The allowance is the download budget
+    divided by the mean cost, never above the configured per-archive
+    maximum.
     """
-    durations = [getattr(d, "elapsed", d) for d in probe]
-    if not durations:
+    if not probe:
         raise EmptyProbe(f"no probe downloads for {archive_id}")
-    mean = sum(durations) / len(durations)
+    mean = sum(probe) / len(probe)
     budget = constraints.download_budget.total_seconds()
     if mean <= 0:
         allowed = constraints.max_urims_per_archive

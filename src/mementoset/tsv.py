@@ -27,16 +27,16 @@ def read_tsv(
 ) -> list[Row]:
     """Rows after the header, each built by ``parse`` from its cells.
 
-    Blank lines are skipped. A wrong header, a wrong column count or a
-    ``ValueError`` from ``parse`` raises ParseError with the 1-based line.
+    Blank lines are skipped. A wrong or missing header, a wrong column
+    count or a ``ValueError`` from ``parse`` raises ParseError with the
+    1-based line.
     """
     rows = []
-    text = Path(path).read_text("utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if lineno == 1:
-            if tuple(line.split("\t")) != tuple(header):
-                raise ParseError(f"bad {name} header {line!r}", lineno)
-            continue
+    lines = Path(path).read_text("utf-8").splitlines()
+    first = lines[0] if lines else ""
+    if tuple(first.split("\t")) != tuple(header):
+        raise ParseError(f"bad {name} header {first!r}", 1)
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         cells = line.split("\t")

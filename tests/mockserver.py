@@ -45,7 +45,7 @@ class FakeTransport:
         """Consecutive calls pop successive responses (last one sticks)."""
         self.routes[(method.upper(), uri)] = list(routes)
 
-    def request(self, method, uri, headers=None) -> TransportResponse:
+    def request(self, method, uri) -> TransportResponse:
         self.requests.append((method.upper(), uri))
         route = self.routes.get((method.upper(), uri))
         if isinstance(route, list):
@@ -140,15 +140,11 @@ class ServerTransport:
         self.timeout = timeout
         self._session = requests.Session()
 
-    def request(self, method, uri, headers=None) -> TransportResponse:
+    def request(self, method, uri) -> TransportResponse:
         tunneled = f"{self.base_url}/{quote(uri, safe='')}"
         try:
             resp = self._session.request(
-                method,
-                tunneled,
-                headers=dict(headers or {}),
-                allow_redirects=False,
-                timeout=self.timeout,
+                method, tunneled, allow_redirects=False, timeout=self.timeout
             )
             body = b"" if method == "HEAD" else resp.content
             return TransportResponse(resp.status_code, dict(resp.headers), body)

@@ -225,6 +225,43 @@ class TestStats:
         manifest.write_text("not a manifest\n")
         assert main(["stats", "--manifest", str(manifest), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("missing", ["--manifest", "--urirs"])
+    def test_missing_input_is_reported_before_anything_is_written(
+        self, tmp_path, capsys, missing
+    ):
+        manifest = tmp_path / "manifest.tsv"
+        write_manifest([], manifest)
+        inputs = {"--manifest": manifest, "--urirs": manifest}
+        inputs[missing] = tmp_path / "does-not-exist.tsv"
+        out_dir = tmp_path / "reports"
+        code = main([
+            "stats", "--manifest", str(inputs["--manifest"]), "--urirs", str(inputs["--urirs"]),
+            "--out", str(out_dir),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "does-not-exist.tsv" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("empty", ["--manifest", "--urirs"])
+    def test_input_without_a_header_line_is_rejected(self, tmp_path, capsys, empty):
+        from mementoset.reports import URIR_TABLE_HEADER
+
+        manifest = tmp_path / "manifest.tsv"
+        write_manifest([], manifest)
+        urirs = tmp_path / "urirs.tsv"
+        urirs.write_text("\t".join(URIR_TABLE_HEADER) + "\n")
+        inputs = {"--manifest": manifest, "--urirs": urirs}
+        inputs[empty].write_bytes(b"")
+        out_dir = tmp_path / "reports"
+        code = main([
+            "stats", "--manifest", str(manifest), "--urirs", str(urirs), "--out", str(out_dir),
+        ])
+        assert code == 1
+        name = "manifest" if empty == "--manifest" else "URI-R table"
+        assert capsys.readouterr().err == f"error: bad {name} header '' (at offset 1)\n"
+        assert not out_dir.exists()
+
     def test_urir_table_enables_extra_reports(self, tmp_path):
         from mementoset.model import OriginalResource, PathBucket
         from mementoset.reports import write_urir_table

@@ -316,21 +316,22 @@ class TestRetries:
         assert len(record.mementos) == 1
 
 
-class TestHeaderPassThrough:
-    def test_accept_datetime_reaches_transport(self, registry):
-        captured = {}
+class TestTransportProtocol:
+    def test_method_and_uri_are_all_a_transport_takes(self, registry, cnn_timemap):
+        routes = FakeTransport()
+        routes.add("GET", AGG.format(uri="http://www.cnn.com"), 200, body=cnn_timemap)
+        routes.add("HEAD", "http://cnn.example/", 301, {"Location": "http://www.cnn.com"})
+        routes.add("HEAD", "http://www.cnn.com", 200)
 
-        class SpyTransport:
-            def request(self, method, uri, headers=None):
-                captured["headers"] = dict(headers or {})
-                return TransportResponse(200, {}, b"")
+        class MethodAndUri:
+            def request(self, method, uri):
+                return routes.request(method, uri)
 
-        client = make_client(SpyTransport(), registry)
-        client.request(
-            "GET", "http://web.archive.org/",
-            headers={"Accept-Datetime": "Mon, 09 Jan 2017 11:21:57 GMT"},
-        )
-        assert captured["headers"]["Accept-Datetime"] == "Mon, 09 Jan 2017 11:21:57 GMT"
+        client = make_client(MethodAndUri(), registry)
+        assert len(client.fetch_timemap_aggregator("http://www.cnn.com").mementos) == 3
+        chain = client.resolve("http://cnn.example/")
+        assert chain.hops == (("http://cnn.example/", 301), ("http://www.cnn.com", 200))
+        assert chain.final_uri == "http://www.cnn.com"
 
 
 class TestFixtureStore:
@@ -372,13 +373,13 @@ class TestLaneDiscipline:
 
         real_request = transport.request
 
-        def tracking_request(method, u, headers=None):
+        def tracking_request(method, u):
             with lock:
                 active.append(u)
                 if len(active) > 1:
                     overlaps.append(tuple(active))
             try:
-                return real_request(method, u, headers)
+                return real_request(method, u)
             finally:
                 with lock:
                     active.remove(u)

@@ -16,7 +16,7 @@ from mementoset import (
     select_initial,
 )
 from mementoset.canonical import original_resource
-from mementoset.discovery import MementoCollection, SelectionState
+from mementoset.discovery import MementoCollection, SelectionState, embedded_urir
 from mockserver import FakeTransport
 from universe import AGG_TEMPLATE, brute_force_select, build_universe, install_universe, timemap_body
 
@@ -95,14 +95,24 @@ class TestInterleave:
         uris = [u for u, _ in stream]
         assert len(uris) == len(set(uris)) == 7 + 33 + 21 + 4
 
+    def test_every_key_is_a_hashtag(self):
+        # A key that already reads "wahr:" is a hashtag too, so it cannot
+        # share its tag with another key.
+        stream = interleave_sources(
+            [], [], [], {"#paris": ["http://a.com/", "http://b.com/"], "wahr:#paris": ["http://c.com/"]}
+        )
+        assert stream == [
+            ("http://a.com/", "wahr:#paris"),
+            ("http://b.com/", "wahr:#paris"),
+            ("http://c.com/", "wahr:wahr:#paris"),
+        ]
+
 
 class TestLoadSourceFile(object):
     def test_comments_and_blanks(self, tmp_path):
         path = tmp_path / "moz.txt"
         path.write_text("# top sites\nhttp://a.com/\n\nhttp://b.com/\n")
-        source = load_source_file(path)
-        assert source.uris == ("http://a.com/", "http://b.com/")
-        assert source.name == "moz"
+        assert load_source_file(path) == ("http://a.com/", "http://b.com/")
 
 
 class TestExtractUrirs:
@@ -144,6 +154,16 @@ class TestExtractUrirs:
         assert extract_urirs_from_html(html, "http://h/") == ["http://h/y", "http://h/z"]
 
 
+def keep_accepted(records):
+    """An ``on_commit`` callback that appends each accepted candidate's record."""
+
+    def commit(result):
+        if result.accepted is not None:
+            records.append(result.record)
+
+    return commit
+
+
 class TestSelectInitial:
     def test_matches_brute_force_on_planted_stream(self, registry):
         universe = build_universe(seed=1213, n=240)
@@ -153,7 +173,7 @@ class TestSelectInitial:
         state = SelectionState(quota_per_bucket=12)
         records = []
         accepted = select_initial(
-            universe.candidates, client, state, target=60, sink=records.append
+            universe.candidates, client, state, target=60, on_commit=keep_accepted(records)
         )
         expected = brute_force_select(universe, quota=12, target=60)
         assert [(r.uri, r.canonical_key, r.path_bucket.value) for r in accepted] == expected
@@ -246,7 +266,8 @@ class TestSelectInitial:
                       body=timemap_body("http://a.example/x/", 2))
         records = []
         accepted = select_initial(
-            [(uri, "moz")], make_client(transport, registry), SelectionState(), sink=records.append
+            [(uri, "moz")], make_client(transport, registry), SelectionState(),
+            on_commit=keep_accepted(records),
         )
         assert [r.uri for r in accepted] == [uri]
         (record,) = records
@@ -415,6 +436,22 @@ class TestIngestPublishedList:
         assert collection.urim_count("collectionscanada.gc.ca") == 3
         assert all(r.provenance is Provenance.PUBLISHED_LIST for r in added)
 
+    def test_one_slash_scheme_groups_with_its_urir(self, registry, tmp_path):
+        canada = registry.get("collectionscanada.gc.ca")
+        listing = tmp_path / "canada.txt"
+        listing.write_text(
+            "20050101000000 http://www.collectionscanada.gc.ca/webarchives/20050101000000/http://site-a.ca/x\n"
+            "20060101000000 http://www.collectionscanada.gc.ca/webarchives/20060101000000/http:/site-a.ca/x\n"
+        )
+        collection = MementoCollection()
+        added = ingest_published_list(
+            listing, "urirs_and_urims", canada, collection, make_client(FakeTransport(), registry),
+            min_urirs=10,
+        )
+        assert [r.urir.uri for r in added] == ["http://site-a.ca/x"]
+        assert len(collection) == 1
+        assert collection.urim_count("collectionscanada.gc.ca") == 2
+
     def test_stops_at_minimum(self, registry, tmp_path):
         canada = registry.get("collectionscanada.gc.ca")
         lines = [
@@ -447,3 +484,18 @@ class TestIngestPublishedList:
             ingest_published_list(
                 listing, "nope", registry.get("perma.cc"), MementoCollection(), client, 10
             )
+
+
+class TestEmbeddedUrir:
+    @pytest.mark.parametrize(
+        "urim, urir",
+        [
+            ("http://web.archive.org/web/20100101000000/http://example.com/a", "http://example.com/a"),
+            ("http://web.archive.org/web/20100101000000/http:/example.com/a", "http://example.com/a"),
+            ("http://web.archive.org/web/20100101000000id_/HTTPS:/example.com/a", "HTTPS://example.com/a"),
+            ("http://web.archive.org/web/20100101000000/example.com/a", "http://example.com/a"),
+            ("http://web.archive.org/web/2010/http://example.com/a", None),
+        ],
+    )
+    def test_urir_after_the_timestamp(self, urim, urir):
+        assert embedded_urir(urim) == urir

@@ -36,9 +36,9 @@ class CountingFixtures(FixtureTransport):
         super().__init__(root)
         self.calls = 0
 
-    def request(self, method, uri, headers=None):
+    def request(self, method, uri):
         self.calls += 1
-        return super().request(method, uri, headers)
+        return super().request(method, uri)
 
 
 def live_transport():

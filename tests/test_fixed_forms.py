@@ -37,7 +37,6 @@ class TestFastPathsTaken:
         general = sum(not e.is_memento() for e in members)
         split = mock.Mock(wraps=linkformat._split)
         with mock.patch.object(model, "parsedate_to_datetime", refuse), \
-                mock.patch.object(model, "urlsplit", refuse), \
                 mock.patch.object(linkformat, "_split", split):
             record = parse_timemap(body, registry=default_registry())
         assert len(record.mementos) == mementos

@@ -4,9 +4,8 @@ the TimeMap reducer against the full records it stands in for.
 The reference implementations below are the previous code, kept here
 verbatim: the character-loop splitters, the linear domain scan, and the
 general parsers behind the fixed-form fast paths (``parse_http_datetime``
-through ``parsedate_to_datetime``, ``_host_of`` through ``urlsplit``,
-``_parse_member`` through the RFC 6690 split, ``parse_compact14`` through
-``strptime``). Each new function must return what its reference returns,
+through ``parsedate_to_datetime``, ``_parse_member`` through the RFC 6690
+split, ``parse_compact14`` through ``strptime``). Each new function must return what its reference returns,
 or fail with the same exception class and message; ``parse_compact14``
 only with the same class, and it rejects stamps with non-ASCII digits.
 ``parse_http_datetime`` departs from its reference in one place: an
@@ -24,7 +23,6 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
 from unittest import mock
-from urllib.parse import urlsplit
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -41,8 +39,7 @@ from mementoset import (
     RawScheme,
     default_registry,
 )
-from mementoset import linkformat, model
-from mementoset.errors import MalformedUri
+from mementoset import linkformat
 from mementoset.linkformat import (
     _MEMBER,
     _PARAM,
@@ -140,21 +137,21 @@ TEXT = st.lists(
 ).map("".join)
 
 
-def reference_parse_link_entries(text: str, strict: bool) -> list[LinkEntry]:
+def reference_parse_link_entries(text: str) -> list[LinkEntry]:
     if not text.strip():
         raise ParseError("empty link-format document", 0)
     with mock.patch.object(linkformat, "_split", reference_split):
         entries = [
             entry
             for offset, raw in reference_split_members(text)
-            if (entry := reference_parse_member(text, offset, raw, strict)) is not None
+            if (entry := reference_parse_member(text, offset, raw, strict=False)) is not None
         ]
     if not entries:
         raise ParseError("no members found", 0)
     return entries
 
 
-def visited(text: str, strict: bool) -> list[LinkEntry]:
+def visited(text: str) -> list[LinkEntry]:
     """parse_link_entries with a visitor that builds each plain member's
     entry from its match; and the entries returned are the others."""
     seen = []
@@ -166,14 +163,14 @@ def visited(text: str, strict: bool) -> list[LinkEntry]:
             rel = tuple(member["rel"].split())
             seen.append(LinkEntry(member["target"], rel, parse_http_datetime(member["when"])))
 
-    built = parse_link_entries(text, strict=strict, visit=visit)
+    built = parse_link_entries(text, visit=visit)
     assert built == [m for m in seen if m in built]
     return seen
 
 
-def outcome(parse, text: str, strict: bool):
+def outcome(parse, text: str):
     try:
-        return parse(text, strict)
+        return parse(text)
     except ParseError as exc:
         return ("ParseError", str(exc), exc.offset)
 
@@ -285,19 +282,6 @@ def expected_http_datetime(value: str) -> datetime:
         )
     except ValueError:
         raise ValueError(f"bad HTTP datetime {value!r}") from None
-
-
-def reference_host_of(uri: str) -> str:
-    try:
-        parts = urlsplit(uri)
-    except ValueError as exc:
-        raise MalformedUri(uri, str(exc)) from None
-    if not parts.netloc or parts.scheme not in ("http", "https"):
-        raise MalformedUri(uri)
-    host = parts.hostname
-    if not host:
-        raise MalformedUri(uri, "empty host")
-    return host.lower()
 
 
 def reference_parse_member(text: str, offset: int, raw: str, strict: bool) -> LinkEntry | None:
@@ -429,22 +413,6 @@ PLAIN_URI = st.builds(
     pick("", ":80", ":0", ":08080"),
     pick("", "/", "/web/2000/http://a.example/", "?q=1", "#f", "/a@b", "/[x", "/%41", "/\t", "\n"),
 )
-URI = st.one_of(
-    PLAIN_URI,
-    st.builds(
-        "{}{}{}{}{}{}{}".format,
-        pick("", " ", "\x00"),
-        pick("http", "https", "HTTP", "Https", "ftp", "httpx", "http:", ""),
-        pick("://", ":/", "//", ":///", ":"),
-        pick("", "user@", "u:p@", "@"),
-        st.one_of(
-            pick("web.archive.org", "Arquivo.PT", "a", ".", "-", "", "[::1]", "[::1", "1.2.3.4"),
-            st.text(alphabet="abAZ09.-@[]%:\t\x1cé ", max_size=10),
-        ),
-        pick("", ":", ":80", ":abc", ":8a", ":٣"),
-        pick("", "/", "?q=1", "#f", "\n", "\t/", " ", "é"),
-    ),
-)
 
 # Names swapped or in upper case, extra params, separators and escapes
 # inside quotes, and Unicode whitespace where the general path strips it.
@@ -530,10 +498,9 @@ class TestTokenizerMatchesCharacterLoops:
     @example('<http://a.example/>; rel="memento"; datetime="Thu, 29 Feb 1900 00:00:00 GMT",')
     @example(' <http://a.example/>; rel="memento"; datetime="Sun, 06 Nov 1994 08:49:37 GMT" x')
     def test_entries_and_errors_identical(self, text):
-        for strict in (False, True):
-            new = outcome(lambda t, s: parse_link_entries(t, strict=s), text, strict)
-            assert new == outcome(reference_parse_link_entries, text, strict)
-            assert outcome(visited, text, strict) == new
+        new = outcome(parse_link_entries, text)
+        assert new == outcome(reference_parse_link_entries, text)
+        assert outcome(visited, text) == new
 
 
 # Every field at and past its range, non-ASCII digits (which int() and
@@ -574,25 +541,15 @@ class TestFastPathsMatchGeneralParsers:
     def test_http_datetime(self, value):
         assert result(parse_http_datetime, value) == result(expected_http_datetime, value)
 
-    @given(URI)
-    @example("HTTPS://Web.Archive.org:443/web/")
-    @example("http://user@web.archive.org/")
-    @example("http://web.archive.org:/x")
-    @example("http://web.archive.org:abc/x")
-    @example("http://web%2Earchive.org/")
-    @example("http://web.archive.org\t/")
-    def test_host_of(self, uri):
-        assert result(model._host_of, uri) == result(reference_host_of, uri)
-
-    @given(MEMBER, st.booleans())
-    @example('<http://a.example/>; rel="memento"; datetime="Sun, 06 Nov 1994 08:49:37 GMT"', True)
-    @example('<http://a.example/>; rel=" "; datetime="Sun, 06 Nov 1994 08:49:37 GMT"', False)
-    @example('<http://a.example/>; rel="memento"; datetime="Sun, 06 Nov 0099 08:49:37 GMT"', False)
-    def test_parse_member(self, member, strict):
+    @given(MEMBER)
+    @example('<http://a.example/>; rel="memento"; datetime="Sun, 06 Nov 1994 08:49:37 GMT"')
+    @example('<http://a.example/>; rel=" "; datetime="Sun, 06 Nov 1994 08:49:37 GMT"')
+    @example('<http://a.example/>; rel="memento"; datetime="Sun, 06 Nov 0099 08:49:37 GMT"')
+    def test_parse_member(self, member):
         text = "<http://x/>; rel=original,\n" + member
         offset = text.index(member)
-        new = result(linkformat._parse_member, text, offset, member, strict)
-        assert new == result(reference_parse_member, text, offset, member, strict)
+        new = result(linkformat._parse_member, text, offset, member)
+        assert new == result(reference_parse_member, text, offset, member, False)
 
     @given(STAMP)
     @example("09990101000000")

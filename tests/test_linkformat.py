@@ -65,11 +65,6 @@ class TestParseTimemap:
         record = parse_timemap(body)
         assert len(record.mementos) == 1
 
-    def test_strict_mode_rejects_unquoted(self):
-        body = b'<http://o/>; rel=original'
-        with pytest.raises(ParseError):
-            parse_timemap(body, strict=True)
-
     def test_memento_without_datetime(self):
         body = b'<http://o/>; rel="original",\n<http://m/1>; rel="memento"'
         with pytest.raises(ParseError):

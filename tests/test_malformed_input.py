@@ -14,6 +14,7 @@ from mementoset import (
     SelectionState,
     archive_of,
     extract_urirs_from_html,
+    method2_expand,
     parse_timemap,
     path_length,
     registrable_domain,
@@ -25,7 +26,7 @@ from mementoset.discovery import screen_candidate
 from mementoset.reports import URIR_TABLE_HEADER, read_urir_table
 from mementoset.sampler import write_manifest
 from mockserver import FakeTransport
-from test_discovery import make_client
+from test_discovery import make_client, multi_archive_timemap, seed_collection
 from universe import AGG_TEMPLATE, timemap_body
 
 BAD_URI = "http://[::1/x"
@@ -61,6 +62,38 @@ class TestMalformedUri:
         client = make_client(transport, registry)
         accepted = select_initial([(BAD_URI, "moz"), (good, "moz")], client, SelectionState())
         assert [r.uri for r in accepted] == [good]
+
+    def test_scan_continues_past_a_timemap_whose_original_is_malformed(self, registry):
+        transport = FakeTransport()
+        bad, good = "http://a.test/", "http://alive.com/"
+        for uri, original in ((bad, "not a uri"), (good, good)):
+            transport.add("HEAD", uri, 200)
+            transport.add("GET", AGG_TEMPLATE.format(uri=uri), 200, body=timemap_body(original, 1))
+        client = make_client(transport, registry)
+        results = []
+        accepted = select_initial(
+            [(bad, "moz"), (good, "moz")], client, SelectionState(), on_commit=results.append
+        )
+        assert [r.uri for r in accepted] == [good]
+        assert results[0].reason == """error: malformed rel="original": bad host: 'not a uri'"""
+
+    def test_method2_skips_a_timemap_whose_original_is_malformed(self, registry):
+        collection = seed_collection(registry, "vefsafn.is", "http://www.w3.org/", ["20041020191800"])
+        transport = FakeTransport()
+        transport.add(
+            "GET", "http://wayback.vefsafn.is/wayback/20041020191800id_/http://www.w3.org/", 200,
+            body='<a href="http://bad.example/">b</a> <a href="http://good.example/">g</a>',
+        )
+        for found, original in (
+            ("http://bad.example/", "not a uri"),
+            ("http://good.example/", "http://good.example/"),
+        ):
+            body = multi_archive_timemap(original, ["wayback.vefsafn.is"])
+            transport.add("GET", AGG_TEMPLATE.format(uri=found), 200, body=body)
+        client = make_client(transport, registry)
+        added = method2_expand(registry.get("vefsafn.is"), collection, client, min_urirs=3)
+        assert [r.urir.uri for r in added] == ["http://good.example/"]
+        assert ("GET", AGG_TEMPLATE.format(uri="http://bad.example/")) in transport.requests
 
     def test_bad_href_between_good_ones_is_skipped(self):
         html = (

@@ -76,11 +76,6 @@ class TestArchiveOf:
         urim = "http://web.archive.org:8080/web/1/http://x/"
         assert archive_of(urim, registry).id == "web.archive.org"
 
-    def test_plain_list_accepted(self, registry):
-        descriptors = list(registry)
-        urim = "http://archive.is/2014/http://x/"
-        assert archive_of(urim, descriptors).id == "archive.is"
-
     def test_malformed_urim(self, registry):
         with pytest.raises(MalformedUri):
             archive_of("not a uri", registry)

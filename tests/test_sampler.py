@@ -59,12 +59,6 @@ class TestEstimateBudget:
         budget = estimate_budget("a", [100.0, 300.0], CONSTRAINTS)
         assert budget.probe_mean_cost == 200.0
 
-    def test_timed_download_objects_accepted(self):
-        class Timed:
-            elapsed = 144000 / 733
-
-        assert estimate_budget("a", [Timed()], CONSTRAINTS).allowed_count == 733
-
     def test_empty_probe(self):
         with pytest.raises(EmptyProbe):
             estimate_budget("a", [], CONSTRAINTS)
