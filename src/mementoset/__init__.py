@@ -45,12 +45,10 @@ from .errors import (
 from .linkformat import (
     LinkEntry,
     TimeMapReducer,
-    dedupe,
     parse_compact,
     parse_timemap,
     serialize_compact,
     serialize_linkformat,
-    yearly_first_filter,
 )
 from .model import (
     ArchiveDescriptor,

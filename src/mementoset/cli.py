@@ -66,7 +66,8 @@ def cmd_timemap(args) -> int:
     except (OSError, ValueError) as exc:  # a bad --endpoint template or --registry file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # Discovery's reduction: unattributed mementos dropped, dedupe, yearly filter.
+    # The reducer discovery stores through: the first memento per registered
+    # archive per year.
     reducer = TimeMapReducer(client.registry) if args.filter_yearly else None
     try:
         if args.direct:
@@ -108,23 +109,23 @@ def cmd_discover(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    # Both inputs are read before anything is written.
+    out_dir = Path(args.out)
+    written = ["urims-per-year.csv", "archive-totals.csv", "path-histogram.csv"]
     try:
+        # Both inputs are read before anything is written.
         rows = read_manifest(args.manifest)
         resources = read_urir_table(args.urirs) if args.urirs else None
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_csv(build_urims_per_year(rows), out_dir / "urims-per-year.csv")
+        write_csv(build_archive_totals(rows), out_dir / "archive-totals.csv")
+        write_csv(build_path_histogram(rows), out_dir / "path-histogram.csv")
+        if resources is not None:
+            write_csv(build_source_bucket_table(resources), out_dir / "source-buckets.csv")
+            write_csv(build_status_table(resources), out_dir / "live-status.csv")
+            written += ["source-buckets.csv", "live-status.csv"]
     except (OSError, MementosetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(build_urims_per_year(rows), out_dir / "urims-per-year.csv")
-    write_csv(build_archive_totals(rows), out_dir / "archive-totals.csv")
-    write_csv(build_path_histogram(rows), out_dir / "path-histogram.csv")
-    written = ["urims-per-year.csv", "archive-totals.csv", "path-histogram.csv"]
-    if resources is not None:
-        write_csv(build_source_bucket_table(resources), out_dir / "source-buckets.csv")
-        write_csv(build_status_table(resources), out_dir / "live-status.csv")
-        written += ["source-buckets.csv", "live-status.csv"]
     print(f"wrote {', '.join(written)} to {out_dir} ({len(rows)} manifest rows)")
     return EXIT_OK
 

@@ -31,20 +31,13 @@ from .errors import (
     NetworkError,
     ParseError,
 )
-from .linkformat import (
-    TimeMapReducer,
-    compact_record,
-    content_lines,
-    dedupe,
-    parse_compact_line,
-    yearly_first_filter,
-)
+from .linkformat import TimeMapReducer, content_lines, parse_compact_line
 from .model import (
     ArchiveDescriptor,
-    ArchiveRegistry,
     Memento,
     OriginalResource,
     PathBucket,
+    Provenance,
     TimeMapRecord,
 )
 
@@ -165,11 +158,12 @@ class SelectionState:
 
 
 class MementoCollection:
-    """Merged TimeMapRecords keyed by canonical URI-R, with archive tallies.
+    """TimeMapRecords keyed by canonical URI-R, with archive tallies.
 
-    Records are stored deduplicated and reduced to one memento per
-    archive per year. Mementos that resolve to no registered archive are
-    dropped on the way in: the tallies are per-archive by definition.
+    Each record holds one memento per archive per year, all of registered
+    archives: a ``TimeMapReducer`` given ``get`` as its ``stored`` lookup
+    reduces a TimeMap together with the record stored under its key, and
+    ``add`` stores what it returns.
     """
 
     def __init__(self):
@@ -212,50 +206,24 @@ class MementoCollection:
             out.extend(m for m in record.mementos if m.archive_id == archive_id)
         return out
 
-    def reducer(self, registry: ArchiveRegistry) -> TimeMapReducer:
-        """A reducer for a TimeMap to be added here: it drops the URI-Ms
-        stored under the TimeMap's key, so adding its record stores what
-        adding the whole TimeMap would."""
-
-        def stored(urir_key: str) -> Iterator[str]:
-            record = self._records.get(urir_key)
-            return (m.urim for m in record.mementos) if record is not None else iter(())
-
-        return TimeMapReducer(registry, stored)
-
-    def _reduce(self, record: TimeMapRecord) -> TimeMapRecord:
-        attributed = [m for m in record.mementos if m.archive_id is not None]
-        if len(attributed) != len(record.mementos):
-            logger.debug(
-                "dropped %d unattributed mementos for %s",
-                len(record.mementos) - len(attributed),
-                record.urir.uri,
-            )
-        return yearly_first_filter(dedupe(record.with_mementos(attributed)))
-
-    def _add_tally(self, record: TimeMapRecord) -> None:
+    def add(self, record: TimeMapRecord) -> TimeMapRecord:
+        """Store the mementos of a reducer's record under its key and return
+        the stored record. A record already there keeps its URI-R,
+        provenance and fetch time, and takes the new mementos."""
         key = record.urir.canonical_key
+        existing = self._records.get(key)
+        if existing is not None:
+            # The reducer offered the stored mementos first, so each
+            # (archive, year) group stored before keeps a winner.
+            for m in existing.mementos:
+                self._urims[m.archive_id] -= 1
+            record = existing.with_mementos(record.mementos)
+        self._records[key] = record
         for m in record.mementos:
             self._urims[m.archive_id] = self._urims.get(m.archive_id, 0) + 1
         for archive_id in {m.archive_id for m in record.mementos}:
             self._urirs.setdefault(archive_id, set()).add(key)
-
-    def add(self, record: TimeMapRecord) -> TimeMapRecord:
-        """Merge a record in and return the stored form: its mementos of no
-        registered archive dropped, then deduplicated and filtered to the
-        first per archive per year."""
-        key = record.urir.canonical_key
-        existing = self._records.get(key)
-        if existing is not None:
-            # Merging never loses an archive: the reduced union keeps at
-            # least one memento per (archive, year) group already present.
-            for m in existing.mementos:
-                self._urims[m.archive_id] -= 1
-            record = existing.with_mementos(existing.mementos + record.mementos)
-        reduced = self._reduce(record)
-        self._records[key] = reduced
-        self._add_tally(reduced)
-        return reduced
+        return record
 
 
 @dataclass(frozen=True, slots=True)
@@ -583,7 +551,7 @@ def method2_expand(
                 if key in collection or key in attempted:
                     continue
                 attempted.add(key)
-                reducer = collection.reducer(client.registry)
+                reducer = TimeMapReducer(client.registry, collection.get)
                 record = _timemap(client.fetch_timemap_aggregator, uri, reducer=reducer)
                 if record is not None:
                     yield record
@@ -619,8 +587,9 @@ def ingest_published_list(
     ``urirs_only`` lists hold one URI-R per line; each TimeMap is fetched
     via the aggregator and must contain at least one memento in the owning
     archive. ``urirs_and_urims`` lists are compact two-column files whose
-    records are built directly, grouped by the URI-R embedded in each
-    URI-M. Unusable lines are skipped and logged.
+    lines are grouped by the URI-R embedded in each URI-M, and each group
+    offered to a reducer without a request. Unusable lines are skipped and
+    logged.
     """
     if list_format not in LIST_FORMATS:
         raise ValueError(f"unknown list format {list_format!r}")
@@ -634,13 +603,13 @@ def ingest_published_list(
                 continue
             if key in collection:
                 continue
-            reducer = collection.reducer(client.registry)
+            reducer = TimeMapReducer(client.registry, collection.get)
             record = _timemap(client.fetch_timemap_aggregator, uri, reducer=reducer)
             if record is not None and archive.id in reducer.archives:
                 yield record
 
     def compact() -> Iterator[TimeMapRecord]:
-        # Compact lines grouped by their embedded URI-R, built without a request.
+        # Compact lines grouped by their embedded URI-R, reduced without a request.
         groups: dict[str, list[tuple[datetime, str]]] = {}
         for lineno, line in content_lines(Path(path).read_text("utf-8")):
             try:
@@ -661,7 +630,10 @@ def ingest_published_list(
                 continue
             if key in collection:
                 continue
-            yield compact_record(mementos, urir, client.registry, fetched_at=client.clock())
+            reducer = TimeMapReducer(client.registry, collection.get)
+            for dt, urim in mementos:
+                reducer.offer(dt, urim)
+            yield reducer.record(urir, Provenance.PUBLISHED_LIST, client.clock())
 
     records = listed() if list_format == "urirs_only" else compact()
     return _top_up(archive, collection, records, min_urirs)
@@ -681,7 +653,7 @@ def method4_direct(
         if not archive.memento_native or not archive.timemap_template:
             return
         for record in list(collection.records()):
-            reducer = collection.reducer(client.registry)
+            reducer = TimeMapReducer(client.registry, collection.get)
             uri = record.urir.final_uri
             found = _timemap(client.fetch_timemap_direct, archive, uri, reducer=reducer)
             if found is not None:

@@ -18,7 +18,9 @@ other member goes through the RFC 6690 split above.
 The pipeline does not build the TimeMaps it fetches: a
 :class:`TimeMapReducer` reduces each one while it reads it, page by page,
 to the first memento per archive per year, and builds a ``Memento`` only
-for those. ``parse_timemap`` still builds every memento.
+for those. It is the one place that rule is written; the collection stores
+what it returns. ``parse_timemap`` and ``parse_compact`` still build every
+memento.
 
 The compact format is two columns per memento: the 14-digit UTC capture
 timestamp and the URI-M, separated by one space. It exists because full
@@ -297,29 +299,27 @@ def _sort_key(dt: datetime) -> str:
 _MONTH_DIGITS = {month: "%02d" % number for month, number in _MONTHS.items()}
 
 
-def _nothing_stored(urir_key: str) -> tuple[str, ...]:
-    return ()
-
-
 class TimeMapReducer:
     """One TimeMap reduced while it is read, page by page, to the mementos
-    ``MementoCollection.add`` keeps of it: of the memento members that name
-    a registered archive, the first of each URI-M, and of those the earliest
-    per (archive, UTC year), ties to the smaller URI-M.
+    a ``MementoCollection`` stores of it. This is the dataset's one
+    reduction rule: of the memento members that name a registered archive,
+    the first of each URI-M, and of those the earliest per (archive, UTC
+    year), ties to the smaller URI-M.
 
-    ``stored(key)`` names the URI-Ms already stored under the TimeMap's key,
-    once that is known: they are dropped before the earliest are picked, so
-    merging the record into the stored one gives what merging the whole
-    TimeMap gives. A plain member costs one match and a sort key made of its
-    date's fields; its archive comes from a memo of the hosts seen. Only the
-    winners become ``Memento`` objects. The record raises what
-    ``record_from_entries`` would raise for the same members.
+    ``stored(key)`` is the record already stored under the TimeMap's key,
+    or None. Once the key is known its mementos are offered first, in
+    stored order, each kept as stored, so the record holds the winners of
+    the stored and the read mementos together. A plain member costs one
+    match and a sort key made of its date's fields; its archive comes from
+    a memo of the hosts seen. Only the winners read become ``Memento``
+    objects. The record raises what ``record_from_entries`` would raise for
+    the same members.
     """
 
     def __init__(
         self,
         registry: ArchiveRegistry,
-        stored: Callable[[str], Iterable[str]] = _nothing_stored,
+        stored: Callable[[str], TimeMapRecord | None] | None = None,
     ):
         self.registry = registry
         self.stored = stored
@@ -332,8 +332,9 @@ class TimeMapReducer:
         self._undated: str | None = None  # the first memento member without a datetime
         self._seen: set[str] | None = None  # None until the key is known
         self._pending: list[tuple] = []  # candidates read before that
-        # archive id -> year -> (sort key, URI-M, its datetime or IMF-fixdate)
-        self._winners: dict[str, dict[str, tuple[str, str, str | datetime]]] = {}
+        # archive id -> year -> (sort key, URI-M, its datetime, IMF-fixdate
+        # or stored Memento)
+        self._winners: dict[str, dict[str, tuple[str, str, str | datetime | Memento]]] = {}
         self._archive_by_id: dict[str, ArchiveDescriptor] = {}
 
     @property
@@ -381,12 +382,23 @@ class TimeMapReducer:
         return "memento" in rel
 
     def _resolve(self, resource: OriginalResource) -> None:
-        """Key the TimeMap by ``resource`` and offer the candidates held back."""
+        """Key the TimeMap by ``resource``, then offer the mementos stored
+        under that key and the candidates held back."""
         self._resource = resource
-        self._seen = set(self.stored(resource.canonical_key))
+        self._seen = set()
+        stored = self.stored(resource.canonical_key) if self.stored is not None else None
+        if stored is not None:
+            for m in stored.mementos:
+                self._offer(m.urim, m.archive_id, _sort_key(m.memento_datetime), m)
         for candidate in self._pending:
             self._offer(*candidate)
         self._pending.clear()
+
+    def offer(self, dt: datetime, urim: str) -> None:
+        """Read one memento given outside link-format: ``urim``, captured
+        at the UTC datetime ``dt``."""
+        self.mementos += 1
+        self._candidate(urim, None, _sort_key(dt), dt)
 
     def _candidate(self, urim: str, host: str | None, key: str, when: str | datetime) -> None:
         archive = self._serving
@@ -406,7 +418,9 @@ class TimeMapReducer:
         else:
             self._offer(urim, archive.id, key, when)
 
-    def _offer(self, urim: str, archive_id: str, key: str, when: str | datetime) -> None:
+    def _offer(
+        self, urim: str, archive_id: str, key: str, when: str | datetime | Memento
+    ) -> None:
         if urim in self._seen:
             return
         self._seen.add(urim)
@@ -423,8 +437,8 @@ class TimeMapReducer:
         provenance: Provenance = Provenance.AGGREGATOR,
         fetched_at: datetime | None = None,
     ) -> TimeMapRecord:
-        """The reduced record of the pages read. The first ``rel="original"``
-        names the URI-R, else ``urir_hint`` does."""
+        """The reduced record of the stored and the read mementos. The first
+        ``rel="original"`` names the URI-R, else ``urir_hint`` does."""
         if self._seen is None:
             if urir_hint is None:
                 raise MissingOriginal("no rel=original entry and no URI-R hint")
@@ -436,11 +450,13 @@ class TimeMapReducer:
         key = self._resource.canonical_key
         mementos = []
         for archive_id, years in self._winners.items():
-            scheme = self._archive_by_id[archive_id].raw_scheme
             for year in sorted(years):
                 _, urim, when = years[year]
-                dt = parse_http_datetime(when) if isinstance(when, str) else when
-                mementos.append(Memento(urim, dt, key, archive_id, raw_variant(urim, scheme)))
+                if not isinstance(when, Memento):
+                    dt = parse_http_datetime(when) if isinstance(when, str) else when
+                    scheme = self._archive_by_id[archive_id].raw_scheme
+                    when = Memento(urim, dt, key, archive_id, raw_variant(urim, scheme))
+                mementos.append(when)
         return TimeMapRecord(
             self._resource, tuple(mementos), fetched_at or datetime.now(timezone.utc), provenance
         )
@@ -521,38 +537,3 @@ def serialize_linkformat(record: TimeMapRecord) -> str:
             f'datetime="{format_http_datetime(m.memento_datetime)}"'
         )
     return ",\n".join(members) + "\n"
-
-
-def dedupe(record: TimeMapRecord) -> TimeMapRecord:
-    """Drop mementos with an already-seen URI-M string, keeping the first."""
-    seen: set[str] = set()
-    kept = []
-    for m in record.mementos:
-        if m.urim in seen:
-            continue
-        seen.add(m.urim)
-        kept.append(m)
-    return record.with_mementos(kept)
-
-
-def yearly_first_filter(record: TimeMapRecord) -> TimeMapRecord:
-    """Keep the earliest memento per (archive, UTC year).
-
-    Ties on datetime break toward the lexicographically smallest URI-M.
-    Output groups archives in order of first appearance, years ascending
-    within each archive, which makes the filter idempotent.
-    """
-    winners: dict[str, dict[int, Memento]] = {}
-    for m in record.mementos:
-        if m.archive_id is None:
-            raise UnknownArchive(m.urim, "URI-M")
-        years = winners.setdefault(m.archive_id, {})
-        best = years.get(m.year)
-        if best is None or (m.memento_datetime, m.urim) < (best.memento_datetime, best.urim):
-            years[m.year] = m
-    kept = [
-        years[year]
-        for years in winners.values()
-        for year in sorted(years)
-    ]
-    return record.with_mementos(kept)

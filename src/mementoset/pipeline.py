@@ -360,6 +360,10 @@ class DiscoveryPipeline:
         timemap_dir.mkdir(exist_ok=True)
         for i, record in enumerate(self.collection.records()):
             write_compact(timemap_dir / f"{i:06d}.txt", record.mementos, record.urir.uri)
+        # An earlier run with more records left files past the last one.
+        for path in timemap_dir.glob("[0-9]" * 6 + ".txt"):
+            if int(path.stem) >= len(self.collection):
+                path.unlink()
 
     def run(
         self,

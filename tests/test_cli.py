@@ -6,10 +6,17 @@ import pytest
 from mementoset.cli import main
 from mementoset.client import FixtureStore, FixtureTransport, TransportResponse
 from mementoset.discovery import MementoCollection
-from mementoset.linkformat import parse_compact, parse_timemap, serialize_compact, serialize_linkformat
+from mementoset.linkformat import (
+    TimeMapReducer,
+    parse_compact,
+    parse_timemap,
+    serialize_compact,
+    serialize_linkformat,
+)
 from mementoset.model import default_registry, raw_variant
 
 from published_counts import build_published_manifest
+from reduction_reference import reference_add
 from mementoset.sampler import write_manifest
 from test_pipeline import AGG, build_fixture_corpus, write_config
 
@@ -107,23 +114,29 @@ class TestTimemap:
     def test_filter_yearly_prints_what_discovery_stores(
         self, tmp_path, capsys, request, fixture, direct, form
     ):
-        """The reduced fetch prints byte for byte what the full record,
-        added to an empty collection, holds."""
+        """The reduced fetch prints byte for byte what discovery stores of
+        the TimeMap in an empty collection: what the previous reduction
+        stored of its full record."""
         body = request.getfixturevalue(fixture)
         urir = "http://www.whitehouse.gov/"
         registry = default_registry()
         record = parse_timemap(body, urir, registry)
+        serving = None
         if direct:
-            perma = registry.get("perma.cc")
-            uri = perma.timemap_template.format(uri=urir)
+            serving = registry.get("perma.cc")
+            uri = serving.timemap_template.format(uri=urir)
             record = record.with_mementos(
-                replace(m, archive_id=perma.id, raw_urim=raw_variant(m.urim, perma.raw_scheme))
+                replace(m, archive_id=serving.id, raw_urim=raw_variant(m.urim, serving.raw_scheme))
                 for m in record.mementos
             )
             form = [*form, "--direct", "perma.cc"]
         else:
             uri = AGG.format(uri=urir)
-        stored = MementoCollection().add(record)
+        collection = MementoCollection()
+        reducer = TimeMapReducer(registry, collection.get)
+        reducer.read(body, serving)
+        stored = collection.add(reducer.record(urir))
+        assert stored.mementos == reference_add(MementoCollection(), record).mementos
         FixtureStore(tmp_path).save("GET", uri, TransportResponse(200, {}, body))
         assert main(timemap_args(tmp_path, "--filter-yearly", *form, urir)) == 0
         write = serialize_compact if "--compact" in form else serialize_linkformat
@@ -261,6 +274,35 @@ class TestStats:
         name = "manifest" if empty == "--manifest" else "URI-R table"
         assert capsys.readouterr().err == f"error: bad {name} header '' (at offset 1)\n"
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("garbled", ["--manifest", "--urirs"])
+    def test_input_that_is_not_utf8_is_rejected(self, tmp_path, capsys, garbled):
+        from mementoset.reports import URIR_TABLE_HEADER
+
+        manifest = tmp_path / "manifest.tsv"
+        write_manifest([], manifest)
+        urirs = tmp_path / "urirs.tsv"
+        urirs.write_text("\t".join(URIR_TABLE_HEADER) + "\n")
+        inputs = {"--manifest": manifest, "--urirs": urirs}
+        inputs[garbled].write_bytes(b"\xff\xfea\x00\n")  # a UTF-16 byte-order mark
+        out_dir = tmp_path / "reports"
+        code = main([
+            "stats", "--manifest", str(manifest), "--urirs", str(urirs), "--out", str(out_dir),
+        ])
+        assert code == 1
+        name = "manifest" if garbled == "--manifest" else "URI-R table"
+        assert capsys.readouterr().err == f"error: {name} is not UTF-8 (at offset 1)\n"
+        assert not out_dir.exists()
+
+    def test_out_naming_an_existing_file_is_an_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.tsv"
+        write_manifest([], manifest)
+        out = tmp_path / "reports"
+        out.write_text("not a directory\n")
+        assert main(["stats", "--manifest", str(manifest), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+        assert out.read_text() == "not a directory\n"
 
     def test_urir_table_enables_extra_reports(self, tmp_path):
         from mementoset.model import OriginalResource, PathBucket

@@ -13,9 +13,12 @@ IMF-fixdate with a year 0000-0099 keeps that year instead of mapping it to
 19xx/20xx, and year 0000 is rejected.
 
 ``TimeMapReducer`` is held to the full-record path: reducing each page
-while it is read and adding the record must store what adding
-``record_from_entries`` of all the pages' entries stores, into an empty
-collection or over a record already stored, and fail the same way.
+while it is read, or each (datetime, URI-M) pair offered, and adding the
+record must store what the previous ``MementoCollection.add``
+(``reduction_reference.reference_add``) stored of ``record_from_entries``
+of all the pages' entries, or of ``compact_record`` of the pairs, into an
+empty collection or over a reduced record already stored, and fail the
+same way.
 """
 
 import re
@@ -37,6 +40,7 @@ from mementoset import (
     Provenance,
     Purpose,
     RawScheme,
+    TimeMapReducer,
     default_registry,
 )
 from mementoset import linkformat
@@ -46,11 +50,13 @@ from mementoset.linkformat import (
     LinkEntry,
     _byte_offset,
     _split,
+    compact_record,
     parse_link_entries,
     record_from_entries,
 )
 from mementoset.model import parse_compact14, parse_http_datetime, raw_variant
 from mockserver import FakeTransport
+from reduction_reference import reference_add
 
 
 def reference_split_members(text: str):
@@ -662,11 +668,12 @@ STORED = st.one_of(
 
 
 def stored_collection(stored) -> MementoCollection:
+    """A collection holding, reduced, the record ``stored`` lists, if any."""
     collection = MementoCollection()
     if stored is not None:
         urir, mementos = stored
         entries = [LinkEntry(URIMS[i], ("memento",), parse_http_datetime(when)) for i, when in mementos]
-        collection.add(record_from_entries(entries, urir, REDUCER_REGISTRY, fetched_at=FETCHED))
+        reference_add(collection, record_from_entries(entries, urir, REDUCER_REGISTRY, fetched_at=FETCHED))
     return collection
 
 
@@ -688,17 +695,36 @@ def full_intake(pages, hint, archive, stored):
             for m in record.mementos
         )
     archives = {m.archive_id for m in record.mementos} - {None}
-    stored_form = collection.add(record)
+    stored_form = reference_add(collection, record)
     return [links(page) for page in parsed], len(record.mementos), archives, stored_form, collection.totals()
 
 
 def reduced_intake(pages, hint, archive, stored):
     collection = stored_collection(stored)
-    reducer = collection.reducer(REDUCER_REGISTRY)
+    reducer = TimeMapReducer(REDUCER_REGISTRY, collection.get)
     read = [reducer.read(page, archive) for page in pages]
     record = reducer.record(hint, Provenance.AGGREGATOR, FETCHED)
     stored_form = collection.add(record)
     return read, reducer.mementos, reducer.archives, stored_form, collection.totals()
+
+
+# (datetime, URI-M) pairs as a published list gives them: duplicate URI-Ms,
+# unregistered hosts and URI-Ms without one, and equal datetimes.
+OFFERED = st.lists(st.tuples(st.sampled_from(DATES).map(parse_http_datetime), URIM), max_size=12)
+
+
+def offered_intake(pairs, stored):
+    """What offering ``pairs`` to a reducer stores, and what the full-record
+    path stores of them."""
+    mementos = [(dt, URIMS[i]) for dt, i in pairs]
+    collection = stored_collection(stored)
+    reducer = TimeMapReducer(REDUCER_REGISTRY, collection.get)
+    for dt, urim in mementos:
+        reducer.offer(dt, urim)
+    offered = collection.add(reducer.record(URIR, Provenance.PUBLISHED_LIST, FETCHED))
+    full = stored_collection(stored)
+    record = compact_record(mementos, URIR, REDUCER_REGISTRY, fetched_at=FETCHED)
+    return (offered, collection.totals()), (reference_add(full, record), full.totals())
 
 
 def intake(fn, *args):
@@ -735,6 +761,17 @@ class TestReducerMatchesFullRecords:
             full_intake, pages, hint, archive, stored
         )
 
+    @given(OFFERED, STORED)
+    @example(  # equal datetimes: the smaller URI-M wins, whichever came first
+        [(parse_http_datetime(DATES[0]), 1), (parse_http_datetime(DATES[0]), 0)], None,
+    )
+    @example(  # a pair already stored does not compete again
+        [(parse_http_datetime(DATES[0]), 0), (parse_http_datetime(DATES[1]), 1)], (URIR, [(0, DATES[2])]),
+    )
+    def test_offering_pairs_stores_what_the_full_record_does(self, pairs, stored):
+        offered, full = offered_intake(pairs, stored)
+        assert offered == full
+
     def test_all_unattributed_timemap_is_accepted_and_stored_empty(self):
         transport = FakeTransport()
         body = f'<{URIR}>; rel="original",\n' + memento_member(6, "memento", DATES[0], "")
@@ -744,7 +781,7 @@ class TestReducerMatchesFullRecords:
             aggregator_template="http://agg.test/{uri}",
         )
         collection = MementoCollection()
-        record = client.fetch_timemap_aggregator(URIR, collection.reducer(client.registry))
+        record = client.fetch_timemap_aggregator(URIR, TimeMapReducer(client.registry, collection.get))
         assert record.mementos == ()
         assert collection.add(record).mementos == ()
         assert record.urir.canonical_key in collection

@@ -4,23 +4,37 @@ from datetime import datetime, timezone
 import pytest
 
 from mementoset import (
+    ArchiveDescriptor,
+    ArchiveRegistry,
     Memento,
     MissingOriginal,
     ParseError,
     Provenance,
+    Purpose,
     TimeMapRecord,
-    UnknownArchive,
-    dedupe,
+    TimeMapReducer,
     parse_compact,
     parse_timemap,
     serialize_compact,
     serialize_linkformat,
-    yearly_first_filter,
 )
 from mementoset.canonical import original_resource
 
 URIR_FOM = "http://www.futureofmusic.org/about/positions.cfm"
 FIXED_NOW = datetime(2017, 11, 15, tzinfo=timezone.utc)
+# The hosts of the synthetic records below, each its own archive.
+SYNTHETIC_REGISTRY = ArchiveRegistry(
+    ArchiveDescriptor(host, host, (host,), Purpose.GENERAL)
+    for host in ["a.example", *(f"arch{i}.example" for i in range(8))]
+)
+
+
+def reduce_record(record: TimeMapRecord, registry=SYNTHETIC_REGISTRY) -> TimeMapRecord:
+    """What a reducer keeps of ``record``'s mementos, offered in order."""
+    reducer = TimeMapReducer(registry)
+    for m in record.mementos:
+        reducer.offer(m.memento_datetime, m.urim)
+    return reducer.record(record.urir.uri, record.provenance, record.fetched_at)
 
 
 class TestParseTimemap:
@@ -168,17 +182,17 @@ class TestDedupe:
         urims = [m.urim for m in record.mementos]
         dup = "https://web.archive.org/web/20070114182707/http://www.futureofmusic.org:80/about/positions.cfm"
         assert urims.count(dup) == 2
-        deduped = dedupe(record)
-        assert [m.urim for m in deduped.mementos].count(dup) == 1
+        reduced = reduce_record(record, registry)
+        assert [m.urim for m in reduced.mementos].count(dup) == 1
 
     def test_unique_record_unchanged(self, fom_yearly_compact, registry):
         record = parse_compact(fom_yearly_compact, URIR_FOM, registry=registry)
-        assert dedupe(record) == record
+        assert reduce_record(record, registry) == record
 
     def test_all_identical_collapse_to_one(self):
         line = "20120328211040 http://a.example/m\n" * 7
         record = parse_compact(line, URIR_FOM)
-        assert len(dedupe(record).mementos) == 1
+        assert len(reduce_record(record).mementos) == 1
 
 
 def brute_force_yearly(record: TimeMapRecord) -> list[Memento]:
@@ -234,17 +248,17 @@ class TestYearlyFilter:
     def test_full_timemap_reduces_to_yearly_file(self, fom_full_compact, fom_yearly_compact, registry):
         record = parse_compact(fom_full_compact, URIR_FOM, registry=registry)
         assert len(record.mementos) == 64
-        filtered = yearly_first_filter(record)
+        filtered = reduce_record(record, registry)
         assert serialize_compact(filtered) == fom_yearly_compact
 
     def test_idempotent_on_filtered(self, fom_yearly_compact, registry):
         record = parse_compact(fom_yearly_compact, URIR_FOM, registry=registry)
-        assert yearly_first_filter(record) == record
+        assert reduce_record(record, registry) == record
 
     def test_matches_brute_force_on_grid(self):
         rng = random.Random(5)
         record = synthetic_record(rng, n_archives=5, n_years=3, per_group=6)
-        got = yearly_first_filter(record).mementos
+        got = reduce_record(record).mementos
         assert list(got) == brute_force_yearly(record)
         assert len(got) == 15  # 5 archives x 3 years
 
@@ -254,16 +268,16 @@ class TestYearlyFilter:
             record = synthetic_record(
                 rng, n_archives=rng.randint(1, 6), n_years=rng.randint(1, 5)
             )
-            out = yearly_first_filter(record)
+            out = reduce_record(record)
             assert len(out.mementos) <= len(record.mementos)
             groups = {(m.archive_id, m.year) for m in record.mementos}
             assert len(out.mementos) == len(groups)
-            assert yearly_first_filter(out) == out
+            assert reduce_record(out) == out
 
     def test_no_earlier_memento_in_any_group(self):
         rng = random.Random(7)
         record = synthetic_record(rng, n_archives=4, n_years=4)
-        kept = {(m.archive_id, m.year): m for m in yearly_first_filter(record).mementos}
+        kept = {(m.archive_id, m.year): m for m in reduce_record(record).mementos}
         for m in record.mementos:
             winner = kept[(m.archive_id, m.year)]
             assert (winner.memento_datetime, winner.urim) <= (m.memento_datetime, m.urim)
@@ -277,20 +291,6 @@ class TestYearlyFilter:
         https_form = Memento(
             "https://a.example/web/1/http://t.example/", dt, resource.canonical_key, "a.example"
         )
-        record = TimeMapRecord(
-            resource, (https_form, http_form), FIXED_NOW, Provenance.AGGREGATOR
-        )
-        assert dedupe(record).mementos == (https_form, http_form)  # both kept
-        assert yearly_first_filter(record).mementos == (http_form,)
-
-    def test_unknown_archive_propagates(self):
-        resource = original_resource("http://t.example/")
-        unattributed = Memento(
-            "http://nowhere.example/1",
-            datetime(2001, 1, 1, tzinfo=timezone.utc),
-            resource.canonical_key,
-            archive_id=None,
-        )
-        record = TimeMapRecord(resource, (unattributed,), FIXED_NOW, Provenance.AGGREGATOR)
-        with pytest.raises(UnknownArchive):
-            yearly_first_filter(record)
+        for order in ((https_form, http_form), (http_form, https_form)):
+            record = TimeMapRecord(resource, order, FIXED_NOW, Provenance.AGGREGATOR)
+            assert reduce_record(record).mementos == (http_form,)

@@ -191,6 +191,21 @@ class TestDiscoveryPipeline:
         record = parse_compact(text, urir)
         assert len(record.mementos) >= 1
 
+    def test_rerun_with_fewer_records_removes_the_stale_timemap_files(self, corpus):
+        pipeline, _ = run_pipeline(corpus)
+        timemaps = pipeline.config.out_dir / "timemaps"
+        assert len(pipeline.collection) == 7
+        others = ["notes.txt", "0000001.txt", "000001.txt.bak", "00000a.txt"]
+        for name in others:
+            (timemaps / name).write_text("kept\n")
+        config = RunConfig.from_file(corpus)
+        config.target = 1
+        pipeline = DiscoveryPipeline(config, clock=lambda: FIXED_NOW)
+        assert pipeline.run(resume=False) == "done"
+        written = [f"{i:06d}.txt" for i in range(len(pipeline.collection))]
+        assert len(written) < 7
+        assert sorted(p.name for p in timemaps.iterdir()) == sorted([*written, *others])
+
     def test_interrupted_resume_matches_single_run(self, corpus, tmp_path):
         # Uninterrupted reference run.
         reference, _ = run_pipeline(corpus)

@@ -3,11 +3,13 @@
 The reference functions below are the previous code, kept verbatim:
 ``method2_expand`` and ``ingest_published_list`` as they were, and the
 stage loops of ``DiscoveryPipeline`` (``_run_method2``..``_run_method4``)
-with their state saves left out. Each stage of the new code must send the
+with their state saves left out. Each adds its records through the
+previous ``MementoCollection.add``, ``reduction_reference.reference_add``. Each stage of the new code must send the
 same requests in the same order, add records of the same URI-Rs in the
 same order, and leave the same stored records and per-archive totals. The
-records it adds hold only what their TimeMap's reducer kept, where the
-previous code added every memento.
+records it adds hold what their TimeMap's reducer kept, merged with the
+record stored under the same key, where the previous code added every
+memento.
 
 A world is a small registry, an initial collection and a ``FakeTransport``
 generated from a seed. Every world plants links to URI-Rs already
@@ -53,6 +55,7 @@ from mementoset.linkformat import (
 )
 from mementoset.model import ArchiveDescriptor, ArchiveRegistry, Purpose, RawScheme
 from mockserver import FakeTransport
+from reduction_reference import reference_add
 
 logger = logging.getLogger(__name__)
 FIXED_NOW = datetime(2017, 11, 15, tzinfo=timezone.utc)
@@ -117,7 +120,7 @@ def reference_method2_expand(
             except (NetworkError, ParseError) as exc:
                 logger.info("timemap fetch failed for %s: %s", uri, exc)
                 continue
-            collection.add(record)
+            reference_add(collection, record)
             new_records.append(record)
             if collection.urir_count(archive.id) >= min_urirs:
                 return new_records
@@ -162,7 +165,7 @@ def reference_ingest_published_list(
                 continue
             if not any(m.archive_id == archive.id for m in record.mementos):
                 continue
-            collection.add(record)
+            reference_add(collection, record)
             new_records.append(record)
         return new_records
 
@@ -193,7 +196,7 @@ def reference_ingest_published_list(
         if key in collection:
             continue
         record = compact_record(mementos, urir, client.registry, fetched_at=client.clock())
-        collection.add(record)
+        reference_add(collection, record)
         new_records.append(record)
     return new_records
 
@@ -242,7 +245,7 @@ def reference_stage4(registry, collection, client, minimum):
             except (NetworkError, ParseError) as exc:
                 logger.info("method4 fetch failed for %s: %s", record.urir.uri, exc)
                 continue
-            collection.add(direct)
+            reference_add(collection, direct)
             added.append(direct)
     return added
 
@@ -313,7 +316,7 @@ class World:
         client = ArchiveClient(REGISTRY, policy, transport, AGG, clock=lambda: FIXED_NOW)
         collection = MementoCollection()
         for urir in self.collected:
-            collection.add(record_from_entries(
+            reference_add(collection, record_from_entries(
                 parse_link_entries(self.bodies[urir]), registry=REGISTRY, fetched_at=FIXED_NOW
             ))
         return transport, client, collection
@@ -434,7 +437,7 @@ def raw_urims(body: str):
     """(archive id, raw URI-M) of each memento a TimeMap body keeps once
     the collection has reduced it, in stored order."""
     record = record_from_entries(parse_link_entries(body), registry=REGISTRY, fetched_at=FIXED_NOW)
-    return [(m.archive_id, m.raw_urim) for m in MementoCollection().add(record).mementos]
+    return [(m.archive_id, m.raw_urim) for m in reference_add(MementoCollection(), record).mementos]
 
 
 def run_stages(world, stages):
