@@ -100,7 +100,11 @@ def cmd_discover(args) -> int:
     except (OSError, ValueError, MementosetError) as exc:
         print(f"error loading config: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
-    stage = pipeline.run(resume=not args.fresh)
+    try:
+        stage = pipeline.run(resume=not args.fresh)
+    except (OSError, MementosetError) as exc:  # an unreadable source file or state.json
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARTIAL
     print(f"discovery stopped at stage: {stage}")
     print(f"selected URI-Rs: {len(pipeline.accepted)}")
     for archive_id, (urims, urirs) in sorted(pipeline.collection.totals().items()):

@@ -3,17 +3,17 @@
 All traffic to one archive flows through a single serial "lane" that
 enforces a minimum spacing between requests and stays closed while a
 request to it backs off; lanes for different archives run concurrently.
-Requests are written as step generators that yield their waits, so one
-thread can overlap the waits of many (``request_steps``, ``resolve_steps``);
-the plain methods sleep through them. Every operation can be replayed
-hermetically from a fixture directory, and a recording transport captures
-live responses into one.
+Requests are written as step generators that yield their waits
+(``request_steps``, ``resolve_steps``). A ``StepLoop`` runs many of them in
+one thread and overlaps their waits; it is the only code in the package
+that sleeps, and a plain method's wait runs in the thread's loop. Every
+operation can be replayed hermetically from a fixture directory, and a
+recording transport captures live responses into one.
 """
 
 from __future__ import annotations
 
 import base64
-import contextlib
 import hashlib
 import json
 import logging
@@ -207,32 +207,87 @@ def open_transport(
     return RecordingTransport(live, record) if record else live
 
 
-_waiting = threading.local()  # holds this thread's ``while_waiting`` hook
+_thread = threading.local()  # holds the ``StepLoop`` this thread entered
 
 
-@contextlib.contextmanager
-def while_waiting(idle: Callable[[float], None]):
-    """Within the block, a blocking call in this thread that has to wait
-    calls ``idle(seconds)`` in place of ``time.sleep(seconds)``."""
-    previous = getattr(_waiting, "idle", None)
-    _waiting.idle = idle
-    try:
-        yield
-    finally:
-        _waiting.idle = previous
+@dataclass(slots=True)
+class _Task:
+    """A step generator in a ``StepLoop``, when its last wait ends, and its value."""
+
+    steps: Steps
+    ready_at: float
+    done: bool
+    value: object
+
+
+class StepLoop:
+    """Runs step generators together in one thread, overlapping their waits.
+
+    Each turn advances the first started generator, in start order, whose
+    wait is over; else it starts the next queued one, so a queued generator
+    starts only while every started one waits; else it sleeps until the
+    first wait ends. Entered with ``with``, the loop is its thread's own:
+    a blocking call made in the thread (``run_steps``) runs in it ahead of
+    every other generator, so it goes on as soon as its own wait ends.
+    """
+
+    def __init__(self):
+        self._started: deque[_Task] = deque()
+        self._queued: deque[_Task] = deque()
+
+    def __enter__(self) -> "StepLoop":
+        self._outer = getattr(_thread, "loop", None)
+        _thread.loop = self
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _thread.loop = self._outer
+
+    def add(self, steps: Steps) -> _Task:
+        """Queue ``steps``; the handle ``finish`` takes."""
+        task = _Task(steps, 0.0, False, None)
+        self._queued.append(task)
+        return task
+
+    def finish(self, task: _Task):
+        """Run turns until ``task``'s generator returns, and give its value.
+        A generator that raises leaves the loop, and its error propagates."""
+        while not task.done:
+            now = time.monotonic()
+            ready = next((t for t in self._started if t.ready_at <= now), None)
+            if ready is None and self._queued:
+                ready = self._queued.popleft()
+                self._started.append(ready)
+            if ready is not None:
+                self._advance(ready)
+            else:
+                time.sleep(min(t.ready_at for t in self._started) - now)
+        return task.value
+
+    def _advance(self, task: _Task) -> None:
+        task.done = True  # unless it yields a wait: a generator that raises is done
+        try:
+            wait = next(task.steps)
+            task.ready_at, task.done = time.monotonic() + wait, False
+        except StopIteration as stop:
+            task.value = stop.value
+        finally:
+            if task.done:
+                self._started.remove(task)
 
 
 def run_steps(steps: Steps):
-    """Drive a step generator to its return value, waiting out each wait
-    it yields."""
-    pause = getattr(_waiting, "idle", None) or time.sleep
+    """Drive a step generator to its return value. One that waits runs in
+    the thread's entered ``StepLoop``, or else in a loop of its own, ahead
+    of the loop's other generators."""
     try:
         wait = next(steps)
-        while True:
-            pause(wait)
-            wait = next(steps)
-    except StopIteration as done:
-        return done.value
+    except StopIteration as stop:
+        return stop.value
+    loop = getattr(_thread, "loop", None) or StepLoop()
+    task = _Task(steps, time.monotonic() + wait, False, None)
+    loop._started.appendleft(task)
+    return loop.finish(task)
 
 
 class _Lane:

@@ -10,9 +10,7 @@ Source tags are plain strings: ``moz``, ``memento-damage``,
 from __future__ import annotations
 
 import logging
-import math
 import re
-import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime
@@ -23,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 from urllib.parse import urljoin
 
 from .canonical import RedirectChain, path_length, registrable_domain, surt
-from .client import ArchiveClient, run_steps, while_waiting
+from .client import ArchiveClient, StepLoop, run_steps
 from .errors import (
     EmptyTimeMap,
     MalformedUri,
@@ -40,6 +38,7 @@ from .model import (
     Provenance,
     TimeMapRecord,
 )
+from .tsv import read_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -59,7 +58,7 @@ LOOKAHEAD = 128
 def load_source_file(path: str | Path) -> tuple[str, ...]:
     """The URIs of a one-URI-per-line file, in file order; ``#`` comments
     and blanks skipped."""
-    return tuple(line for _, line in content_lines(Path(path).read_text("utf-8")))
+    return tuple(line for _, line in content_lines(read_utf8(path, str(path))))
 
 
 def interleave_sources(
@@ -190,7 +189,8 @@ class MementoCollection:
         return self._urims.get(archive_id, 0)
 
     def archive_ids(self) -> list[str]:
-        return sorted(set(self._urims) | set(self._urirs))
+        """The archives that hold a stored memento."""
+        return sorted(a for a, keys in self._urirs.items() if keys)
 
     def totals(self) -> dict[str, tuple[int, int]]:
         """archive_id -> (urims, urirs)."""
@@ -217,6 +217,7 @@ class MementoCollection:
             # (archive, year) group stored before keeps a winner.
             for m in existing.mementos:
                 self._urims[m.archive_id] -= 1
+                self._urirs[m.archive_id].discard(key)
             record = existing.with_mementos(record.mementos)
         self._records[key] = record
         for m in record.mementos:
@@ -316,82 +317,6 @@ def screen_candidate(
     return ScreenResult(resource, replace(record, urir=resource, mementos=mementos), "accepted")
 
 
-class _Slot:
-    __slots__ = ("uri", "source", "steps", "ready_at", "result")
-
-    def __init__(self, uri: str, source: str):
-        self.uri = uri
-        self.source = source
-        self.steps = None  # the resolution's step generator, once started
-        self.ready_at = 0.0  # when its last yielded wait ends
-        self.result: ResolvedCandidate | None = None
-
-
-class _Lookahead:
-    """The window of taken, not yet committed candidates, resolved in the
-    scan's own thread.
-
-    Each resolution is a step generator that yields its waits (lane
-    spacing, back-off) instead of sleeping. The scan resolves the front
-    candidate; only while every started resolution waits is the next
-    candidate's resolution started, in stream order, and run in the gap.
-    The thread sleeps only when every started resolution waits and none
-    is left to start, and it also runs resolutions while a commit's own
-    requests wait. Requests still go through the client's lanes, one per
-    host, so each host sees the spacing and back-off of a sequential scan.
-    """
-
-    def __init__(self, client: ArchiveClient):
-        self.client = client
-        self.window: deque[_Slot] = deque()
-        self.started = 0  # slots at the window's front whose resolution has started
-
-    def take(self, uri: str, source: str) -> None:
-        self.window.append(_Slot(uri, source))
-
-    def pop(self) -> tuple[str, str, ResolvedCandidate]:
-        """The front candidate, once resolved."""
-        front = self.window[0]
-        while front.result is None:
-            self._step(math.inf)
-        self.window.popleft()
-        self.started -= 1
-        return front.uri, front.source, front.result
-
-    def idle(self, seconds: float) -> None:
-        """Wait hook for the commit's requests: resolve ahead meanwhile."""
-        deadline = time.monotonic() + seconds
-        while time.monotonic() < deadline:
-            self._step(deadline)
-
-    def _step(self, deadline: float) -> None:
-        """Advance the first started resolution whose wait is over, else
-        start the next one, else sleep until a wait or ``deadline`` ends."""
-        now = time.monotonic()
-        wake = deadline
-        for slot in islice(self.window, self.started):
-            if slot.result is None:
-                if slot.ready_at <= now:
-                    self._advance(slot)
-                    return
-                wake = min(wake, slot.ready_at)
-        if self.started < len(self.window):
-            slot = self.window[self.started]
-            self.started += 1
-            slot.steps = _resolve_steps(slot.uri, self.client)
-            self._advance(slot)
-        elif wake > now:
-            time.sleep(wake - now)
-
-    def _advance(self, slot: _Slot) -> None:
-        try:
-            wait = next(slot.steps)
-        except StopIteration as done:
-            slot.result = done.value
-        else:
-            slot.ready_at = time.monotonic() + wait
-
-
 def select_initial(
     stream: Iterable[tuple[str, str]],
     client: ArchiveClient,
@@ -409,24 +334,23 @@ def select_initial(
     taken past the last committed one, but never more than the target and
     the open bucket capacity left, so a lazy ``stream`` is never advanced
     past a candidate the in-order scan would not screen, and every
-    candidate taken is resolved exactly once. No thread is started.
+    candidate taken is resolved exactly once. The resolutions and the
+    commits' requests share one ``StepLoop``: no thread is started. Each
+    host's lane sees the spacing and back-off of a sequential scan.
     """
     state = state if state is not None else SelectionState()
     accepted: list[OriginalResource] = []
     candidates = iter(stream)
-    lookahead = _Lookahead(client)
-    with while_waiting(lookahead.idle):
+    window: deque = deque()  # (uri, source, the loop task resolving uri), in stream order
+    with StepLoop() as loop:
         while True:
             room = min(LOOKAHEAD, target - len(accepted), state.open_capacity())
-            while len(lookahead.window) < room:
-                candidate = next(candidates, None)
-                if candidate is None:
-                    break
-                lookahead.take(*candidate)
-            if not lookahead.window:
+            for uri, source in islice(candidates, max(0, room - len(window))):
+                window.append((uri, source, loop.add(_resolve_steps(uri, client))))
+            if not window:
                 break
-            uri, source, resolved = lookahead.pop()
-            result = screen_candidate(uri, source, client, state, resolved)
+            uri, source, task = window.popleft()
+            result = screen_candidate(uri, source, client, state, loop.finish(task))
             if result.accepted is not None:
                 accepted.append(result.accepted)
             if on_commit is not None:
@@ -595,7 +519,7 @@ def ingest_published_list(
         raise ValueError(f"unknown list format {list_format!r}")
 
     def listed() -> Iterator[TimeMapRecord]:
-        for lineno, uri in content_lines(Path(path).read_text("utf-8")):
+        for lineno, uri in content_lines(read_utf8(path, str(path))):
             try:
                 key = surt(uri)
             except MalformedUri as exc:
@@ -611,7 +535,7 @@ def ingest_published_list(
     def compact() -> Iterator[TimeMapRecord]:
         # Compact lines grouped by their embedded URI-R, reduced without a request.
         groups: dict[str, list[tuple[datetime, str]]] = {}
-        for lineno, line in content_lines(Path(path).read_text("utf-8")):
+        for lineno, line in content_lines(read_utf8(path, str(path))):
             try:
                 dt, urim = parse_compact_line(line, lineno)
             except ParseError as exc:

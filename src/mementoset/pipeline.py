@@ -36,6 +36,7 @@ from .discovery import (
     method4_direct,
     select_initial,
 )
+from .errors import ParseError
 from .linkformat import write_compact
 from .model import (
     Memento,
@@ -266,14 +267,21 @@ class DiscoveryPipeline:
         os.replace(tmp, self.state_path)
 
     def load_state(self) -> bool:
+        """Load ``state.json`` when it exists. A file that does not decode or
+        lacks a key is a ParseError that names it."""
         if not self.state_path.exists():
             return False
-        payload = json.loads(self.state_path.read_text("utf-8"))
-        self.stage = payload["stage"]
-        self.scan_index = payload["scan_index"]
-        self.collection = MementoCollection()
-        for d in payload["records"]:
-            self.collection.add(_record_from_dict(d))
+        try:
+            payload = json.loads(self.state_path.read_text("utf-8"))
+            self.stage = payload["stage"]
+            self.scan_index = payload["scan_index"]
+            self.collection = MementoCollection()
+            for d in payload["records"]:
+                self.collection.add(_record_from_dict(d))
+        except KeyError as exc:
+            raise ParseError(f"{self.state_path} lacks the key {exc}") from None
+        except (ValueError, TypeError) as exc:  # not UTF-8 or JSON, or a value of the wrong form
+            raise ParseError(f"{self.state_path} does not decode: {exc}") from None
         # Files that also hold "accepted", "selection_state" or "method_tables"
         # load the same: the selection is rebuilt from the records.
         self.selection_state = SelectionState.from_resources(

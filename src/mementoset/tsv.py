@@ -1,6 +1,7 @@
 """Header-checked, tab-delimited tables: the manifest and the URI-R table.
 
 Cells hold URIs, ids and enum values, never raw tabs or newlines.
+``read_utf8`` reads these tables and discovery's URI lists.
 """
 
 from __future__ import annotations
@@ -19,6 +20,16 @@ def write_tsv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[s
     Path(path).write_text("\n".join(lines) + "\n", "utf-8")
 
 
+def read_utf8(path: str | Path, name: str) -> str:
+    """The text of the file at ``path``; ParseError("<name> is not UTF-8")
+    with the 1-based line of the first byte that is not."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name} is not UTF-8", data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def read_tsv(
     path: str | Path,
     header: Sequence[str],
@@ -32,11 +43,7 @@ def read_tsv(
     ParseError with the 1-based line.
     """
     rows = []
-    data = Path(path).read_bytes()
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{name} is not UTF-8", data.count(b"\n", 0, exc.start) + 1) from None
+    lines = read_utf8(path, name).splitlines()
     first = lines[0] if lines else ""
     if tuple(first.split("\t")) != tuple(header):
         raise ParseError(f"bad {name} header {first!r}", 1)

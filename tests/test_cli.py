@@ -381,6 +381,31 @@ class TestDiscoverCommand:
         assert sent == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("garbled", ["moz.txt", "ukwa_published.txt"])
+    def test_source_file_that_is_not_utf8_is_an_error(self, tmp_path, capsys, garbled):
+        fixtures_dir = tmp_path / "fixtures"
+        build_fixture_corpus(fixtures_dir)
+        config_path = write_config(tmp_path, fixtures_dir)
+        path = tmp_path / garbled
+        path.write_bytes(b"http://m0.example/\n\xff\xfeh\x00\n")
+        assert main(["discover", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == f"error: {path} is not UTF-8 (at offset 2)\n"
+
+    @pytest.mark.parametrize("cut, named", [
+        (lambda data: data[:-40], "does not decode:"),
+        (lambda data: b'{"stage": "method2"}', "lacks the key 'scan_index'"),
+    ], ids=["truncated", "without-a-key"])
+    def test_unreadable_state_file_is_an_error(self, tmp_path, capsys, cut, named):
+        fixtures_dir = tmp_path / "fixtures"
+        build_fixture_corpus(fixtures_dir)
+        config_path = write_config(tmp_path, fixtures_dir)
+        assert main(["discover", "--config", str(config_path)]) == 0
+        state = tmp_path / "out" / "state.json"
+        state.write_bytes(cut(state.read_bytes()))
+        capsys.readouterr()
+        assert main(["discover", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {state} {named}")
+
     def test_missing_config(self, capsys, monkeypatch):
         monkeypatch.delenv("MEMENTOSET_CONFIG", raising=False)
         assert main(["discover"]) == 2

@@ -1,6 +1,9 @@
+from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mementoset import (
     ArchiveClient,
@@ -17,6 +20,8 @@ from mementoset import (
 )
 from mementoset.canonical import original_resource
 from mementoset.discovery import MementoCollection, SelectionState, embedded_urir
+from mementoset.linkformat import compact_record
+from mementoset.model import default_registry
 from mockserver import FakeTransport
 from universe import AGG_TEMPLATE, brute_force_select, build_universe, install_universe, timemap_body
 
@@ -274,6 +279,39 @@ class TestSelectInitial:
         assert record.urir == accepted[0]
         assert len(record.mementos) == 2
         assert {m.urir_key for m in record.mementos} == {"example,a)/x"}
+
+
+TALLY_HOSTS = ("web.archive.org", "perma.cc", "arquivo.pt", "vefsafn.is")
+# (URI-R number, [(host number, year)]): one record to add.
+ADDS = st.lists(
+    st.tuples(st.integers(0, 2), st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=5)),
+    max_size=10,
+)
+
+
+class TestCollectionTallies:
+    @given(ADDS)
+    # The same URI-R at the Internet Archive and Perma.cc, then at the
+    # Internet Archive alone: Perma.cc holds it no more.
+    @example([(0, [(0, 0), (1, 0)]), (0, [(0, 0)])])
+    def test_totals_are_a_recount_of_the_records(self, adds):
+        registry = default_registry()
+        collection = MementoCollection()
+        for u, mementos in adds:
+            urir = f"http://u{u}.example/"
+            pairs = [
+                (datetime(2000 + year, 1, 1, tzinfo=timezone.utc),
+                 f"http://{TALLY_HOSTS[h]}/web/{2000 + year}0101000000/{urir}")
+                for h, year in mementos
+            ]
+            collection.add(compact_record(pairs, urir, registry))
+        urims = Counter(m.archive_id for r in collection.records() for m in r.mementos)
+        urirs = Counter(
+            a for r in collection.records() for a in {m.archive_id for m in r.mementos}
+        )
+        assert collection.totals() == {a: (urims[a], urirs[a]) for a in urims}
+        for archive_id in TALLY_HOSTS:
+            assert collection.urir_count(archive_id) == urirs[archive_id]
 
 
 def seed_collection(registry, archive_id, urir, stamps):

@@ -1,5 +1,6 @@
 """The initial scan's look-ahead: candidates are resolved ahead of an
-in-order commit while requests wait, in the scan's own thread.
+in-order commit while requests wait, in the scan's own thread, and the
+client's ``StepLoop`` that runs them.
 
 Results are compared with the strictly sequential scan, which the same
 code runs when ``LOOKAHEAD`` is 1, or with the brute-force checker.
@@ -14,6 +15,7 @@ import pytest
 
 import mementoset.discovery as discovery
 from mementoset import ArchiveClient, FetchPolicy, SelectionState, select_initial
+from mementoset.client import StepLoop, run_steps
 from mementoset.pipeline import DiscoveryPipeline, RunConfig
 from mockserver import FakeTransport, Route, ServerTransport
 from universe import AGG_TEMPLATE, brute_force_select, build_universe, install_universe, timemap_body
@@ -127,6 +129,139 @@ class TestSameResultAsSequential:
         # Sequentially: 0.2 s for the TimeMap, then 0.2 s for each dead host.
         assert wall < 0.6, f"took {wall:.2f}s"
         assert in_flight[0] == 4
+
+
+    def test_commit_fetch_failing_after_backoff_leaves_resolutions_ahead(
+        self, registry, monkeypatch, in_flight
+    ):
+        fixed_backoff(monkeypatch, 0.05)
+        flaky = "http://flaky.example/"
+        live = [f"http://live{i}.example/" for i in range(3)]
+        dead = [f"http://dead{i}.example/" for i in range(4)]
+        stream = [(uri, "moz") for uri in [flaky, *dead, *live]]
+
+        def scan():
+            transport = FakeTransport()
+            for uri in [flaky, *live]:
+                transport.add("HEAD", uri, 200)
+            # No route for flaky's aggregator TimeMap: a network error, once
+            # retried after back-off, while the dead hosts resolve ahead.
+            for uri in live:
+                transport.add("GET", AGG_TEMPLATE.format(uri=uri), 200, body=timemap_body(uri, 1))
+            accepted = select_initial(stream, client_for(transport, registry, 1), SelectionState())
+            return [r.uri for r in accepted], Counter(transport.requests)
+
+        with monkeypatch.context() as sequential:
+            sequential.setattr(discovery, "LOOKAHEAD", 1)
+            expected = scan()
+        assert in_flight[0] == 1
+        assert scan() == expected
+        assert expected[0] == live
+        assert expected[1][("GET", AGG_TEMPLATE.format(uri=flaky))] == 2
+        assert in_flight[0] > 1
+
+
+def steps(name, waits, log):
+    """A synthetic step generator: logs each step as (name, i), yields
+    ``waits`` in turn and returns ``name``."""
+    for i, wait in enumerate(waits):
+        log.append((name, i))
+        yield wait
+    log.append((name, len(waits)))
+    return name
+
+
+def working(name, seconds, log):
+    """One step that takes ``seconds`` of work, as a transfer does, then a
+    long wait that is never waited out."""
+    log.append((name, 0))
+    time.sleep(seconds)
+    yield 60.0
+
+
+class TestStepLoop:
+    def test_first_started_whose_wait_is_over_advances(self):
+        log = []
+        loop = StepLoop()
+        a = loop.add(steps("a", [0.02], log))
+        b = loop.add(steps("b", [0.01], log))
+        loop.add(working("w", 0.05, log))
+        assert loop.finish(b) == "b"
+        # Both waits were over after the work; b's ended first, but a
+        # started first.
+        assert log == [("a", 0), ("b", 0), ("w", 0), ("a", 1), ("b", 1)]
+        assert loop.finish(a) == "a"
+
+    def test_next_queued_starts_only_while_every_started_waits(self):
+        log = []
+        loop = StepLoop()
+        loop.add(steps("a", [0.0, 0.0], log))
+        b = loop.add(steps("b", [], log))
+        loop.finish(b)
+        assert log == [("a", 0), ("a", 1), ("a", 2), ("b", 0)]
+
+        log.clear()
+        c = loop.add(steps("c", [0.05], log))
+        d = loop.add(steps("d", [], log))
+        loop.finish(d)
+        assert log == [("c", 0), ("d", 0)]
+        assert loop.finish(c) == "c"
+
+    def test_blocking_call_advances_first(self):
+        log = []
+        spun = [0]
+
+        def spin():
+            yield 0.01
+            while spun[0] < 10**6:
+                spun[0] += 1
+                yield 0.0
+
+        with StepLoop() as loop:
+            loop.add(spin())
+            loop.finish(loop.add(steps("started", [], log)))  # spin starts first, and waits
+            begun = time.monotonic()
+            assert run_steps(steps("blocking", [0.02], log)) == "blocking"
+            waited = time.monotonic() - begun
+        # The spinning generator ran in the wait, and the blocking call went
+        # on as soon as its wait ended, though the spinner was always ready.
+        assert 0 < spun[0] < 10**6
+        assert 0.02 <= waited < 0.5
+
+    def test_blocking_call_that_does_not_wait_runs_outside_the_loop(self):
+        log = []
+        with StepLoop() as loop:
+            loop.add(steps("queued", [0.0], log))
+            assert run_steps(steps("blocking", [], log)) == "blocking"
+        assert log == [("blocking", 0)]
+
+    def test_generator_that_raises_leaves_no_task_behind(self):
+        def failing(wait):
+            yield wait
+            raise ValueError("boom")
+
+        loop = StepLoop()
+        waiting = loop.add(steps("waiting", [0.05], []))
+        loop.add(failing(0.0))
+        with pytest.raises(ValueError):
+            loop.finish(waiting)
+        # The generator that raised has left; the one finished goes on.
+        assert loop.finish(waiting) == "waiting"
+        assert not loop._started and not loop._queued
+
+        with loop, pytest.raises(ValueError):
+            run_steps(failing(0.01))
+        assert not loop._started and not loop._queued
+
+    def test_nested_with_restores_the_outer_loop(self):
+        log = []
+        with StepLoop() as outer:
+            outer.add(steps("outer", [], log))
+            with StepLoop() as inner:
+                inner.add(steps("inner", [], log))
+            # A blocking call's wait runs the outer loop's queued generator.
+            run_steps(steps("blocking", [0.02], log))
+        assert log == [("blocking", 0), ("outer", 0), ("blocking", 1)]
 
 
 class TestLazyStream:
