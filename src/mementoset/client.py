@@ -22,7 +22,7 @@ import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Generator, Protocol
@@ -39,7 +39,7 @@ from .errors import (
     PermanentNetworkError,
     RawAccessUnsupported,
 )
-from .linkformat import LinkEntry, TimeMapReducer, parse_link_entries, record_from_entries
+from .linkformat import TimeMapReader
 from .model import (
     ArchiveDescriptor,
     ArchiveRegistry,
@@ -51,7 +51,6 @@ from .model import (
     classify_response,
     header_value,
     parse_http_datetime,
-    raw_variant,
 )
 
 logger = logging.getLogger(__name__)
@@ -449,58 +448,40 @@ class ArchiveClient:
         template: str,
         urir: str,
         provenance: Provenance,
-        reducer: TimeMapReducer | None,
+        reader: TimeMapReader | None,
         archive: ArchiveDescriptor | None = None,
     ) -> TimeMapRecord:
-        """The TimeMap at ``template`` for ``urir``, reduced by ``reducer``
-        when given; its mementos all ``archive``'s when given. EmptyTimeMap
-        when it lists no memento."""
-        entries: list[LinkEntry] = []
-
-        def read(body: bytes) -> list[str]:
-            if reducer is not None:
-                return reducer.read(body, archive)
-            page = parse_link_entries(body)
-            entries.extend(page)
-            return [e.target for e in page if "timemap" in e.rel and "self" not in e.rel]
-
-        if not self._read_pages(template.format(uri=urir), read):
+        """The TimeMap at ``template`` for ``urir``, every page read by
+        ``reader`` (by default one that keeps every memento), and the record
+        ``reader`` gives of them; ``archive``, when given, served every page.
+        EmptyTimeMap when the TimeMap lists no memento."""
+        if reader is None:
+            reader = TimeMapReader(self.registry)
+        if not self._read_pages(template.format(uri=urir), lambda body: reader.read(body, archive)):
             raise EmptyTimeMap(urir)
-        if reducer is not None:
-            record = reducer.record(urir, provenance, self.clock())
-            found = reducer.mementos
-        else:
-            record = record_from_entries(entries, urir, self.registry, provenance, self.clock())
-            found = len(record.mementos)
-            if archive is not None:
-                record = record.with_mementos(
-                    replace(
-                        m, archive_id=archive.id, raw_urim=raw_variant(m.urim, archive.raw_scheme)
-                    )
-                    for m in record.mementos
-                )
-        if not found:
+        record = reader.record(urir, provenance, self.clock())
+        if not reader.mementos:
             raise EmptyTimeMap(urir)
         return record
 
     def fetch_timemap_aggregator(
-        self, urir: str, reducer: TimeMapReducer | None = None
+        self, urir: str, reader: TimeMapReader | None = None
     ) -> TimeMapRecord:
         """Aggregated TimeMap for a URI-R; EmptyTimeMap when never archived.
-        With ``reducer``, the TimeMap is reduced while it is read, and the
-        record holds the mementos ``reducer`` keeps."""
-        return self._fetch_record(self.aggregator_template, urir, Provenance.AGGREGATOR, reducer)
+        The record is what ``reader`` makes of the TimeMap: with a
+        ``TimeMapReducer``, the mementos it keeps; by default, every memento."""
+        return self._fetch_record(self.aggregator_template, urir, Provenance.AGGREGATOR, reader)
 
     def fetch_timemap_direct(
-        self, archive: ArchiveDescriptor, urir: str, reducer: TimeMapReducer | None = None
+        self, archive: ArchiveDescriptor, urir: str, reader: TimeMapReader | None = None
     ) -> TimeMapRecord:
         """TimeMap straight from one archive, bypassing aggregator caches.
-        Everything in it belongs to the archive that served it. ``reducer``
+        Everything in it belongs to the archive that served it. ``reader``
         as in ``fetch_timemap_aggregator``."""
         if not archive.memento_native or not archive.timemap_template:
             raise NoTimeMapEndpoint(archive.id)
         return self._fetch_record(
-            archive.timemap_template, urir, Provenance.DIRECT_ARCHIVE, reducer, archive
+            archive.timemap_template, urir, Provenance.DIRECT_ARCHIVE, reader, archive
         )
 
     def fetch_raw_memento(self, memento: Memento) -> RawContent:

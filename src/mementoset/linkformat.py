@@ -15,12 +15,15 @@ separated by single spaces, and an IMF-fixdate (RFC 9110 section 5.6.7)
 as the datetime. Such a member is read directly by one pattern. Every
 other member goes through the RFC 6690 split above.
 
-The pipeline does not build the TimeMaps it fetches: a
-:class:`TimeMapReducer` reduces each one while it reads it, page by page,
-to the first memento per archive per year, and builds a ``Memento`` only
-for those. It is the one place that rule is written; the collection stores
-what it returns. ``parse_timemap`` and ``parse_compact`` still build every
-memento.
+A :class:`TimeMapReader` is the one code that turns a TimeMap's members,
+or a list's (datetime, URI-M) pairs, into ``Memento`` objects: it holds
+the rules of the ``rel="original"``, the URI-R hint, undated mementos and
+archive attribution. ``parse_timemap``, ``parse_compact`` and a fetch
+without a reader keep every memento it reads. The pipeline does not build
+the TimeMaps it fetches: its subclass :class:`TimeMapReducer` reduces each
+one while it reads it, page by page, to the first memento per archive per
+year, and builds a ``Memento`` only for those. It is the one place that
+rule is written; the collection stores what it returns.
 
 The compact format is two columns per memento: the 14-digit UTC capture
 timestamp and the URI-M, separated by one space. It exists because full
@@ -219,25 +222,6 @@ def parse_link_entries(
     return entries
 
 
-def _attribute(urim: str, registry: ArchiveRegistry | None) -> ArchiveDescriptor | None:
-    if registry is None:
-        return None
-    try:
-        return archive_of(urim, registry)
-    except (UnknownArchive, MalformedUri):
-        logger.debug("no registered archive for %s", urim)
-        return None
-
-
-def _build_memento(
-    urim: str, dt: datetime, urir_key: str, registry: ArchiveRegistry | None
-) -> Memento:
-    archive = _attribute(urim, registry)
-    if archive is None:
-        return Memento(urim, dt, urir_key)
-    return Memento(urim, dt, urir_key, archive.id, raw_variant(urim, archive.raw_scheme))
-
-
 def _timemap_original(urir: str) -> OriginalResource:
     """The resource a TimeMap's ``rel="original"`` names; one that is not
     an http(s) URI is a ParseError of the TimeMap."""
@@ -247,50 +231,6 @@ def _timemap_original(urir: str) -> OriginalResource:
         raise ParseError(f'malformed rel="original": {exc}') from None
 
 
-def record_from_entries(
-    entries: Iterable[LinkEntry],
-    urir_hint: str | None = None,
-    registry: ArchiveRegistry | None = None,
-    provenance: Provenance = Provenance.AGGREGATOR,
-    fetched_at: datetime | None = None,
-) -> TimeMapRecord:
-    """Assemble a TimeMapRecord from parsed entries.
-
-    The rel="original" entry names the URI-R; ``urir_hint`` is used when
-    absent. Every entry whose rel includes "memento" (also "first
-    memento"/"last memento") becomes one Memento, in document order.
-    """
-    entries = list(entries)
-    original = next((e.target for e in entries if "original" in e.rel), None)
-    if original is None and urir_hint is None:
-        raise MissingOriginal("no rel=original entry and no URI-R hint")
-    resource = _timemap_original(original) if original is not None else original_resource(urir_hint)
-    mementos = []
-    for e in entries:
-        if not e.is_memento():
-            continue
-        if e.datetime is None:
-            raise ParseError(f"memento {e.target!r} lacks a datetime attribute")
-        mementos.append(_build_memento(e.target, e.datetime, resource.canonical_key, registry))
-    return TimeMapRecord(
-        urir=resource,
-        mementos=tuple(mementos),
-        fetched_at=fetched_at or datetime.now(timezone.utc),
-        provenance=provenance,
-    )
-
-
-def parse_timemap(
-    body: bytes | str,
-    urir_hint: str | None = None,
-    registry: ArchiveRegistry | None = None,
-    fetched_at: datetime | None = None,
-) -> TimeMapRecord:
-    """Parse a link-format TimeMap body into a TimeMapRecord."""
-    entries = parse_link_entries(body)
-    return record_from_entries(entries, urir_hint, registry, fetched_at=fetched_at)
-
-
 def _sort_key(dt: datetime) -> str:
     """The order key the plain form's fields give, for a UTC datetime."""
     return "%04d%02d%02d%02d:%02d:%02d" % (dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second)
@@ -298,31 +238,25 @@ def _sort_key(dt: datetime) -> str:
 
 _MONTH_DIGITS = {month: "%02d" % number for month, number in _MONTHS.items()}
 
+_NO_ARCHIVES = ArchiveRegistry(())
 
-class TimeMapReducer:
-    """One TimeMap reduced while it is read, page by page, to the mementos
-    a ``MementoCollection`` stores of it. This is the dataset's one
-    reduction rule: of the memento members that name a registered archive,
-    the first of each URI-M, and of those the earliest per (archive, UTC
-    year), ties to the smaller URI-M.
 
-    ``stored(key)`` is the record already stored under the TimeMap's key,
-    or None. Once the key is known its mementos are offered first, in
-    stored order, each kept as stored, so the record holds the winners of
-    the stored and the read mementos together. A plain member costs one
-    match and a sort key made of its date's fields; its archive comes from
-    a memo of the hosts seen. Only the winners read become ``Memento``
-    objects. The record raises what ``record_from_entries`` would raise for
-    the same members.
+class TimeMapReader:
+    """One TimeMap read page by page, or one memento at a time, into a
+    record of every memento member, in the order read.
+
+    The rules of reading a TimeMap are written here once. The first
+    ``rel="original"`` names the URI-R, else the hint given to ``record``
+    does; ``record`` raises for a ``rel="original"`` that is not an http(s)
+    URI and for a memento member without a datetime. A memento's archive is
+    the archive that served the page, when one did, else the registered
+    archive of its host, looked up once per host and TimeMap; a memento of
+    no registered archive has none. With no ``registry``, none is
+    registered.
     """
 
-    def __init__(
-        self,
-        registry: ArchiveRegistry,
-        stored: Callable[[str], TimeMapRecord | None] | None = None,
-    ):
-        self.registry = registry
-        self.stored = stored
+    def __init__(self, registry: ArchiveRegistry | None = None):
+        self.registry = registry if registry is not None else _NO_ARCHIVES
         self.mementos = 0  # memento members read
         self._serving: ArchiveDescriptor | None = None
         self._hosts: dict[str, ArchiveDescriptor | None] = {}
@@ -330,11 +264,8 @@ class TimeMapReducer:
         self._resource: OriginalResource | None = None
         self._failure: ParseError | None = None
         self._undated: str | None = None  # the first memento member without a datetime
-        self._seen: set[str] | None = None  # None until the key is known
-        self._pending: list[tuple] = []  # candidates read before that
-        # archive id -> year -> (sort key, URI-M, its datetime, IMF-fixdate
-        # or stored Memento)
-        self._winners: dict[str, dict[str, tuple[str, str, str | datetime | Memento]]] = {}
+        # (URI-M, its archive, its IMF-fixdate or datetime) per memento read
+        self._read: list[tuple[str, ArchiveDescriptor | None, str | datetime]] = []
         self._archive_by_id: dict[str, ArchiveDescriptor] = {}
 
     @property
@@ -350,6 +281,12 @@ class TimeMapReducer:
         self._links = []
         parse_link_entries(body, visit=self._visit)
         return self._links
+
+    def offer(self, dt: datetime, urim: str) -> None:
+        """Read one memento given outside link-format: ``urim``, captured
+        at the UTC datetime ``dt``."""
+        self.mementos += 1
+        self._candidate(urim, None, _sort_key(dt), dt)
 
     def _visit(self, member: LinkEntry | re.Match) -> None:
         if isinstance(member, LinkEntry):
@@ -369,12 +306,11 @@ class TimeMapReducer:
 
     def _roles(self, target: str, rel: Iterable[str]) -> bool:
         """Note an original or a page link; whether the member is a memento."""
-        if "original" in rel and self._seen is None:
+        if "original" in rel and self._resource is None and self._failure is None:
             try:
                 resource = _timemap_original(target)
             except ParseError as exc:
-                self._failure = exc  # record() raises it; what is kept no longer matters
-                self._seen = set()
+                self._failure = exc  # record() raises it
             else:
                 self._resolve(resource)
         if "timemap" in rel and "self" not in rel:
@@ -382,10 +318,112 @@ class TimeMapReducer:
         return "memento" in rel
 
     def _resolve(self, resource: OriginalResource) -> None:
+        """Key the TimeMap by ``resource``."""
+        self._resource = resource
+
+    def _archive(self, urim: str, host: str | None) -> ArchiveDescriptor | None:
+        """The archive of a memento read, noted in ``archives``; ``host`` is
+        its URI-M's host when the plain form gave it. A host's archive is
+        noted when the host is first looked up."""
+        archive = self._serving
+        if archive is None and host is not None:
+            try:
+                return self._hosts[host]
+            except KeyError:
+                archive = self._hosts[host] = self.registry.match_host(host)
+        elif archive is None:
+            try:
+                archive = archive_of(urim, self.registry)
+            except (UnknownArchive, MalformedUri):
+                logger.debug("no registered archive for %s", urim)
+                return None
+        if archive is not None:
+            self._archive_by_id.setdefault(archive.id, archive)
+        return archive
+
+    def _candidate(self, urim: str, host: str | None, key: str, when: str | datetime) -> None:
+        """A dated memento read: ``when`` is its IMF-fixdate or UTC datetime,
+        and ``key`` orders it."""
+        self._read.append((urim, self._archive(urim, host), when))
+
+    def _memento(
+        self, urim: str, archive: ArchiveDescriptor | None, when: str | datetime
+    ) -> Memento:
+        dt = parse_http_datetime(when) if isinstance(when, str) else when
+        key = self._resource.canonical_key
+        if archive is None:
+            return Memento(urim, dt, key)
+        return Memento(urim, dt, key, archive.id, raw_variant(urim, archive.raw_scheme))
+
+    def _assemble(self) -> list[Memento]:
+        """The record's mementos, once the TimeMap is keyed."""
+        return [self._memento(*read) for read in self._read]
+
+    def record(
+        self,
+        urir_hint: str | None = None,
+        provenance: Provenance = Provenance.AGGREGATOR,
+        fetched_at: datetime | None = None,
+    ) -> TimeMapRecord:
+        """The record of what was read. The first ``rel="original"`` names
+        the URI-R, else ``urir_hint`` does."""
+        if self._resource is None and self._failure is None:
+            if urir_hint is None:
+                raise MissingOriginal("no rel=original entry and no URI-R hint")
+            self._resolve(original_resource(urir_hint))
+        if self._failure is not None:
+            raise self._failure
+        if self._undated is not None:
+            raise ParseError(f"memento {self._undated!r} lacks a datetime attribute")
+        fetched_at = fetched_at or datetime.now(timezone.utc)
+        return TimeMapRecord(self._resource, tuple(self._assemble()), fetched_at, provenance)
+
+
+def parse_timemap(
+    body: bytes | str,
+    urir_hint: str | None = None,
+    registry: ArchiveRegistry | None = None,
+    fetched_at: datetime | None = None,
+) -> TimeMapRecord:
+    """Parse a link-format TimeMap body into a record of every memento."""
+    reader = TimeMapReader(registry)
+    reader.read(body)
+    return reader.record(urir_hint, fetched_at=fetched_at)
+
+
+class TimeMapReducer(TimeMapReader):
+    """One TimeMap reduced while it is read, page by page, to the mementos
+    a ``MementoCollection`` stores of it. This is the dataset's one
+    reduction rule: of the memento members that name a registered archive,
+    the first of each URI-M, and of those the earliest per (archive, UTC
+    year), ties to the smaller URI-M.
+
+    ``stored(key)`` is the record already stored under the TimeMap's key,
+    or None. Once the key is known its mementos are offered first, in
+    stored order, each kept as stored, so the record holds the winners of
+    the stored and the read mementos together. A plain member costs one
+    match and a sort key made of its date's fields. Only the winners read
+    become ``Memento`` objects. The record raises what ``TimeMapReader``'s
+    would raise for the same members.
+    """
+
+    def __init__(
+        self,
+        registry: ArchiveRegistry,
+        stored: Callable[[str], TimeMapRecord | None] | None = None,
+    ):
+        super().__init__(registry)
+        self.stored = stored
+        self._seen: set[str] = set()
+        self._pending: list[tuple] = []  # candidates read before the key is known
+        # archive id -> year -> (sort key, URI-M, its datetime, IMF-fixdate
+        # or stored Memento)
+        self._winners: dict[str, dict[str, tuple[str, str, str | datetime | Memento]]] = {}
+
+    def _resolve(self, resource: OriginalResource) -> None:
         """Key the TimeMap by ``resource``, then offer the mementos stored
         under that key and the candidates held back."""
-        self._resource = resource
-        self._seen = set()
+        super()._resolve(resource)
         stored = self.stored(resource.canonical_key) if self.stored is not None else None
         if stored is not None:
             for m in stored.mementos:
@@ -394,26 +432,13 @@ class TimeMapReducer:
             self._offer(*candidate)
         self._pending.clear()
 
-    def offer(self, dt: datetime, urim: str) -> None:
-        """Read one memento given outside link-format: ``urim``, captured
-        at the UTC datetime ``dt``."""
-        self.mementos += 1
-        self._candidate(urim, None, _sort_key(dt), dt)
-
     def _candidate(self, urim: str, host: str | None, key: str, when: str | datetime) -> None:
-        archive = self._serving
+        archive = self._archive(urim, host)
         if archive is None:
-            if host is None:
-                archive = _attribute(urim, self.registry)
-            else:
-                try:
-                    archive = self._hosts[host]
-                except KeyError:
-                    archive = self._hosts[host] = self.registry.match_host(host)
-            if archive is None:
-                return
-        self._archive_by_id.setdefault(archive.id, archive)
-        if self._seen is None:
+            return
+        # Held until the key is known; after a malformed original, record()
+        # raises, so nothing waits and the winners stay bounded.
+        if self._resource is None and self._failure is None:
             self._pending.append((urim, archive.id, key, when))
         else:
             self._offer(urim, archive.id, key, when)
@@ -427,39 +452,20 @@ class TimeMapReducer:
         years = self._winners.get(archive_id)
         if years is None:
             years = self._winners[archive_id] = {}
-        best = years.get(key[:4])
+        year = key[:4]
+        best = years.get(year)
         if best is None or key < best[0] or (key == best[0] and urim < best[1]):
-            years[key[:4]] = (key, urim, when)
+            years[year] = (key, urim, when)
 
-    def record(
-        self,
-        urir_hint: str | None = None,
-        provenance: Provenance = Provenance.AGGREGATOR,
-        fetched_at: datetime | None = None,
-    ) -> TimeMapRecord:
-        """The reduced record of the stored and the read mementos. The first
-        ``rel="original"`` names the URI-R, else ``urir_hint`` does."""
-        if self._seen is None:
-            if urir_hint is None:
-                raise MissingOriginal("no rel=original entry and no URI-R hint")
-            self._resolve(original_resource(urir_hint))
-        if self._failure is not None:
-            raise self._failure
-        if self._undated is not None:
-            raise ParseError(f"memento {self._undated!r} lacks a datetime attribute")
-        key = self._resource.canonical_key
+    def _assemble(self) -> list[Memento]:
         mementos = []
         for archive_id, years in self._winners.items():
             for year in sorted(years):
                 _, urim, when = years[year]
                 if not isinstance(when, Memento):
-                    dt = parse_http_datetime(when) if isinstance(when, str) else when
-                    scheme = self._archive_by_id[archive_id].raw_scheme
-                    when = Memento(urim, dt, key, archive_id, raw_variant(urim, scheme))
+                    when = self._memento(urim, self._archive_by_id[archive_id], when)
                 mementos.append(when)
-        return TimeMapRecord(
-            self._resource, tuple(mementos), fetched_at or datetime.now(timezone.utc), provenance
-        )
+        return mementos
 
 
 def _compact_text(mementos: Iterable[Memento]) -> str:
@@ -500,19 +506,6 @@ def parse_compact_line(line: str, lineno: int) -> tuple[datetime, str]:
         raise ParseError(str(exc), lineno) from None
 
 
-def compact_record(
-    mementos: Iterable[tuple[datetime, str]],
-    urir: str,
-    registry: ArchiveRegistry | None = None,
-    provenance: Provenance = Provenance.PUBLISHED_LIST,
-    fetched_at: datetime | None = None,
-) -> TimeMapRecord:
-    """Build a record for ``urir`` from (datetime, URI-M) pairs, order preserved."""
-    resource = original_resource(urir)
-    built = [_build_memento(urim, dt, resource.canonical_key, registry) for dt, urim in mementos]
-    return TimeMapRecord(resource, tuple(built), fetched_at or datetime.now(timezone.utc), provenance)
-
-
 def parse_compact(
     text: str,
     urir: str,
@@ -524,8 +517,11 @@ def parse_compact(
 
     Blank lines and ``#`` comment lines are skipped.
     """
-    pairs = (parse_compact_line(line, lineno) for lineno, line in content_lines(text))
-    return compact_record(pairs, urir, registry, provenance, fetched_at)
+    reader = TimeMapReader(registry)
+    reader._resolve(original_resource(urir))  # a malformed URI-R fails before any line
+    for lineno, line in content_lines(text):
+        reader.offer(*parse_compact_line(line, lineno))
+    return reader.record(urir, provenance, fetched_at)
 
 
 def serialize_linkformat(record: TimeMapRecord) -> str:

@@ -267,14 +267,19 @@ class DiscoveryPipeline:
         os.replace(tmp, self.state_path)
 
     def load_state(self) -> bool:
-        """Load ``state.json`` when it exists. A file that does not decode or
-        lacks a key is a ParseError that names it."""
+        """Load ``state.json`` when it exists. A file that does not decode,
+        lacks a key, names no stage of ``STAGES`` or holds a ``scan_index``
+        that is not a non-negative int is a ParseError that names it."""
         if not self.state_path.exists():
             return False
         try:
             payload = json.loads(self.state_path.read_text("utf-8"))
-            self.stage = payload["stage"]
-            self.scan_index = payload["scan_index"]
+            stage, scan_index = payload["stage"], payload["scan_index"]
+            if stage not in STAGES:
+                raise ParseError(f"{self.state_path} has an invalid 'stage': {stage!r}")
+            if type(scan_index) is not int or scan_index < 0:
+                raise ParseError(f"{self.state_path} has an invalid 'scan_index': {scan_index!r}")
+            self.stage, self.scan_index = stage, scan_index
             self.collection = MementoCollection()
             for d in payload["records"]:
                 self.collection.add(_record_from_dict(d))

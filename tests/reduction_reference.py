@@ -1,15 +1,105 @@
-"""The reduction the collection made before ``TimeMapReducer`` became the
-only code that reduces mementos, kept verbatim as a reference.
+"""The code that built and reduced memento records before
+``linkformat.TimeMapReader`` and its subclass ``TimeMapReducer`` became the
+only code that does, kept verbatim as a reference.
 
-``dedupe`` and ``yearly_first_filter`` are the previous functions of
-``mementoset.linkformat``. ``reference_add`` is the previous body of
-``MementoCollection.add``, its ``_reduce`` and ``_add_tally`` inlined: it
-merges a full record, of every memento a TimeMap lists, into the record
-stored under its key and reduces the union. The tests hold the reducer,
-and the collection storing what the reducer returns, to it.
+``record_from_entries``, ``compact_record`` and ``_build_memento`` (with
+the ``_attribute`` it called) are the previous full-record builders of
+``mementoset.linkformat``: a record of every memento of parsed link-format
+entries, or of (datetime, URI-M) pairs. ``dedupe`` and
+``yearly_first_filter`` are its previous reduction functions.
+``reference_add`` is the previous body of ``MementoCollection.add``, its
+``_reduce`` and ``_add_tally`` inlined: it merges a full record, of every
+memento a TimeMap lists, into the record stored under its key and reduces
+the union. The tests hold the reader, the reducer, and the collection
+storing what the reducer returns, to them.
 """
 
-from mementoset import Memento, TimeMapRecord, UnknownArchive
+import logging
+from datetime import datetime, timezone
+from typing import Iterable
+
+from mementoset import (
+    ArchiveDescriptor,
+    ArchiveRegistry,
+    MalformedUri,
+    Memento,
+    MissingOriginal,
+    ParseError,
+    Provenance,
+    TimeMapRecord,
+    UnknownArchive,
+    archive_of,
+    raw_variant,
+)
+from mementoset.canonical import original_resource
+from mementoset.linkformat import LinkEntry, _timemap_original
+
+logger = logging.getLogger(__name__)
+
+
+def _attribute(urim: str, registry: ArchiveRegistry | None) -> ArchiveDescriptor | None:
+    if registry is None:
+        return None
+    try:
+        return archive_of(urim, registry)
+    except (UnknownArchive, MalformedUri):
+        logger.debug("no registered archive for %s", urim)
+        return None
+
+
+def _build_memento(
+    urim: str, dt: datetime, urir_key: str, registry: ArchiveRegistry | None
+) -> Memento:
+    archive = _attribute(urim, registry)
+    if archive is None:
+        return Memento(urim, dt, urir_key)
+    return Memento(urim, dt, urir_key, archive.id, raw_variant(urim, archive.raw_scheme))
+
+
+def record_from_entries(
+    entries: Iterable[LinkEntry],
+    urir_hint: str | None = None,
+    registry: ArchiveRegistry | None = None,
+    provenance: Provenance = Provenance.AGGREGATOR,
+    fetched_at: datetime | None = None,
+) -> TimeMapRecord:
+    """Assemble a TimeMapRecord from parsed entries.
+
+    The rel="original" entry names the URI-R; ``urir_hint`` is used when
+    absent. Every entry whose rel includes "memento" (also "first
+    memento"/"last memento") becomes one Memento, in document order.
+    """
+    entries = list(entries)
+    original = next((e.target for e in entries if "original" in e.rel), None)
+    if original is None and urir_hint is None:
+        raise MissingOriginal("no rel=original entry and no URI-R hint")
+    resource = _timemap_original(original) if original is not None else original_resource(urir_hint)
+    mementos = []
+    for e in entries:
+        if not e.is_memento():
+            continue
+        if e.datetime is None:
+            raise ParseError(f"memento {e.target!r} lacks a datetime attribute")
+        mementos.append(_build_memento(e.target, e.datetime, resource.canonical_key, registry))
+    return TimeMapRecord(
+        urir=resource,
+        mementos=tuple(mementos),
+        fetched_at=fetched_at or datetime.now(timezone.utc),
+        provenance=provenance,
+    )
+
+
+def compact_record(
+    mementos: Iterable[tuple[datetime, str]],
+    urir: str,
+    registry: ArchiveRegistry | None = None,
+    provenance: Provenance = Provenance.PUBLISHED_LIST,
+    fetched_at: datetime | None = None,
+) -> TimeMapRecord:
+    """Build a record for ``urir`` from (datetime, URI-M) pairs, order preserved."""
+    resource = original_resource(urir)
+    built = [_build_memento(urim, dt, resource.canonical_key, registry) for dt, urim in mementos]
+    return TimeMapRecord(resource, tuple(built), fetched_at or datetime.now(timezone.utc), provenance)
 
 
 def dedupe(record: TimeMapRecord) -> TimeMapRecord:

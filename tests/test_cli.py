@@ -406,6 +406,26 @@ class TestDiscoverCommand:
         assert main(["discover", "--config", str(config_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {state} {named}")
 
+    @pytest.mark.parametrize("state, named", [
+        ({"stage": "method9", "scan_index": 0}, "has an invalid 'stage': 'method9'"),
+        ({"stage": "method1", "scan_index": "x"}, "has an invalid 'scan_index': 'x'"),
+        ({"stage": "method1", "scan_index": -1}, "has an invalid 'scan_index': -1"),
+        ({"stage": "method1", "scan_index": True}, "has an invalid 'scan_index': True"),
+    ], ids=["unknown-stage", "string-index", "negative-index", "bool-index"])
+    def test_invalid_state_is_an_error(self, tmp_path, capsys, monkeypatch, state, named):
+        fixtures_dir = tmp_path / "fixtures"
+        build_fixture_corpus(fixtures_dir)
+        config_path = write_config(tmp_path, fixtures_dir)
+        path = tmp_path / "out" / "state.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps({**state, "records": []}))
+        sent = []
+        monkeypatch.setattr(FixtureTransport, "request", lambda self, *args: sent.append(args))
+        assert main(["discover", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == f"error: {path} {named}\n"
+        assert sent == []
+        assert not (tmp_path / "out" / "urirs.tsv").exists()
+
     def test_missing_config(self, capsys, monkeypatch):
         monkeypatch.delenv("MEMENTOSET_CONFIG", raising=False)
         assert main(["discover"]) == 2

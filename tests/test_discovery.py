@@ -20,9 +20,9 @@ from mementoset import (
 )
 from mementoset.canonical import original_resource
 from mementoset.discovery import MementoCollection, SelectionState, embedded_urir
-from mementoset.linkformat import compact_record
 from mementoset.model import default_registry
 from mockserver import FakeTransport
+from reduction_reference import compact_record
 from universe import AGG_TEMPLATE, brute_force_select, build_universe, install_universe, timemap_body
 
 FIXED_NOW = datetime(2017, 11, 15, tzinfo=timezone.utc)

@@ -12,13 +12,18 @@ only with the same class, and it rejects stamps with non-ASCII digits.
 IMF-fixdate with a year 0000-0099 keeps that year instead of mapping it to
 19xx/20xx, and year 0000 is rejected.
 
-``TimeMapReducer`` is held to the full-record path: reducing each page
-while it is read, or each (datetime, URI-M) pair offered, and adding the
-record must store what the previous ``MementoCollection.add``
-(``reduction_reference.reference_add``) stored of ``record_from_entries``
-of all the pages' entries, or of ``compact_record`` of the pairs, into an
-empty collection or over a reduced record already stored, and fail the
-same way.
+The previous full-record builders, ``record_from_entries`` and
+``compact_record``, live in ``reduction_reference`` with the previous
+reduction. ``TimeMapReader`` is held to them: reading each page, or
+parsing compact lines, must give the record they gave of all the pages'
+entries, re-attributed to the archive that served the pages as a direct
+fetch did, or of the lines' pairs, and fail the same way; so must a fetch
+without a reader. ``TimeMapReducer`` is held to the full-record path:
+reducing each page while it is read, or each (datetime, URI-M) pair
+offered, and adding the record must store what the previous
+``MementoCollection.add`` (``reduction_reference.reference_add``) stored
+of the full record, into an empty collection or over a reduced record
+already stored, and fail the same way.
 """
 
 import re
@@ -34,6 +39,7 @@ from mementoset import (
     ArchiveClient,
     ArchiveDescriptor,
     ArchiveRegistry,
+    EmptyTimeMap,
     FetchPolicy,
     MementoCollection,
     ParseError,
@@ -42,21 +48,23 @@ from mementoset import (
     RawScheme,
     TimeMapReducer,
     default_registry,
+    parse_compact,
 )
 from mementoset import linkformat
 from mementoset.linkformat import (
     _MEMBER,
     _PARAM,
     LinkEntry,
+    TimeMapReader,
     _byte_offset,
     _split,
-    compact_record,
+    content_lines,
+    parse_compact_line,
     parse_link_entries,
-    record_from_entries,
 )
-from mementoset.model import parse_compact14, parse_http_datetime, raw_variant
+from mementoset.model import compact14, parse_compact14, parse_http_datetime, raw_variant
 from mockserver import FakeTransport
-from reduction_reference import reference_add
+from reduction_reference import compact_record, record_from_entries, reference_add
 
 
 def reference_split_members(text: str):
@@ -681,22 +689,28 @@ def links(entries):
     return [e.target for e in entries if "timemap" in e.rel and "self" not in e.rel]
 
 
-def full_intake(pages, hint, archive, stored):
-    """The full-record path: every page's entries, one record of them all,
-    re-attributed to a serving archive, then added."""
-    collection = stored_collection(stored)
+def full_record(pages, hint, registry, archive, provenance=Provenance.AGGREGATOR):
+    """The full-record path: every page's entries and one record of them
+    all, re-attributed to a serving archive as a direct fetch did."""
     parsed = [parse_link_entries(page) for page in pages]
     record = record_from_entries(
-        [e for page in parsed for e in page], hint, REDUCER_REGISTRY, Provenance.AGGREGATOR, FETCHED
+        [e for page in parsed for e in page], hint, registry, provenance, FETCHED
     )
     if archive is not None:
         record = record.with_mementos(
             replace(m, archive_id=archive.id, raw_urim=raw_variant(m.urim, archive.raw_scheme))
             for m in record.mementos
         )
+    return [links(page) for page in parsed], record
+
+
+def full_intake(pages, hint, archive, stored):
+    """The full record of the pages, added."""
+    collection = stored_collection(stored)
+    read, record = full_record(pages, hint, REDUCER_REGISTRY, archive)
     archives = {m.archive_id for m in record.mementos} - {None}
     stored_form = reference_add(collection, record)
-    return [links(page) for page in parsed], len(record.mementos), archives, stored_form, collection.totals()
+    return read, len(record.mementos), archives, stored_form, collection.totals()
 
 
 def reduced_intake(pages, hint, archive, stored):
@@ -785,3 +799,93 @@ class TestReducerMatchesFullRecords:
         assert record.mementos == ()
         assert collection.add(record).mementos == ()
         assert record.urir.canonical_key in collection
+
+
+# -- the full reader against the previous full-record builders ----------------
+
+REGISTRY_OR_NONE = st.sampled_from([None, REDUCER_REGISTRY])
+HINT = pick(URIR, ORIGINALS[1], "not a uri")
+
+
+def read_record(pages, hint, registry, archive):
+    reader = TimeMapReader(registry)
+    read = [reader.read(page, archive) for page in pages]
+    record = reader.record(hint, Provenance.AGGREGATOR, FETCHED)
+    assert reader.mementos == len(record.mementos)
+    assert reader.archives == {m.archive_id for m in record.mementos} - {None}
+    return read, record
+
+
+# Compact lines: the pairs a published list gives, and lines that fail.
+COMPACT_LINE = st.one_of(
+    st.tuples(st.sampled_from(DATES).map(parse_http_datetime), URIM).map(
+        lambda pair: f"{compact14(pair[0])} {URIMS[pair[1]]}"
+    ),
+    pick("", "# comment", "  ", "2012 http://x", "20001301000000 http://a0.test/x",
+         f"20000101000000 {URIMS[0]} x", "20000101000000"),
+)
+COMPACT_URIR = pick(URIR, ORIGINALS[1], "not a uri", "ftp://x/")
+
+
+def reference_parse_compact(text, urir, registry):
+    """The previous ``parse_compact``."""
+    pairs = (parse_compact_line(line, lineno) for lineno, line in content_lines(text))
+    return compact_record(pairs, urir, registry, Provenance.PUBLISHED_LIST, FETCHED)
+
+
+DIRECT = REDUCER_REGISTRY.get("a0")
+PAGE_2 = "http://a0.test/timemap/page2"
+ONE_PAGE = st.lists(TIMEMAP_MEMBER, min_size=1, max_size=8).map(",\n".join)
+
+
+def fetched_direct(pages):
+    """``fetch_timemap_direct`` without a reader, over the two ``pages`` a0
+    serves; the page links the generated members name answer 404."""
+    transport = FakeTransport()
+    transport.add("GET", DIRECT.timemap_template.format(uri=URIR), 200, {}, pages[0])
+    transport.add("GET", PAGE_2, 200, {}, pages[1])
+    for missing in ("http://agg.test/2", "http://agg.test/3"):
+        transport.add("GET", missing, 404)
+    client = ArchiveClient(
+        REDUCER_REGISTRY, FetchPolicy(min_request_interval=0.0, retries=0), transport,
+        clock=lambda: FETCHED,
+    )
+    return client.fetch_timemap_direct(DIRECT, URIR)
+
+
+def reference_fetched_direct(pages):
+    _, record = full_record(pages, URIR, REDUCER_REGISTRY, DIRECT, Provenance.DIRECT_ARCHIVE)
+    if not record.mementos:
+        raise EmptyTimeMap(URIR)
+    return record
+
+
+class TestReaderMatchesFullRecords:
+    @given(timemap_pages(), HINT, st.sampled_from([None, *REDUCER_REGISTRY]), REGISTRY_OR_NONE)
+    @example(  # a malformed hint and a page that fails: the page fails first
+        ['<http://x/>; rel="memento"; datetime="soon"'], "not a uri", None, None,
+    )
+    @example(  # a malformed hint and an undated memento: the hint fails first
+        [f"<{URIMS[0]}>; rel=memento"], "not a uri", None, REDUCER_REGISTRY,
+    )
+    @example(  # no registry, served by a0: every memento is a0's
+        [f'{memento_member(6, "memento", DATES[0], "")},\n{memento_member(9, "memento", DATES[1], "")}'],
+        URIR, REDUCER_REGISTRY.get("a0"), None,
+    )
+    def test_reading_pages_gives_the_full_record(self, pages, hint, archive, registry):
+        assert intake(read_record, pages, hint, registry, archive) == intake(
+            full_record, pages, hint, registry, archive
+        )
+
+    @given(st.lists(COMPACT_LINE, max_size=10).map("\n".join), COMPACT_URIR, REGISTRY_OR_NONE)
+    @example("2012 http://x", "ftp://x/", None)  # a malformed URI-R fails before any line
+    @example(f"20000101000000 {URIMS[0]}\n2012 http://x", "not a uri", REDUCER_REGISTRY)
+    def test_parse_compact_gives_the_full_record(self, text, urir, registry):
+        new = intake(parse_compact, text, urir, registry, Provenance.PUBLISHED_LIST, FETCHED)
+        assert new == intake(reference_parse_compact, text, urir, registry)
+
+    @given(ONE_PAGE, ONE_PAGE)
+    @example(f'<{URIR}>; rel="original"', '<http://agg.test/1>; rel="self timemap"')  # no memento
+    def test_direct_fetch_without_a_reader_gives_the_full_record(self, first, second):
+        pages = [f'{first},\n<{PAGE_2}>; rel="timemap"', second]  # the first links to the second
+        assert intake(fetched_direct, pages) == intake(reference_fetched_direct, pages)

@@ -47,15 +47,10 @@ from mementoset.errors import (
     NoTimeMapEndpoint,
     ParseError,
 )
-from mementoset.linkformat import (
-    compact_record,
-    parse_compact_line,
-    parse_link_entries,
-    record_from_entries,
-)
+from mementoset.linkformat import parse_compact_line, parse_link_entries
 from mementoset.model import ArchiveDescriptor, ArchiveRegistry, Purpose, RawScheme
 from mockserver import FakeTransport
-from reduction_reference import reference_add
+from reduction_reference import compact_record, record_from_entries, reference_add
 
 logger = logging.getLogger(__name__)
 FIXED_NOW = datetime(2017, 11, 15, tzinfo=timezone.utc)
