@@ -162,13 +162,15 @@ class MementoCollection:
     Each record holds one memento per archive per year, all of registered
     archives: a ``TimeMapReducer`` given ``get`` as its ``stored`` lookup
     reduces a TimeMap together with the record stored under its key, and
-    ``add`` stores what it returns.
+    ``add`` stores what it returns. ``take_changed`` hands out the records
+    added or changed since it was last called, for the state journal.
     """
 
     def __init__(self):
         self._records: dict[str, TimeMapRecord] = {}
         self._urims: dict[str, int] = {}
         self._urirs: dict[str, set[str]] = {}
+        self._changed: dict[str, None] = {}  # keys in order of first change
 
     def __contains__(self, urir_key: str) -> bool:
         return urir_key in self._records
@@ -220,11 +222,20 @@ class MementoCollection:
                 self._urirs[m.archive_id].discard(key)
             record = existing.with_mementos(record.mementos)
         self._records[key] = record
+        self._changed[key] = None
         for m in record.mementos:
             self._urims[m.archive_id] = self._urims.get(m.archive_id, 0) + 1
         for archive_id in {m.archive_id for m in record.mementos}:
             self._urirs.setdefault(archive_id, set()).add(key)
         return record
+
+    def take_changed(self) -> list[TimeMapRecord]:
+        """The records added or changed since the last call, as stored now,
+        in the order of their first change; a record first added since
+        comes after every record stored before it, as in ``records``."""
+        changed = [self._records[key] for key in self._changed]
+        self._changed.clear()
+        return changed
 
 
 @dataclass(frozen=True, slots=True)

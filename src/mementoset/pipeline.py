@@ -3,20 +3,25 @@ resumable on-disk state file and per-stage count tables. A bad aggregator
 template, or a published list of an unknown archive or format, fails when
 the pipeline is built, before any request.
 
-The state file holds the stage, the Method 1 scan index and the collected
-records. It is rewritten atomically after every stage, every
-``checkpoint_every`` scanned candidates and every archive that Methods 2-4
-grew, so an interrupted run resumed from disk converges to the same final
-state as an uninterrupted one (fetches must be deterministic, e.g.
-fixture-backed, for byte equality). Method 1's selection is not stored
-apart: its URI-Rs are the records that carry a source tag, and resuming
-counts them again under the config's ``quota_per_bucket``.
+The state is the stage, the Method 1 scan index and the collected
+records. It is saved every ``checkpoint_every`` scanned candidates, after
+every archive that Methods 2-4 grew and at every stage boundary, so an
+interrupted run resumed from disk converges to the same final state as an
+uninterrupted one (fetches must be deterministic, e.g. fixture-backed, for
+byte equality). A save within a stage appends the records changed since
+the last save and a cursor line to the journal ``state.jsonl``; the
+snapshot ``state.json`` is rewritten atomically, and the journal removed,
+at the first save of each stage and when ``run`` returns, so a finished or
+stopped run leaves ``state.json`` alone. Method 1's selection is not
+stored apart: its URI-Rs are the records that carry a source tag, and
+resuming counts them again under the config's ``quota_per_bucket``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -212,6 +217,24 @@ def _record_from_dict(d: dict) -> TimeMapRecord:
     )
 
 
+def _dumps(payload: dict) -> str:
+    # Compact separators keep json on its C encoder; load_state reads
+    # indented files from earlier versions just the same.
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+@contextmanager
+def _decoding(path: Path, line: int | None = None):
+    """Turn a decoding fault of the state file at ``path`` (its 1-based
+    ``line`` for the journal) into a ParseError that names it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"{path} lacks the key {exc}", line) from None
+    except (ValueError, TypeError) as exc:  # not UTF-8 or JSON, or a value of the wrong form
+        raise ParseError(f"{path} does not decode: {exc}", line) from None
+
+
 class DiscoveryPipeline:
     """Runs Methods 1-4 over configured sources. Resumable."""
 
@@ -240,6 +263,7 @@ class DiscoveryPipeline:
         self.scan_index = 0
         self.selection_state = SelectionState(quota_per_bucket=config.quota_per_bucket)
         self.collection = MementoCollection()
+        self._snapshot_stage: str | None = None  # the stage of the snapshot the journal extends
 
     @property
     def accepted(self) -> list[OriginalResource]:
@@ -253,7 +277,24 @@ class DiscoveryPipeline:
     def state_path(self) -> Path:
         return self.config.out_dir / "state.json"
 
+    @property
+    def journal_path(self) -> Path:
+        return self.config.out_dir / "state.jsonl"
+
     def save_state(self) -> None:
+        """Append the records changed since the last save and a cursor line
+        (stage, scan index) to the journal. Write a snapshot instead while
+        this pipeline has written or loaded none of the current stage."""
+        changed = self.collection.take_changed()
+        if self._snapshot_stage != self.stage:
+            self._write_snapshot()
+            return
+        lines = [_dumps(_record_to_dict(r)) for r in changed]
+        lines.append(_dumps({"stage": self.stage, "scan_index": self.scan_index}))
+        with self.journal_path.open("a", encoding="utf-8") as journal:
+            journal.write("\n".join(lines) + "\n")
+
+    def _write_snapshot(self) -> None:
         self.config.out_dir.mkdir(parents=True, exist_ok=True)
         payload = {
             "stage": self.stage,
@@ -261,38 +302,64 @@ class DiscoveryPipeline:
             "records": [_record_to_dict(r) for r in self.collection.records()],
         }
         tmp = self.state_path.with_suffix(".json.tmp")
-        # Compact separators keep json on its C encoder; load_state reads
-        # indented files from earlier versions just the same.
-        tmp.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")), "utf-8")
+        tmp.write_text(_dumps(payload), "utf-8")
+        # The journal goes before the old snapshot does: replayed over the
+        # new one, it would put back records as they were before it.
+        self.journal_path.unlink(missing_ok=True)
         os.replace(tmp, self.state_path)
+        self._snapshot_stage = self.stage
 
     def load_state(self) -> bool:
-        """Load ``state.json`` when it exists. A file that does not decode,
-        lacks a key, names no stage of ``STAGES`` or holds a ``scan_index``
-        that is not a non-negative int is a ParseError that names it."""
+        """Load the snapshot ``state.json`` when it exists, then replay the
+        journal ``state.jsonl`` over it. A journal save takes effect with
+        its cursor line, so lines after the last cursor, a truncated last
+        line among them, are dropped, and the next save writes a snapshot.
+        A file that does not decode, lacks a key, names no stage of
+        ``STAGES`` or holds a ``scan_index`` that is not a non-negative int
+        is a ParseError that names it."""
         if not self.state_path.exists():
-            return False
-        try:
+            return False  # a journal without its snapshot is stale: the first save removes it
+        with _decoding(self.state_path):
             payload = json.loads(self.state_path.read_text("utf-8"))
-            stage, scan_index = payload["stage"], payload["scan_index"]
-            if stage not in STAGES:
-                raise ParseError(f"{self.state_path} has an invalid 'stage': {stage!r}")
-            if type(scan_index) is not int or scan_index < 0:
-                raise ParseError(f"{self.state_path} has an invalid 'scan_index': {scan_index!r}")
-            self.stage, self.scan_index = stage, scan_index
+            self._load_cursor(self.state_path, payload)
             self.collection = MementoCollection()
             for d in payload["records"]:
                 self.collection.add(_record_from_dict(d))
-        except KeyError as exc:
-            raise ParseError(f"{self.state_path} lacks the key {exc}") from None
-        except (ValueError, TypeError) as exc:  # not UTF-8 or JSON, or a value of the wrong form
-            raise ParseError(f"{self.state_path} does not decode: {exc}") from None
+        self._snapshot_stage = self.stage
+        if self.journal_path.exists():
+            self._replay_journal()
+        self.collection.take_changed()
         # Files that also hold "accepted", "selection_state" or "method_tables"
         # load the same: the selection is rebuilt from the records.
         self.selection_state = SelectionState.from_resources(
             self.accepted, self.config.quota_per_bucket
         )
         return True
+
+    def _load_cursor(self, path: Path, entry: dict) -> None:
+        stage, scan_index = entry["stage"], entry["scan_index"]
+        if stage not in STAGES:
+            raise ParseError(f"{path} has an invalid 'stage': {stage!r}")
+        if type(scan_index) is not int or scan_index < 0:
+            raise ParseError(f"{path} has an invalid 'scan_index': {scan_index!r}")
+        self.stage, self.scan_index = stage, scan_index
+
+    def _replay_journal(self) -> None:
+        path = self.journal_path
+        *lines, torn = path.read_bytes().split(b"\n")  # torn: b"" after a whole last line
+        pending: list[TimeMapRecord] = []
+        for number, line in enumerate(lines, 1):
+            with _decoding(path, number):
+                entry = json.loads(line)
+                if "stage" in entry:
+                    self._load_cursor(path, entry)
+                    for record in pending:
+                        self.collection.add(record)
+                    pending = []
+                else:
+                    pending.append(_record_from_dict(entry))
+        if pending or torn:
+            self._snapshot_stage = None  # appending after a torn save would join it
 
     # -- stages ------------------------------------------------------------
 
@@ -341,7 +408,10 @@ class DiscoveryPipeline:
             or self.scan_index == len(stream)
         )
         if not completed:
-            self.save_state()  # cut at max_candidates
+            # Cut at max_candidates: run() returns, so state.json alone is
+            # left as the whole state.
+            self._snapshot_stage = None
+            self.save_state()
         return completed
 
     def _run_method2(self) -> None:
