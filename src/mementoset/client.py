@@ -160,12 +160,17 @@ class FixtureStore:
         path = self._path(method, uri)
         if not path.exists():
             return None
-        payload = json.loads(path.read_text("utf-8"))
-        return TransportResponse(
-            payload["status"],
-            dict(payload["headers"]),
-            base64.b64decode(payload["body_b64"]),
-        )
+        try:
+            payload = json.loads(path.read_text("utf-8"))
+            return TransportResponse(
+                payload["status"],
+                dict(payload["headers"]),
+                base64.b64decode(payload["body_b64"], validate=True),
+            )
+        except KeyError as exc:
+            raise PermanentNetworkError(f"fixture {path} lacks the key {exc}") from None
+        except (ValueError, TypeError) as exc:  # not JSON, not an object, or bad base64
+            raise PermanentNetworkError(f"fixture {path} does not decode: {exc}") from None
 
 
 class FixtureTransport:
@@ -379,7 +384,7 @@ class ArchiveClient:
                 return response
             if attempt == self.policy.retries or isinstance(last_error, PermanentNetworkError):
                 break
-            delay = self._backoff_delay(attempt, response)
+            delay = self._backoff_delay(method, uri, attempt, response)
             with lane.lock:
                 lane.closed_until = max(lane.closed_until, time.monotonic() + delay)
         if last_error is not None:
@@ -401,9 +406,11 @@ class ArchiveClient:
                         lane.last_done = time.monotonic()
             yield wait
 
-    def _backoff_delay(self, attempt: int, response: TransportResponse | None) -> float:
+    def _backoff_delay(
+        self, method: str, uri: str, attempt: int, response: TransportResponse | None
+    ) -> float:
         """``Retry-After`` in seconds or as an HTTP-date (RFC 9110 §10.2.3),
-        capped at the timeout; else exponential back-off with jitter."""
+        capped at the timeout; else exponential back-off plus a jitter seeded by the request."""
         retry_after = header_value(response.headers, "Retry-After") if response is not None else None
         if retry_after:
             retry_after = retry_after.strip()
@@ -416,7 +423,7 @@ class ArchiveClient:
             else:
                 wait = (until - datetime.now(timezone.utc)).total_seconds()
                 return min(max(0.0, wait), self.policy.timeout)
-        return 0.5 * (2**attempt) + random.uniform(0, 0.1)
+        return 0.5 * (2**attempt) + random.Random(f"{method} {uri} {attempt}").uniform(0, 0.1)
 
     # -- fetch operations ------------------------------------------------
 

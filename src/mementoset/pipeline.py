@@ -130,8 +130,8 @@ class RunConfig:
         file. A key fills the field of its name, or the one ``_RENAMED`` or
         ``_SOURCES`` maps it to, and a key left out keeps the field's
         default. An unknown key, or a value of the wrong type or out of
-        range, is a ValueError naming the key; a file named but missing is
-        a FileNotFoundError."""
+        range, is a ValueError naming the key; the first file named but
+        missing, in field order, is a FileNotFoundError."""
         path = Path(path)
         hidden = {*_RENAMED.values(), *_SOURCES.values()}
         keys = {f.name: f.name for f in fields(cls) if f.name not in hidden}
@@ -150,8 +150,8 @@ class RunConfig:
             return resolved
 
         key_of = {name: key for key, name in {**_RENAMED, **_SOURCES}.items()}
-        for name in _PATHS & kwargs.keys():
-            if kwargs[name] is not None:
+        for name in (f.name for f in fields(cls) if f.name in _PATHS):
+            if kwargs.get(name) is not None:
                 kwargs[name] = resolve(kwargs[name], key_of.get(name, name))
         wahr = kwargs.get("wahr_paths")
         if isinstance(wahr, dict):

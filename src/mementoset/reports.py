@@ -1,7 +1,10 @@
 """Plot-ready CSV tables over manifests and URI-R selection tables.
 
-All tables carry their own totals row/column so consumers can check that
-rows and columns reconcile.
+Every table carries its own total column and Total row so consumers can
+check that rows and columns reconcile. One function, ``_margins``, computes
+them for every count table: each row's total, the column sums and the
+grand total. The manifest tables take their numbers from
+``sampler.summarize``, the counter ``sampler.finalize`` uses too.
 """
 
 from __future__ import annotations
@@ -9,14 +12,15 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .canonical import path_length
 from .model import OriginalResource, PathBucket
-from .sampler import ManifestRow
+from .sampler import DatasetSummary, ManifestRow, summarize
 from .tsv import read_tsv, write_tsv
 
 Table = list[list[str]]
+Column = TypeVar("Column")
 
 DEFAULT_YEAR_RANGE = (1996, 2017)
 
@@ -25,116 +29,94 @@ def write_csv(table: Table, path: str | Path) -> None:
         csv.writer(f, lineterminator="\n").writerows(table)
 
 
+def _margins(
+    columns: Sequence[Column], rows: Iterable[tuple[str, Mapping[Column, int]]]
+) -> list[tuple[str, list[int], int]]:
+    """Each (label, counts) row as (label, its cells in ``columns`` order,
+    its total), then the Total row: the column sums and the grand total."""
+    margins: list[tuple[str, list[int], int]] = []
+    sums = [0] * len(columns)
+    for label, counts in rows:
+        cells = [counts.get(c, 0) for c in columns]
+        margins.append((label, cells, sum(cells)))
+        sums = [s + c for s, c in zip(sums, cells)]
+    margins.append(("Total", sums, sum(sums)))
+    return margins
+
+
+def _summary(rows: Sequence[ManifestRow]) -> DatasetSummary:
+    pairs: dict[str, list[tuple[str, int]]] = {}
+    for r in rows:
+        pairs.setdefault(r.archive_id, []).append((r.urir, r.memento_datetime.year))
+    return summarize(pairs, path_length)
+
+
 def build_urims_per_year(rows: Sequence[ManifestRow]) -> Table:
     """Per-archive memento counts by capture year, plus a Total row.
 
     The year range comes from the data and falls back to 1996-2017 for an
     empty manifest. Archives are ordered by descending total.
     """
-    counts: dict[str, Counter[int]] = {}
-    for r in rows:
-        counts.setdefault(r.archive_id, Counter())[r.memento_datetime.year] += 1
-    if counts:
-        years_seen = [y for c in counts.values() for y in c]
-        years = list(range(min(years_seen), max(years_seen) + 1))
-    else:
-        years = list(range(DEFAULT_YEAR_RANGE[0], DEFAULT_YEAR_RANGE[1] + 1))
+    summary = _summary(rows)
+    first, last = DEFAULT_YEAR_RANGE
+    if summary.per_year:
+        first, last = min(summary.per_year), max(summary.per_year)
+    years = range(first, last + 1)
+    ordered = sorted(summary.per_archive, key=lambda a: (-summary.per_archive[a][1], a))
+    by_year = ((a, summary.per_archive_year[a]) for a in ordered)
     table: Table = [["archive", "total", *(str(y) for y in years)]]
-    ordered = sorted(counts.items(), key=lambda kv: (-sum(kv[1].values()), kv[0]))
-    for archive_id, by_year in ordered:
-        table.append(
-            [archive_id, str(sum(by_year.values())), *(str(by_year.get(y, 0)) for y in years)]
-        )
-    table.append(
-        [
-            "Total",
-            str(len(rows)),
-            *(str(sum(c.get(y, 0) for c in counts.values())) for y in years),
-        ]
-    )
+    for label, cells, total in _margins(years, by_year):
+        table.append([label, str(total), *map(str, cells)])
     return table
 
 
 def build_archive_totals(rows: Sequence[ManifestRow]) -> Table:
     """Final per-archive URI-R and URI-M counts, largest URI-R set first."""
-    urims: Counter[str] = Counter()
-    urirs: dict[str, set[str]] = {}
-    for r in rows:
-        urims[r.archive_id] += 1
-        urirs.setdefault(r.archive_id, set()).add(r.urir)
+    summary = _summary(rows)
     table: Table = [["archive", "urirs", "urims"]]
-    ordered = sorted(urims, key=lambda a: (-len(urirs[a]), a))
-    for archive_id in ordered:
-        table.append([archive_id, str(len(urirs[archive_id])), str(urims[archive_id])])
-    all_urirs = {r.urir for r in rows}
-    table.append(["Total", str(len(all_urirs)), str(len(rows))])
+    for archive_id in sorted(summary.per_archive, key=lambda a: (-summary.per_archive[a][0], a)):
+        urirs, urims = summary.per_archive[archive_id]
+        table.append([archive_id, str(urirs), str(urims)])
+    table.append(["Total", str(summary.total_unique_urirs), str(summary.total_urims)])
     return table
 
 
 def build_path_histogram(rows: Sequence[ManifestRow]) -> Table:
     """Unique URI-Rs per path-length bucket."""
-    buckets = Counter(path_length(u) for u in {r.urir for r in rows})
+    summary = _summary(rows)
     table: Table = [["path", "urirs"]]
-    for b in PathBucket:
-        table.append([b.value, str(buckets.get(b, 0))])
-    table.append(["Total", str(sum(buckets.values()))])
+    for b, count in summary.path_histogram.items():
+        table.append([b.value, str(count)])
+    table.append(["Total", str(summary.total_unique_urirs)])
     return table
 
 
 def build_source_bucket_table(resources: Sequence[OriginalResource]) -> Table:
     """Selected URI-Rs per source by path-length bucket."""
     counts: dict[str, Counter[PathBucket]] = {}
-    order: list[str] = []
     for r in resources:
-        tag = r.source or "unknown"
-        if tag not in counts:
-            counts[tag] = Counter()
-            order.append(tag)
-        counts[tag][r.path_bucket] += 1
+        counts.setdefault(r.source or "unknown", Counter())[r.path_bucket] += 1
     table: Table = [["source", *(b.value for b in PathBucket), "total"]]
-    for tag in order:
-        row = [tag, *(str(counts[tag].get(b, 0)) for b in PathBucket)]
-        row.append(str(sum(counts[tag].values())))
-        table.append(row)
-    totals = [
-        str(sum(counts[tag].get(b, 0) for tag in order)) for b in PathBucket
-    ]
-    table.append(["Total", *totals, str(len(resources))])
+    for label, cells, total in _margins(list(PathBucket), counts.items()):
+        table.append([label, *map(str, cells), str(total)])
     return table
 
 
 def build_status_table(resources: Sequence[OriginalResource]) -> Table:
     """Live HTTP status of selected URI-Rs per bucket: 200 vs 4xx/5xx."""
-    ok: Counter[PathBucket] = Counter()
-    err: Counter[PathBucket] = Counter()
-    other: Counter[PathBucket] = Counter()
+    counts: dict[PathBucket, Counter[str]] = {b: Counter() for b in PathBucket}
     for r in resources:
         if r.live_status == 200:
-            ok[r.path_bucket] += 1
+            column = "status_200"
         elif r.live_status is not None and 400 <= r.live_status <= 599:
-            err[r.path_bucket] += 1
+            column = "status_4xx_5xx"
         else:
-            other[r.path_bucket] += 1
-    table: Table = [["path", "status_200", "status_4xx_5xx", "other", "total"]]
-    for b in PathBucket:
-        table.append(
-            [
-                b.value,
-                str(ok.get(b, 0)),
-                str(err.get(b, 0)),
-                str(other.get(b, 0)),
-                str(ok.get(b, 0) + err.get(b, 0) + other.get(b, 0)),
-            ]
-        )
-    table.append(
-        [
-            "Total",
-            str(sum(ok.values())),
-            str(sum(err.values())),
-            str(sum(other.values())),
-            str(len(resources)),
-        ]
-    )
+            column = "other"
+        counts[r.path_bucket][column] += 1
+    classes = ["status_200", "status_4xx_5xx", "other"]
+    table: Table = [["path", *classes, "total"]]
+    for label, cells, total in _margins(classes, ((b.value, c) for b, c in counts.items())):
+        table.append([label, *map(str, cells), str(total)])
     return table
 
 

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .canonical import path_length, unsurt
 from .errors import EmptyProbe, MementosetError
@@ -242,30 +242,40 @@ class DatasetSummary:
     total_unique_urirs: int
 
 
-def finalize(selection: Selection) -> DatasetSummary:
-    """Summarize a pruned selection; totals reconcile by construction."""
+def summarize(
+    pairs: Mapping[str, Sequence[tuple[str, int]]],
+    bucket_of: Callable[[str], PathBucket],
+) -> DatasetSummary:
+    """Count a dataset from each archive's (URI-R identity, year) pairs, one
+    per memento; ``bucket_of`` maps an identity to its path-length bucket.
+    Totals reconcile by construction."""
     per_archive: dict[str, tuple[int, int]] = {}
     per_year: Counter[int] = Counter()
     per_archive_year: dict[str, dict[int, int]] = {}
-    all_keys: set[str] = set()
-    total = 0
-    for archive_id, mementos in selection.items():
-        keys = {m.urir_key for m in mementos}
-        all_keys |= keys
-        per_archive[archive_id] = (len(keys), len(mementos))
-        total += len(mementos)
-        years: Counter[int] = Counter(m.year for m in mementos)
+    identities: set[str] = set()
+    for archive_id, archive_pairs in pairs.items():
+        keys = {key for key, _ in archive_pairs}
+        identities |= keys
+        per_archive[archive_id] = (len(keys), len(archive_pairs))
+        years: Counter[int] = Counter(year for _, year in archive_pairs)
         per_archive_year[archive_id] = dict(sorted(years.items()))
         per_year.update(years)
-    histogram = Counter(path_length(unsurt(key)) for key in all_keys)
+    histogram = Counter(bucket_of(key) for key in identities)
     return DatasetSummary(
         per_archive=per_archive,
         per_year=dict(sorted(per_year.items())),
         per_archive_year=per_archive_year,
         path_histogram={b: histogram.get(b, 0) for b in PathBucket},
-        total_urims=total,
-        total_unique_urirs=len(all_keys),
+        total_urims=sum(per_year.values()),
+        total_unique_urirs=len(identities),
     )
+
+
+def finalize(selection: Selection) -> DatasetSummary:
+    """Summarize a pruned selection by URI-R key, with the counter the
+    ``mementoset stats`` tables share; an empty archive counts (0, 0)."""
+    pairs = {a: [(m.urir_key, m.year) for m in ms] for a, ms in selection.items()}
+    return summarize(pairs, lambda key: path_length(unsurt(key)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
+import mementoset
 from mementoset.cli import main
 from mementoset.client import FixtureStore, FixtureTransport, TransportResponse
 from mementoset.discovery import MementoCollection
@@ -21,6 +26,13 @@ from mementoset.sampler import write_manifest
 from test_pipeline import AGG, build_fixture_corpus, write_config
 
 URIR_FOM = "http://www.futureofmusic.org/about/positions.cfm"
+
+
+def child_env(**changes):
+    """This process's environment for a child interpreter that imports the
+    package from where this one does, with ``changes`` applied."""
+    path = [str(Path(mementoset.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **changes}
 
 
 class TestCanon:
@@ -190,6 +202,17 @@ class TestTimemap:
     def test_network_failure_exit_one(self, tmp_path, capsys):
         code = main(timemap_args(tmp_path, "http://unrecorded.example/"))
         assert code == 1
+
+    @pytest.mark.parametrize("garbled", [b"{not json", b'{"status": 200, "body_b64": ""}'])
+    def test_garbled_fixture_exits_one(self, tmp_path, capsys, garbled):
+        urir = "http://a.example/"
+        store = FixtureStore(tmp_path)
+        store.save("GET", AGG.format(uri=urir), TransportResponse(200, {}, b""))
+        (path,) = tmp_path.iterdir()
+        path.write_bytes(garbled)
+        assert main(timemap_args(tmp_path, urir)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: fixture {path} ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("endpoint", ["http://agg.test/x", "http://agg.test/{uri}/{x}"])
     def test_endpoint_without_one_uri_field_exits_two(self, tmp_path, capsys, endpoint):
@@ -380,6 +403,24 @@ class TestDiscoverCommand:
         assert err.startswith("error loading config:") and named in err
         assert sent == []
         assert not (tmp_path / "out").exists()
+
+    def test_missing_files_are_named_the_same_under_every_hash_seed(self, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "registry": "registry.json",
+            "sources": {"moz": "moz.txt", "memento_damage": "damage.txt",
+                        "httparchive": "httparchive.txt"},
+        }))
+        errors = set()
+        for seed in range(8):
+            run = subprocess.run(
+                [sys.executable, "-m", "mementoset.cli", "discover", "--config", str(config_path)],
+                env=child_env(PYTHONHASHSEED=str(seed)), capture_output=True, text=True,
+            )
+            assert run.returncode == 1
+            errors.add(run.stderr)
+        missing = tmp_path / "registry.json"  # the first path field
+        assert errors == {f"error loading config: configured file missing: {missing}\n"}
 
     @pytest.mark.parametrize("garbled", ["moz.txt", "ukwa_published.txt"])
     def test_source_file_that_is_not_utf8_is_an_error(self, tmp_path, capsys, garbled):

@@ -13,6 +13,7 @@ from mementoset import (
     Memento,
     NetworkError,
     NoTimeMapEndpoint,
+    PermanentNetworkError,
     Provenance,
     RawAccessUnsupported,
     RecordingTransport,
@@ -341,6 +342,23 @@ class TestFixtureStore:
         store.save("GET", "http://a.example/", response)
         assert store.load("GET", "http://a.example/") == response
         assert store.load("HEAD", "http://a.example/") is None
+
+    @pytest.mark.parametrize("garbled, named", [
+        (b"{not json", "does not decode:"),
+        (b"\xff\xfe{}", "does not decode:"),  # not UTF-8
+        (b"[200]", "does not decode:"),  # JSON, but not an object
+        (b'{"status": 200, "body_b64": ""}', "lacks the key 'headers'"),
+        (b'{"status": 200, "headers": {}, "body_b64": "AAA"}', "does not decode:"),
+        (b'{"status": 200, "headers": {}, "body_b64": "!!!!"}', "does not decode:"),
+    ], ids=["not-json", "not-utf8", "not-an-object", "without-a-key", "bad-padding", "bad-base64"])
+    def test_garbled_fixture_is_a_permanent_error_naming_its_file(self, tmp_path, garbled, named):
+        store = FixtureStore(tmp_path)
+        store.save("GET", "http://a.example/", TransportResponse(200, {}, b"ok"))
+        (path,) = tmp_path.iterdir()
+        path.write_bytes(garbled)
+        with pytest.raises(PermanentNetworkError) as raised:
+            FixtureTransport(tmp_path).request("GET", "http://a.example/")
+        assert str(raised.value).startswith(f"fixture {path} {named}")
 
     def test_recording_then_replay(self, tmp_path, registry, cnn_timemap):
         live = FakeTransport()

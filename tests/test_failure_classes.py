@@ -4,6 +4,8 @@ with the old indented layout still resume."""
 
 import json
 import socket
+import subprocess
+import sys
 import threading
 import time
 from datetime import datetime, timedelta, timezone
@@ -22,6 +24,7 @@ from mementoset.client import FixtureTransport, RequestsTransport, TransportResp
 from mementoset.model import format_http_datetime
 from mementoset.pipeline import DiscoveryPipeline, RunConfig
 from mockserver import FakeTransport, Route
+from test_cli import child_env
 from test_pipeline import FIXED_NOW, build_fixture_corpus, write_config
 from universe import AGG_TEMPLATE
 
@@ -78,7 +81,7 @@ class TestPermanentFailures:
         assert started == []
 
     def test_plain_network_error_stays_transient(self, registry, monkeypatch):
-        monkeypatch.setattr(ArchiveClient, "_backoff_delay", lambda self, attempt, response: 0.0)
+        monkeypatch.setattr(ArchiveClient, "_backoff_delay", lambda self, *request: 0.0)
         transport = FakeTransport()
         transport.add_sequence("HEAD", "http://flaky.example/", [NetworkError("reset")])
         with pytest.raises(NetworkError) as raised:
@@ -111,27 +114,31 @@ def busy(retry_after: str) -> TransportResponse:
     return TransportResponse(503, {"Retry-After": retry_after}, b"")
 
 
+def backoff(client, attempt, response):
+    return client._backoff_delay("GET", "http://web.archive.org/x", attempt, response)
+
+
 class TestRetryAfterDate:
     def test_past_date_means_no_wait(self, registry):
         client = make_client(FakeTransport(), registry)
         past = format_http_datetime(datetime.now(timezone.utc) - timedelta(hours=1))
-        assert client._backoff_delay(0, busy(past)) == 0.0
+        assert backoff(client, 0, busy(past)) == 0.0
 
     def test_future_date_is_waited_for(self, registry):
         client = make_client(FakeTransport(), registry)
         future = format_http_datetime(datetime.now(timezone.utc) + timedelta(seconds=20))
-        assert 18.0 <= client._backoff_delay(0, busy(future)) <= 20.0
+        assert 18.0 <= backoff(client, 0, busy(future)) <= 20.0
 
     def test_far_date_is_capped_at_the_timeout(self, registry):
         client = make_client(FakeTransport(), registry, timeout=5.0)
         future = format_http_datetime(datetime.now(timezone.utc) + timedelta(hours=1))
-        assert client._backoff_delay(0, busy(future)) == 5.0
+        assert backoff(client, 0, busy(future)) == 5.0
 
     def test_unparseable_value_falls_back_to_exponential(self, registry):
         client = make_client(FakeTransport(), registry)
-        assert 0.5 <= client._backoff_delay(0, busy("soon, please")) <= 0.6
-        assert 0.5 <= client._backoff_delay(0, busy("\xb2")) <= 0.6  # a digit, but not ASCII
-        assert 1.0 <= client._backoff_delay(1, busy("-1")) <= 1.1
+        assert 0.5 <= backoff(client, 0, busy("soon, please")) <= 0.6
+        assert 0.5 <= backoff(client, 0, busy("\xb2")) <= 0.6  # a digit, but not ASCII
+        assert 1.0 <= backoff(client, 1, busy("-1")) <= 1.1
 
     def test_past_date_retries_at_once(self, registry):
         transport = FakeTransport()
@@ -145,6 +152,36 @@ class TestRetryAfterDate:
         assert response.status == 200
         assert time.monotonic() - started < 0.4
         assert len(transport.requests) == 2
+
+
+class TestBackoffJitter:
+    REQUESTS = [("GET", f"http://web.archive.org/x{i}") for i in range(20)] + [
+        ("HEAD", "http://web.archive.org/x0"),
+    ]
+
+    def test_same_request_and_attempt_wait_the_same_in_any_client(self, registry):
+        first, second = (make_client(FakeTransport(), registry) for _ in range(2))
+        for attempt in range(4):
+            base = 0.5 * 2**attempt
+            delays = [first._backoff_delay(m, u, attempt, None) for m, u in self.REQUESTS]
+            assert delays == [second._backoff_delay(m, u, attempt, None) for m, u in self.REQUESTS]
+            assert all(base <= d < base + 0.1 for d in delays)
+            assert len(set(delays)) == len(delays)  # jittered per request
+
+    def test_the_jitter_does_not_follow_the_hash_seed(self):
+        script = (
+            "from mementoset import ArchiveClient, FixtureTransport, default_registry;"
+            "c = ArchiveClient(default_registry(), transport=FixtureTransport('unused'));"
+            "print(c._backoff_delay('HEAD', 'http://a.example/', 1, None))"
+        )
+        runs = {
+            subprocess.run(
+                [sys.executable, "-c", script], env=child_env(PYTHONHASHSEED=seed),
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert len(runs) == 1
 
 
 class TestStateFileLayout:

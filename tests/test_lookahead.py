@@ -68,7 +68,7 @@ def in_flight(monkeypatch):
 
 
 def fixed_backoff(monkeypatch, seconds):
-    monkeypatch.setattr(ArchiveClient, "_backoff_delay", lambda self, attempt, response: seconds)
+    monkeypatch.setattr(ArchiveClient, "_backoff_delay", lambda self, *request: seconds)
 
 
 class TestSameResultAsSequential:
