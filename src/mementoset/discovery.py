@@ -1,7 +1,7 @@
 """URI-R discovery: source interleaving, the five-condition initial scan
 (Method 1), and the top-up of archives below their minimum from HTML links
 in raw mementos, published lists and direct TimeMaps (Methods 2-4), three
-lazy sources of records that one loop drives.
+lazy sources of records that one loop drives; Methods 2 and 3 share ``_lookup``.
 
 Source tags are plain strings: ``moz``, ``memento-damage``,
 ``httparchive``, and ``wahr:<hashtag>`` for the tweet-derived lists.
@@ -14,6 +14,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime
+from functools import partial
 from html.parser import HTMLParser
 from itertools import islice
 from pathlib import Path
@@ -419,18 +420,42 @@ def extract_urirs_from_html(body: bytes | str, base: str) -> list[str]:
     return out
 
 
+_Fetch = Callable[[str, TimeMapReducer], TimeMapRecord | None]
+
+
 def _timemap(
-    fetch: Callable[..., TimeMapRecord], *args, reducer: TimeMapReducer
+    fetch: _Fetch, uri: str, collection: MementoCollection, client: ArchiveClient
 ) -> TimeMapRecord | None:
-    """``fetch(*args, reducer)``, or None when the TimeMap is empty or the
-    fetch failed. The last argument is the URI-R, named in the logged failure."""
+    """``fetch(uri, reducer)``, the reducer merging the record stored under
+    the TimeMap's key; None also when the TimeMap is empty or fetch failed."""
     try:
-        return fetch(*args, reducer)
+        return fetch(uri, TimeMapReducer(client.registry, collection.get))
     except EmptyTimeMap:
         return None
     except (NetworkError, ParseError) as exc:
-        logger.info("timemap fetch failed for %s: %s", args[-1], exc)
+        logger.info("timemap fetch failed for %s: %s", uri, exc)
         return None
+
+
+def _lookup(
+    uris: Iterable[str], fetch: _Fetch, collection: MementoCollection, client: ArchiveClient
+) -> Iterator[TimeMapRecord]:
+    """Methods 2 and 3's lookup: ``_timemap`` of each of ``uris`` whose ``surt``
+    key is neither stored nor tried before in this call, checked when a record
+    is asked for. Malformed URIs and empty or failed TimeMaps yield nothing."""
+    tried: set[str] = set()
+    for uri in uris:
+        try:
+            key = surt(uri)
+        except MalformedUri as exc:
+            logger.info("URI skipped: %s", exc)
+            continue
+        if key in collection or key in tried:
+            continue
+        tried.add(key)
+        record = _timemap(fetch, uri, collection, client)
+        if record is not None:
+            yield record
 
 
 def _top_up(
@@ -462,36 +487,23 @@ def method2_expand(
     """Grow an underfilled archive from links inside its own mementos.
 
     Downloads the raw content of the archive's already-collected
-    mementos, harvests URI-Rs, and pulls the TimeMap of each one not yet
-    selected. Every archive's tallies grow from those TimeMaps, not just
-    the target's. Stops at ``min_urirs`` for the target archive.
+    mementos, harvests URI-Rs, and looks them up with ``_lookup``. Every
+    archive's tallies grow from those TimeMaps, not just the target's.
+    Stops at ``min_urirs`` for the target archive.
     """
 
-    def linked() -> Iterator[TimeMapRecord]:
-        attempted: set[str] = set()
+    def linked() -> Iterator[str]:
         for memento in collection.mementos_of(archive.id):
-            if memento.raw_urim is None:
-                continue
-            base = collection.get(memento.urir_key).urir.final_uri
             try:
                 raw = client.fetch_raw_memento(memento)
             except MementosetError as exc:
                 logger.info("raw fetch failed for %s: %s", memento.urim, exc)
                 continue
-            for uri in extract_urirs_from_html(raw.body, base):
-                try:
-                    key = surt(uri)
-                except MalformedUri:
-                    continue
-                if key in collection or key in attempted:
-                    continue
-                attempted.add(key)
-                reducer = TimeMapReducer(client.registry, collection.get)
-                record = _timemap(client.fetch_timemap_aggregator, uri, reducer=reducer)
-                if record is not None:
-                    yield record
+            base = collection.get(memento.urir_key).urir.final_uri
+            yield from extract_urirs_from_html(raw.body, base)
 
-    return _top_up(archive, collection, linked(), min_urirs)
+    records = _lookup(linked(), client.fetch_timemap_aggregator, collection, client)
+    return _top_up(archive, collection, records, min_urirs)
 
 
 _EMBEDDED = re.compile(r"/(\d{14})(?:id_)?/(.+)$")
@@ -519,29 +531,22 @@ def ingest_published_list(
 ) -> list[TimeMapRecord]:
     """Ingest an archive-published URI list until the archive hits its minimum.
 
-    ``urirs_only`` lists hold one URI-R per line; each TimeMap is fetched
-    via the aggregator and must contain at least one memento in the owning
-    archive. ``urirs_and_urims`` lists are compact two-column files whose
-    lines are grouped by the URI-R embedded in each URI-M, and each group
-    offered to a reducer without a request. Unusable lines are skipped and
-    logged.
+    A ``urirs_only`` list holds one URI-R per line, looked up with ``_lookup``;
+    a TimeMap counts only if a memento read is the owning archive's. The
+    compact lines of a ``urirs_and_urims`` list are grouped by the URI-R each
+    URI-M embeds and offered to a reducer by the same lookup, without a
+    request. Unusable lines are skipped and logged.
     """
     if list_format not in LIST_FORMATS:
         raise ValueError(f"unknown list format {list_format!r}")
 
+    def owned(uri: str, reducer: TimeMapReducer) -> TimeMapRecord | None:
+        record = client.fetch_timemap_aggregator(uri, reducer)
+        return record if archive.id in reducer.archives else None
+
     def listed() -> Iterator[TimeMapRecord]:
-        for lineno, uri in content_lines(read_utf8(path, str(path))):
-            try:
-                key = surt(uri)
-            except MalformedUri as exc:
-                logger.info("line %d skipped: %s", lineno, exc)
-                continue
-            if key in collection:
-                continue
-            reducer = TimeMapReducer(client.registry, collection.get)
-            record = _timemap(client.fetch_timemap_aggregator, uri, reducer=reducer)
-            if record is not None and archive.id in reducer.archives:
-                yield record
+        uris = (uri for _, uri in content_lines(read_utf8(path, str(path))))
+        yield from _lookup(uris, owned, collection, client)
 
     def compact() -> Iterator[TimeMapRecord]:
         # Compact lines grouped by their embedded URI-R, reduced without a request.
@@ -557,18 +562,13 @@ def ingest_published_list(
                 logger.info("line %d skipped: no URI-R embedded in %s", lineno, urim)
                 continue
             groups.setdefault(urir, []).append((dt, urim))
-        for urir, mementos in groups.items():
-            try:
-                key = surt(urir)
-            except MalformedUri as exc:
-                logger.info("group %s skipped: %s", urir, exc)
-                continue
-            if key in collection:
-                continue
-            reducer = TimeMapReducer(client.registry, collection.get)
-            for dt, urim in mementos:
+
+        def offered(urir: str, reducer: TimeMapReducer) -> TimeMapRecord:
+            for dt, urim in groups[urir]:
                 reducer.offer(dt, urim)
-            yield reducer.record(urir, Provenance.PUBLISHED_LIST, client.clock())
+            return reducer.record(urir, Provenance.PUBLISHED_LIST, client.clock())
+
+        yield from _lookup(groups, offered, collection, client)
 
     records = listed() if list_format == "urirs_only" else compact()
     return _top_up(archive, collection, records, min_urirs)
@@ -587,10 +587,9 @@ def method4_direct(
     def direct() -> Iterator[TimeMapRecord]:
         if not archive.memento_native or not archive.timemap_template:
             return
+        fetch = partial(client.fetch_timemap_direct, archive)
         for record in list(collection.records()):
-            reducer = TimeMapReducer(client.registry, collection.get)
-            uri = record.urir.final_uri
-            found = _timemap(client.fetch_timemap_direct, archive, uri, reducer=reducer)
+            found = _timemap(fetch, record.urir.final_uri, collection, client)
             if found is not None:
                 yield found
 

@@ -454,12 +454,15 @@ class DiscoveryPipeline:
         stop_after: str | None = None,
         max_candidates: int | None = None,
     ) -> str:
-        """Advance the pipeline; returns the stage it stopped at."""
+        """Run the stages up to ``stop_after`` at most; returns the stage it stopped at."""
+        if stop_after is not None and stop_after not in STAGES:
+            raise ValueError(f"no stage {stop_after!r}: stages are {', '.join(STAGES)}")
         if resume:
             self.load_state()
-        for stage, following in zip(STAGES, STAGES[1:]):
-            if self.stage != stage:
-                continue
+        start = STAGES.index(self.stage)
+        if stop_after is not None and STAGES.index(stop_after) < start:
+            return self.stage
+        for stage, following in zip(STAGES[start:], STAGES[start + 1 :]):
             if stage == "method1":
                 if not self._run_method1(max_candidates):
                     return self.stage  # interrupted mid-scan

@@ -107,8 +107,6 @@ def probe_archives(
 
     def worker(archive_id: str) -> None:
         for m in selection[archive_id][:per_archive]:
-            if m.raw_urim is None:
-                continue
             try:
                 timed = client.timed_download(m)
             except MementosetError as exc:

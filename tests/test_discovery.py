@@ -455,6 +455,47 @@ class TestIngestPublishedList:
         assert [r.urir.uri for r in added] == [uri]
         assert transport.requests == [("GET", agg)]
 
+    def test_a_key_is_asked_for_once_per_list(self, registry, tmp_path):
+        spellings = ["http://example.com/", "https://www.example.com/", "http://www.example.com/"]
+        listing = tmp_path / "list.txt"
+        listing.write_text("\n".join(spellings) + "\n")
+        transport = FakeTransport()
+        for uri in spellings:
+            body = multi_archive_timemap(uri, ["web.archive.org"])
+            transport.add("GET", AGG_TEMPLATE.format(uri=uri), 200, body=body)
+        client = make_client(transport, registry)
+        collection = MementoCollection()
+        first = [("GET", AGG_TEMPLATE.format(uri=spellings[0]))]
+        # The first lookup adds nothing for perma.cc; the other spellings'
+        # key has been tried.
+        perma = registry.get("perma.cc")
+        assert ingest_published_list(listing, "urirs_only", perma, collection, client, 10) == []
+        assert transport.requests == first
+        assert len(collection) == 0
+        # The first lookup adds a record; the other spellings' key is stored.
+        transport.requests.clear()
+        wayback = registry.get("web.archive.org")
+        added = ingest_published_list(listing, "urirs_only", wayback, collection, client, 10)
+        assert [r.urir.uri for r in added] == spellings[:1]
+        assert transport.requests == first
+
+    def test_owning_archive_is_read_in_the_timemap_not_the_stored_record(
+        self, registry, tmp_path
+    ):
+        # The TimeMap names another URI-R, stored with a vefsafn.is memento,
+        # but lists none of vefsafn.is: the list's line adds nothing.
+        stored = "http://b.example/"
+        collection = seed_collection(registry, "vefsafn.is", stored, ["20041020191800"])
+        transport = FakeTransport()
+        body = multi_archive_timemap(stored, ["web.archive.org"])
+        transport.add("GET", AGG_TEMPLATE.format(uri="http://a.example/"), 200, body=body)
+        listing = tmp_path / "list.txt"
+        listing.write_text("http://a.example/\n")
+        vefsafn = registry.get("vefsafn.is")
+        client = make_client(transport, registry)
+        assert ingest_published_list(listing, "urirs_only", vefsafn, collection, client, 10) == []
+        assert collection.totals() == {"vefsafn.is": (1, 1)}
+
     def test_urirs_and_urims_built_directly(self, registry, tmp_path):
         canada = registry.get("collectionscanada.gc.ca")
         listing = tmp_path / "canada.txt"

@@ -216,13 +216,12 @@ class TestDiscoveryPipeline:
         config = RunConfig.from_file(corpus)
         config.out_dir = tmp_path / "resumed_out"
         steps = 0
-        while True:
+        stage = "method1"
+        while stage != "done":
             pipeline = DiscoveryPipeline(config, clock=lambda: FIXED_NOW)
-            stage = pipeline.run(max_candidates=2, stop_after="method2")
+            stage = pipeline.run(max_candidates=2, stop_after=stage)
             steps += 1
             assert steps < 50
-            if stage not in ("method1", "method2", "method3"):
-                break
         pipeline = DiscoveryPipeline(config, clock=lambda: FIXED_NOW)
         assert pipeline.run() == "done"
         resumed_state = pipeline.state_path.read_text()

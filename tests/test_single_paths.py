@@ -132,6 +132,22 @@ class TestStageLoop:
         assert pipeline.run(stop_after="method4") == "done"
         assert urirs.exists()
 
+    def test_stop_after_an_earlier_stage_runs_nothing(self, config):
+        DiscoveryPipeline(config, clock=lambda: FIXED_NOW).run(stop_after="method1")
+        transport = FakeTransport()
+        pipeline = DiscoveryPipeline(config, transport, clock=lambda: FIXED_NOW)
+        assert pipeline.run(stop_after="method1") == "method2"
+        assert transport.requests == []
+        assert saved_state(pipeline)["stage"] == "method2"
+
+    def test_stop_after_no_stage_is_rejected_before_any_request(self, config):
+        transport = FakeTransport()
+        pipeline = DiscoveryPipeline(config, transport, clock=lambda: FIXED_NOW)
+        with pytest.raises(ValueError, match="methd1"):
+            pipeline.run(stop_after="methd1")
+        assert transport.requests == []
+        assert not pipeline.state_path.exists()
+
     def test_methods_2_to_4_save_only_after_an_archive_that_grew(self, config):
         # Every other archive stays short or full without a save. A stage's
         # end saves under the next stage's name.

@@ -3,9 +3,13 @@
 The reference functions below are the previous code, kept verbatim:
 ``method2_expand`` and ``ingest_published_list`` as they were, and the
 stage loops of ``DiscoveryPipeline`` (``_run_method2``..``_run_method4``)
-with their state saves left out. Each adds its records through the
-previous ``MementoCollection.add``, ``reduction_reference.reference_add``. Each stage of the new code must send the
-same requests in the same order, add records of the same URI-Rs in the
+with their state saves left out. One rule was added since: a
+``urirs_only`` list, like Method 2's links, asks for each key at most once,
+so ``reference_ingest_published_list`` skips a key it has already tried in
+the same list (``attempted``), as ``reference_method2_expand`` does.
+Each adds its records through the previous ``MementoCollection.add``,
+``reduction_reference.reference_add``. Each stage of the new code must
+send the same requests in the same order, add records of the same URI-Rs in the
 same order, and leave the same stored records and per-archive totals. The
 records it adds hold what their TimeMap's reducer kept, merged with the
 record stored under the same key, where the previous code added every
@@ -15,7 +19,8 @@ A world is a small registry, an initial collection and a ``FakeTransport``
 generated from a seed. Every world plants links to URI-Rs already
 collected, duplicate and malformed links, raw fetches that fail, mementos
 without raw access, 404, 500 and unparseable TimeMaps, list entries with no
-memento in the owning archive, bad compact lines, an archive that starts at
+memento in the owning archive, a list line that repeats the key of such an
+entry on the line before it, bad compact lines, an archive that starts at
 its minimum, an archive whose minimum is reached in the middle of a page
 of links, and an archive that grows only from its own TimeMaps.
 """
@@ -138,6 +143,7 @@ def reference_ingest_published_list(
     new_records = []
 
     if list_format == "urirs_only":
+        attempted: set[str] = set()
         for lineno, line in enumerate(text.splitlines(), start=1):
             uri = line.strip()
             if not uri or uri.startswith("#"):
@@ -149,8 +155,9 @@ def reference_ingest_published_list(
             except MalformedUri as exc:
                 logger.info("line %d skipped: %s", lineno, exc)
                 continue
-            if key in collection:
+            if key in collection or key in attempted:
                 continue
+            attempted.add(key)
             try:
                 record = client.fetch_timemap_aggregator(uri)
             except EmptyTimeMap:
@@ -271,6 +278,11 @@ def stage4(registry, collection, client, minimum):
 
 def site(i: int) -> str:
     return f"http://s{i}.test/"
+
+
+def respelled(minimum: int) -> str:
+    """Another spelling of ``site(minimum + 5)``, with the same key."""
+    return f"https://www.s{minimum + 5}.test/"
 
 
 def urim(archive_id: str, dt: datetime, urir: str) -> str:
@@ -403,6 +415,15 @@ def build_world(seed: int, tmp_path: Path) -> World:
     listed = [site(rng.randrange(n_sites)) for _ in range(25)]
     listed += [site(minimum + 5), site(minimum + 6), "not a uri", MALFORMED[0], "", "# comment"]
     rng.shuffle(listed)
+    # Each s(minimum+5) line, which no list's archive holds, is followed by
+    # another spelling of its key, so in either order a list meets the key
+    # again right after a lookup of it that added nothing.
+    listed = [
+        line
+        for uri in listed
+        for line in ([uri, respelled(minimum)] if uri == site(minimum + 5) else [uri])
+    ]
+    world.route(AGG.format(uri=respelled(minimum)), "ok", 200, world.bodies[site(minimum + 5)])
     compact = []
     for _ in range(20):
         dt = datetime(rng.randint(2000, 2004), rng.randint(1, 12), 1, tzinfo=timezone.utc)
@@ -475,8 +496,8 @@ def test_methods_2_to_4_match_the_previous_loops(seed, tmp_path):
 def test_worlds_reach_every_planted_case(tmp_path):
     """Over the seeds, the reference run meets each case the worlds plant."""
     met = dict.fromkeys(
-        ["404", "500", "garbled", "missing", "raw fetch failed", "not owned", "compact", "direct",
-         "a4 filled"],
+        ["404", "500", "garbled", "missing", "raw fetch failed", "not owned", "repeated key",
+         "compact", "direct", "a4 filled"],
         0,
     )
     for seed in SEEDS:
@@ -497,6 +518,11 @@ def test_worlds_reach_every_planted_case(tmp_path):
                 met[kind] += 1
             met["raw fetch failed"] += kind == "missing" and "id_/" in uri
         met["not owned"] += ("GET", AGG.format(uri=site(world.minimum + 5))) in sent3
+        # A list that asked for one spelling went on to the other one.
+        met["repeated key"] += any(
+            ("GET", AGG.format(uri=uri)) in sent3
+            for uri in (site(world.minimum + 5), respelled(world.minimum))
+        )
         met["compact"] += any(r.provenance.value == "published_list" for r in added3)
         met["direct"] += bool(added4)
         met["a4 filled"] += totals4.get("a4", (0, 0))[1] >= world.minimum
