@@ -22,7 +22,7 @@ import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Generator, Protocol
@@ -62,6 +62,10 @@ USER_AGENT = "mementoset/0.1 (+research dataset collection)"
 
 # Pages one TimeMap fetch may follow through rel="timemap" links.
 MAX_TIMEMAP_PAGES = 1000
+
+# Statuses a request retries; an answer still one of them after its
+# retries is returned to the caller as it is.
+RETRIED_STATUSES = (429, 503)
 
 # A blocking operation written as a generator: it yields each wait, in
 # seconds, that it needs before it can go on, and returns its result.
@@ -306,11 +310,12 @@ class _Lane:
 
 @dataclass(frozen=True, slots=True)
 class RawContent:
-    """Result of downloading a memento's unaltered content."""
+    """Result of downloading a memento's unaltered content; ``body`` is
+    None when the client answers from a download it made before."""
 
     status: int
     headers: dict[str, str]
-    body: bytes
+    body: bytes | None
     classification: Classification
 
 
@@ -324,7 +329,8 @@ class ArchiveClient:
     """Rate-limited fetch operations against archives and aggregators.
 
     Thread-safe: many workers may call into one client; each archive's
-    lane serializes and spaces their attempts.
+    lane serializes and spaces their attempts. A client downloads each
+    raw URI once (``timed_download``), so a run shares one client.
     """
 
     def __init__(
@@ -346,6 +352,9 @@ class ArchiveClient:
         self.clock = clock or (lambda: datetime.now(timezone.utc))
         self._lanes: dict[str, _Lane] = {}
         self._lanes_lock = threading.Lock()
+        # What each raw URI's first download told, its body dropped.
+        self._downloads: dict[str, TimedDownload] = {}
+        self._downloads_lock = threading.Lock()
 
     def _lane_key(self, uri: str) -> str:
         try:
@@ -380,7 +389,7 @@ class ArchiveClient:
         response = None
         for attempt in range(self.policy.retries + 1):
             response, last_error = yield from self._attempt(lane, method, uri)
-            if response is not None and response.status not in (429, 503):
+            if response is not None and response.status not in RETRIED_STATUSES:
                 return response
             if attempt == self.policy.retries or isinstance(last_error, PermanentNetworkError):
                 break
@@ -492,22 +501,40 @@ class ArchiveClient:
         )
 
     def fetch_raw_memento(self, memento: Memento) -> RawContent:
-        """Download unaltered content via the archive's raw-access scheme."""
+        """Download unaltered content via the archive's raw-access scheme,
+        as ``timed_download`` does."""
+        return self.timed_download(memento).content
+
+    def timed_download(self, memento: Memento) -> TimedDownload:
+        """Raw download plus wall-clock cost, for budget estimation.
+
+        The client remembers what each raw URI's first download told it:
+        a repeat sends no request and returns that download's status,
+        headers, classification and elapsed time, with ``body`` None. A
+        raised network error, or an answer still 429/503 after its
+        retries, is not remembered, so the next call tries again.
+        """
         if memento.raw_urim is None:
             raise RawAccessUnsupported(memento.urim)
+        with self._downloads_lock:
+            known = self._downloads.get(memento.raw_urim)
+        if known is not None:
+            return known
+        started = time.monotonic()
         response = self.request("GET", memento.raw_urim)
-        return RawContent(
+        elapsed = time.monotonic() - started
+        content = RawContent(
             status=response.status,
             headers=response.headers,
             body=response.body,
             classification=classify_response(response.status, response.headers),
         )
-
-    def timed_download(self, memento: Memento) -> TimedDownload:
-        """Raw download plus wall-clock cost, for budget estimation."""
-        started = time.monotonic()
-        content = self.fetch_raw_memento(memento)
-        return TimedDownload(content, time.monotonic() - started)
+        if response.status not in RETRIED_STATUSES:
+            with self._downloads_lock:
+                self._downloads.setdefault(
+                    memento.raw_urim, TimedDownload(replace(content, body=None), elapsed)
+                )
+        return TimedDownload(content, elapsed)
 
     def resolve(self, uri: str) -> RedirectChain:
         """Redirect resolution routed through the polite request lanes."""

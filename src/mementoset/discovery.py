@@ -487,7 +487,8 @@ def method2_expand(
     """Grow an underfilled archive from links inside its own mementos.
 
     Downloads the raw content of the archive's already-collected
-    mementos, harvests URI-Rs, and looks them up with ``_lookup``. Every
+    mementos, harvests URI-Rs, and looks them up with ``_lookup``. A
+    memento the client downloaded before in the run is skipped. Every
     archive's tallies grow from those TimeMaps, not just the target's.
     Stops at ``min_urirs`` for the target archive.
     """
@@ -498,6 +499,9 @@ def method2_expand(
                 raw = client.fetch_raw_memento(memento)
             except MementosetError as exc:
                 logger.info("raw fetch failed for %s: %s", memento.urim, exc)
+                continue
+            if raw.body is None:
+                logger.info("links of %s were read at its first download", memento.urim)
                 continue
             base = collection.get(memento.urir_key).urir.final_uri
             yield from extract_urirs_from_html(raw.body, base)

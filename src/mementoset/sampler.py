@@ -57,9 +57,9 @@ def estimate_budget(
     """Derive the per-archive cap from measured download costs.
 
     ``probe`` holds wall-clock durations in seconds (the ``elapsed`` of
-    ``timed_download`` results). The allowance is the download budget
-    divided by the mean cost, never above the configured per-archive
-    maximum.
+    ``timed_download`` results; a remembered download's is that of the
+    download the run made). The allowance is the download budget divided
+    by the mean cost, never above the configured per-archive maximum.
     """
     if not probe:
         raise EmptyProbe(f"no probe downloads for {archive_id}")
@@ -98,8 +98,10 @@ def probe_archives(
     Runs one worker per archive, at most ``PROBE_WORKERS`` at a time (the
     client's lanes keep each archive serial and spaced). Returns
     wall-clock durations per archive for budget estimation plus the
-    response classification of every probed URI-M. Mementos without raw
-    access or with failing downloads are skipped and logged.
+    response classification of every probed URI-M. A memento the client
+    downloaded before in the run is not downloaded again: its duration
+    and classification are those of the download the run made. Mementos
+    without raw access or with failing downloads are skipped and logged.
     """
     durations: dict[str, list[float]] = {}
     classifications: dict[str, Classification] = {}

@@ -1,3 +1,4 @@
+import sys
 import threading
 from datetime import datetime, timezone
 
@@ -270,6 +271,107 @@ class TestTimedDownload:
         durations = [client.timed_download(m).elapsed for m in mementos]
         assert len(durations) == 5
         assert all(d >= 0 for d in durations)
+
+
+class TestRememberedDownloads:
+    """The client downloads a raw URI once per run; failures are tried again."""
+
+    def test_repeat_keeps_the_duration_of_the_download_made(self, registry):
+        m = vefsafn_memento(registry)
+        transport = FakeTransport()
+        transport.add("GET", m.raw_urim, 200, MD_2004, b"x", delay=0.1)
+        client = make_client(transport, registry)
+        first = client.timed_download(m)
+        repeat = client.timed_download(m)
+        assert len(transport.requests) == 1
+        assert first.content.body == b"x"
+        assert repeat.content.body is None
+        assert repeat.elapsed >= 0.1 and repeat.elapsed == first.elapsed
+        assert repeat.content.classification is Classification.ARCHIVAL_OK
+        assert client.fetch_raw_memento(m) == repeat.content
+        assert len(transport.requests) == 1
+
+    def test_answer_still_503_is_not_remembered(self, registry):
+        m = vefsafn_memento(registry)
+        transport = FakeTransport()
+        transport.add_sequence("GET", m.raw_urim, [
+            Route(503, {}, b"service unavailable"), Route(200, MD_2004, b"page"),
+        ])
+        client = make_client(transport, registry, retries=0)
+        assert client.fetch_raw_memento(m).classification is Classification.NON_ARCHIVAL_ERROR
+        second = client.fetch_raw_memento(m)
+        assert len(transport.requests) == 2
+        assert second.classification is Classification.ARCHIVAL_OK
+        assert second.body == b"page"
+
+    def test_network_error_is_not_remembered(self, registry):
+        m = vefsafn_memento(registry)
+        transport = FakeTransport()
+        transport.add_sequence("GET", m.raw_urim, [
+            NetworkError("connection reset"), Route(200, MD_2004, b"page"),
+        ])
+        client = make_client(transport, registry, retries=0)
+        with pytest.raises(NetworkError):
+            client.fetch_raw_memento(m)
+        second = client.fetch_raw_memento(m)
+        assert len(transport.requests) == 2
+        assert second.classification is Classification.ARCHIVAL_OK
+
+    def test_unsupported_raw_access_is_raised_each_time_without_a_request(self, registry):
+        m = Memento(
+            urim="http://www.webcitation.org/66VfNacdz",
+            memento_datetime=datetime(2012, 3, 28, 21, 10, 40, tzinfo=timezone.utc),
+            urir_key="org,futureofmusic)/about/positions.cfm",
+            archive_id="webcitation.org",
+            raw_urim=None,
+        )
+        transport = FakeTransport()
+        client = make_client(transport, registry)
+        for _ in range(2):
+            with pytest.raises(RawAccessUnsupported):
+                client.timed_download(m)
+        assert transport.requests == []
+
+    def test_threads_sharing_a_client_leave_every_download_remembered(self, registry):
+        transport = FakeTransport()
+        mementos = []
+        for i in range(20):
+            urim = f"http://wayback.vefsafn.is/wayback/20041020191800/http://w{i}.example/"
+            m = Memento(
+                urim=urim,
+                memento_datetime=datetime(2004, 10, 20, 19, 18, tzinfo=timezone.utc),
+                urir_key=f"example,w{i})/",
+                archive_id="vefsafn.is",
+                raw_urim=urim.replace("20041020191800/", "20041020191800id_/"),
+            )
+            transport.add("GET", m.raw_urim, 200, MD_2004, b"y")
+            mementos.append(m)
+        client = make_client(transport, registry)
+        errors = []
+
+        def worker(k):
+            try:
+                for m in mementos[k:] + mementos[:k]:
+                    client.timed_download(m)
+            except NetworkError as exc:
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert {uri for _, uri in transport.requests} == {m.raw_urim for m in mementos}
+        sent = len(transport.requests)
+        assert all(client.timed_download(m).content.body is None for m in mementos)
+        assert len(transport.requests) == sent
 
 
 class TestRetries:

@@ -402,6 +402,17 @@ class TestMethod2:
         assert added == []
         assert collection.urir_count("vefsafn.is") == 1
 
+    def test_memento_downloaded_before_is_skipped(self, registry, caplog):
+        collection, client = self.build(registry)
+        (memento,) = collection.mementos_of("vefsafn.is")
+        client.fetch_raw_memento(memento)
+        sent = len(client.transport.requests)
+        with caplog.at_level("INFO", logger="mementoset.discovery"):
+            added = method2_expand(client.registry.get("vefsafn.is"), collection, client, min_urirs=4)
+        assert added == []
+        assert len(client.transport.requests) == sent == 1
+        assert "were read at its first download" in caplog.text
+
     def test_counts_monotone(self, registry):
         collection, client = self.build(registry)
         before = dict(collection.totals())

@@ -1,15 +1,24 @@
 import csv
 import json
 import re
-from datetime import datetime, timezone
+from collections import Counter
+from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from pathlib import Path
 
 import pytest
 
-from mementoset.client import DEFAULT_AGGREGATOR_TEMPLATE, FixtureStore, TransportResponse
-from mementoset.model import ArchiveDescriptor, default_registry
+import mementoset as ms
+from mementoset.client import (
+    DEFAULT_AGGREGATOR_TEMPLATE,
+    FixtureStore,
+    FixtureTransport,
+    TransportResponse,
+)
+from mementoset.model import ArchiveDescriptor, Classification, default_registry
 from mementoset.pipeline import DiscoveryPipeline, RunConfig
+from mementoset.sampler import rows_from_selection
+import test_sampler
 
 FIXED_NOW = datetime(2017, 11, 15, tzinfo=timezone.utc)
 AGG = "http://aggregator.test/timemap/link/{uri}"
@@ -19,6 +28,7 @@ VEFSAFN_HOST = "wayback.vefsafn.is"
 DIGAR_HOST = "veebiarhiiv.digar.ee"
 UKWA_HOST = "www.webarchive.org.uk"
 PERMA = "https://perma-archives.org/warc"
+MEMENTO_DATETIME = {"Memento-Datetime": "Thu, 06 Jun 2002 00:00:00 GMT"}
 
 
 def linkformat(urir, mementos):
@@ -283,6 +293,69 @@ class TestDiscoveryPipeline:
             assert pipeline.run(resume=False) == "done"
             states.append(pipeline.state_path.read_bytes())
         assert states[0] == states[1]
+
+
+class CountingTransport:
+    """Passes requests on and logs each (method, URI) it is asked for."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.requests: list[tuple[str, str]] = []
+
+    def request(self, method, uri):
+        self.requests.append((method, uri))
+        return self.inner.request(method, uri)
+
+
+class TestDownloadOncePerRun:
+    """Discovery, then the README's downsampling on the pipeline's client."""
+
+    def test_each_raw_uri_is_requested_once_and_classified_as_a_fresh_download(
+        self, tmp_path, registry
+    ):
+        fixtures = tmp_path / "fixtures"
+        build_fixture_corpus(fixtures)
+        transport = CountingTransport(FixtureTransport(fixtures))
+        pipe = DiscoveryPipeline(
+            RunConfig.from_file(write_config(tmp_path, fixtures)),
+            transport=transport, clock=lambda: FIXED_NOW,
+        )
+        assert pipe.run() == "done"
+        records = list(pipe.collection.records())
+        # Raw content for every memento Method 2 did not download: one of
+        # each classification, so pruning removes something.
+        store = FixtureStore(fixtures)
+        answers = [(200, MEMENTO_DATETIME), (404, MEMENTO_DATETIME), (500, {})]
+        raw_urims = sorted({m.raw_urim for r in records for m in r.mementos if m.raw_urim})
+        for i, raw_urim in enumerate(raw_urims):
+            if store.load("GET", raw_urim) is None:
+                status, headers = answers[i % len(answers)]
+                store.save("GET", raw_urim, TransportResponse(status, headers, b"<html></html>"))
+
+        client = pipe.client
+        scope = {"ms": ms, "client": client, "records": records,
+                 "constraints": ms.SelectionConstraints(download_budget=timedelta(hours=40))}
+        exec(test_sampler.TestReadmeDownsampling.snippet(), scope)
+        capped, classes = scope["capped"], scope["classes"]
+        urir_by_key = {rec.urir.canonical_key: rec.urir.final_uri for rec in records}
+        rows = rows_from_selection(scope["pruned"], urir_by_key, classes)
+        ms.write_manifest(rows, tmp_path / "manifest.tsv")
+
+        raw_requests = Counter(uri for _, uri in transport.requests if uri in raw_urims)
+        assert raw_requests and max(raw_requests.values()) == 1
+        method2_download = f"http://{VEFSAFN_HOST}/wayback/20020606000000id_/http://m2.example/"
+        assert raw_requests[method2_download] == 1
+
+        fresh = {
+            m.urim: ms.ArchiveClient(registry, client.policy, FixtureTransport(fixtures))
+            .fetch_raw_memento(m).classification
+            for kept in capped.values() for m in kept
+        }
+        assert set(fresh.values()) == set(Classification) - {Classification.LIVE}
+        expected = rows_from_selection(
+            ms.prune_non_archival(capped, fresh, keep_quota=0), urir_by_key, fresh
+        )
+        assert ms.read_manifest(tmp_path / "manifest.tsv") == expected
 
 
 class TestReadmeSchemas:

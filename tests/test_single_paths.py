@@ -1,11 +1,13 @@
 """Each job has one code path: the Method 1 scan, the stage loop, transport
-choice, compact lines, TSV tables and redirect resolution.
+choice, compact lines, TSV tables, redirect resolution and raw downloads.
 
 These tests pin the behaviour the shared paths must keep: the pipeline's
 Method 1 is ``select_initial`` over a resumable cursor, so its
 checkpoints, ``scan_index`` and interruption rule are checked here.
 """
 
+import ast
+import inspect
 import json
 
 import pytest
@@ -23,6 +25,7 @@ from mementoset import (
     same_resource,
     select_initial,
 )
+from mementoset import client as client_module
 from mementoset.client import FixtureTransport, RecordingTransport, RequestsTransport, open_transport
 from mementoset.discovery import MementoCollection
 from mementoset.linkformat import parse_compact_line, write_compact
@@ -337,3 +340,16 @@ class TestPublishedListClock:
         ]
         assert len(published) == 2
         assert {r["fetched_at"] for r in published} == {"20000101000000"}
+
+
+class TestRawDownloads:
+    def test_only_timed_download_reads_raw_urim_in_the_client(self):
+        tree = ast.parse(inspect.getsource(client_module))
+        readers = {
+            function.name
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(function)
+            if isinstance(node, ast.Attribute) and node.attr == "raw_urim"
+        }
+        assert readers == {"timed_download"}
