@@ -8,7 +8,9 @@ Requests are written as step generators that yield their waits
 one thread and overlaps their waits; it is the only code in the package
 that sleeps, and a plain method's wait runs in the thread's loop. Every
 operation can be replayed hermetically from a fixture directory, and a
-recording transport captures live responses into one.
+recording transport captures live responses into one. ``requests`` is
+imported only when a live ``RequestsTransport`` is first built, so
+offline paths (replays, ``canon``, ``stats``) load no HTTP stack.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import base64
 import hashlib
 import json
 import logging
+import os
 import random
 import socket
 import threading
@@ -25,10 +28,8 @@ from collections import deque
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Generator, Protocol
+from typing import TYPE_CHECKING, Callable, Generator, Protocol
 from urllib.parse import urlsplit
-
-import requests
 
 from .canonical import RedirectChain, redirect_steps
 from .errors import (
@@ -52,6 +53,9 @@ from .model import (
     header_value,
     parse_http_datetime,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -97,17 +101,12 @@ class FetchPolicy:
         check_fields(self, positive=("timeout",), nonnegative=("min_request_interval", "retries"))
 
 
-_UNSENDABLE = (
-    requests.exceptions.InvalidURL,
-    requests.exceptions.MissingSchema,
-    requests.exceptions.InvalidSchema,
-)
-
-
 def _is_permanent(exc: requests.RequestException) -> bool:
     """An unsendable URL, or a connection that failed on name resolution
     or was refused: the causes a retry cannot mend."""
-    if isinstance(exc, _UNSENDABLE):
+    from requests.exceptions import InvalidSchema, InvalidURL, MissingSchema
+
+    if isinstance(exc, (InvalidURL, MissingSchema, InvalidSchema)):
         return True
     # requests passes on urllib3's MaxRetryError, whose ``reason`` was
     # raised while handling the socket error.
@@ -120,11 +119,15 @@ class RequestsTransport:
     """Live HTTP transport; redirects are never followed implicitly."""
 
     def __init__(self, timeout: float):
+        import requests
+
         self.timeout = timeout
         self._session = requests.Session()
         self._session.headers["User-Agent"] = USER_AGENT
 
     def request(self, method, uri) -> TransportResponse:
+        import requests
+
         try:
             resp = self._session.request(
                 method, uri, allow_redirects=False, timeout=self.timeout
@@ -158,12 +161,17 @@ class FixtureStore:
             "headers": response.headers,
             "body_b64": base64.b64encode(response.body).decode("ascii"),
         }
-        self._path(method, uri).write_text(json.dumps(payload, indent=1), "utf-8")
+        # A save cut short leaves the fixture as it was, never a truncated one.
+        path = self._path(method, uri)
+        tmp = path.with_suffix(".json.tmp")
+        try:
+            tmp.write_text(json.dumps(payload, indent=1), "utf-8")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def load(self, method: str, uri: str) -> TransportResponse | None:
         path = self._path(method, uri)
-        if not path.exists():
-            return None
         try:
             payload = json.loads(path.read_text("utf-8"))
             return TransportResponse(
@@ -171,6 +179,8 @@ class FixtureStore:
                 dict(payload["headers"]),
                 base64.b64decode(payload["body_b64"], validate=True),
             )
+        except FileNotFoundError:
+            return None
         except KeyError as exc:
             raise PermanentNetworkError(f"fixture {path} lacks the key {exc}") from None
         except (ValueError, TypeError) as exc:  # not JSON, not an object, or bad base64

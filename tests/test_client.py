@@ -1,6 +1,8 @@
+import errno
 import sys
 import threading
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -461,6 +463,25 @@ class TestFixtureStore:
         with pytest.raises(PermanentNetworkError) as raised:
             FixtureTransport(tmp_path).request("GET", "http://a.example/")
         assert str(raised.value).startswith(f"fixture {path} {named}")
+
+    @pytest.mark.parametrize("earlier", [None, b"earlier body"], ids=["none", "earlier"])
+    def test_save_cut_short_leaves_no_partial_fixture(self, tmp_path, monkeypatch, earlier):
+        store = FixtureStore(tmp_path)
+        if earlier is not None:
+            store.save("GET", "http://a.example/", TransportResponse(200, {}, earlier))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def cut_short(path, text, encoding=None):
+            with open(path, "w", encoding=encoding) as partial:
+                partial.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", cut_short)
+        with pytest.raises(OSError, match="No space"):
+            store.save("GET", "http://a.example/", TransportResponse(200, {}, b"new " * 100))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        kept = None if earlier is None else TransportResponse(200, {}, earlier)
+        assert store.load("GET", "http://a.example/") == kept
 
     def test_recording_then_replay(self, tmp_path, registry, cnn_timemap):
         live = FakeTransport()

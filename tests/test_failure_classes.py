@@ -6,6 +6,7 @@ import json
 import socket
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 from datetime import datetime, timedelta, timezone
@@ -108,6 +109,30 @@ class TestPermanentFailures:
     def test_unsendable_url_is_permanent(self, uri):
         with pytest.raises(PermanentNetworkError):
             live_transport().request("GET", uri)
+
+    @pytest.mark.parametrize("uri", ["refused", "ftp://example.com/", "http://"])
+    def test_failure_is_permanent_in_an_interpreter_without_requests(self, uri):
+        if uri == "refused":
+            with socket.socket() as probe:
+                probe.bind(("127.0.0.1", 0))
+                uri = f"http://127.0.0.1:{probe.getsockname()[1]}/"
+        script = textwrap.dedent("""
+            import sys
+            from mementoset.client import RequestsTransport
+            from mementoset.errors import NetworkError
+            assert "requests" not in sys.modules
+            transport = RequestsTransport(timeout=2.0)
+            transport._session.trust_env = False
+            try:
+                transport.request("GET", sys.argv[1])
+            except NetworkError as exc:
+                print(type(exc).__name__)
+        """)
+        child = subprocess.run(
+            [sys.executable, "-c", script, uri], env=child_env(),
+            capture_output=True, text=True, check=True,
+        )
+        assert child.stdout == "PermanentNetworkError\n"
 
 
 def busy(retry_after: str) -> TransportResponse:

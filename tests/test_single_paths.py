@@ -9,11 +9,16 @@ checkpoints, ``scan_index`` and interruption rule are checked here.
 import ast
 import inspect
 import json
+import subprocess
+import sys
+import textwrap
+from datetime import datetime, timezone
 
 import pytest
 
 from mementoset import (
     ArchiveClient,
+    Classification,
     ParseError,
     Provenance,
     SelectionState,
@@ -31,8 +36,10 @@ from mementoset.discovery import MementoCollection
 from mementoset.linkformat import parse_compact_line, write_compact
 from mementoset.model import load_registry
 from mementoset.pipeline import DiscoveryPipeline, RunConfig
+from mementoset.sampler import ManifestRow, write_manifest
 from mementoset.tsv import read_tsv, write_tsv
 from mockserver import FakeTransport
+from test_cli import child_env
 from test_discovery import make_client
 from test_pipeline import FIXED_NOW, build_fixture_corpus, write_config
 from universe import AGG_TEMPLATE, timemap_body
@@ -218,6 +225,47 @@ class TestFactories:
         config.record_dir = tmp_path / "rec"
         assert isinstance(DiscoveryPipeline(config).client.transport, RecordingTransport)
         assert isinstance(ArchiveClient(default_registry()).transport, RequestsTransport)
+
+    def test_offline_paths_load_no_http_stack(self, tmp_path):
+        # A fresh interpreter: this one imports requests through mockserver.
+        fixtures_dir = tmp_path / "fixtures"
+        build_fixture_corpus(fixtures_dir)
+        config = write_config(tmp_path, fixtures_dir)
+        manifest = tmp_path / "manifest.tsv"
+        stamp = datetime(2001, 1, 1, tzinfo=timezone.utc)
+        write_manifest([
+            ManifestRow("ia", f"http://m{i}.example/", f"http://web.archive.org/web/{i}/",
+                        stamp, Classification.ARCHIVAL_OK)
+            for i in range(2)
+        ], manifest)
+        script = textwrap.dedent("""
+            import json, sys
+            manifest, reports, config = sys.argv[1:]
+            loaded = lambda: [m for m in ("requests", "urllib3") if m in sys.modules]
+            steps = {}
+            import mementoset
+            steps["import"] = loaded()
+            from mementoset.cli import main
+            assert main(["canon", "http://www.EXAMPLE.com"]) == 0
+            steps["canon"] = loaded()
+            assert main(["stats", "--manifest", manifest, "--out", reports]) == 0
+            steps["stats"] = loaded()
+            assert main(["discover", "--config", config]) == 0
+            steps["discover"] = loaded()
+            from mementoset.client import open_transport
+            transport = open_transport(timeout=5.0)
+            steps["live"] = [type(transport).__name__, loaded()]
+            print(json.dumps(steps))
+        """)
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(manifest), str(tmp_path / "reports"), str(config)],
+            env=child_env(), capture_output=True, text=True, check=True,
+        )
+        steps = json.loads(child.stdout.splitlines()[-1])
+        assert steps == {
+            "import": [], "canon": [], "stats": [], "discover": [],
+            "live": ["RequestsTransport", ["requests", "urllib3"]],
+        }
 
     def test_load_registry(self, tmp_path):
         assert load_registry(None) is default_registry()
