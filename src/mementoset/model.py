@@ -358,9 +358,12 @@ def parse_compact14(stamp: str) -> datetime:
     """The aware UTC datetime of a 14-digit stamp written by :func:`compact14`."""
     if len(stamp) != 14 or not stamp.isascii() or not stamp.isdigit():
         raise ValueError(f"expected 14 digits, got {stamp!r}")
-    return datetime(
-        int(stamp[:4]), int(stamp[4:6]), int(stamp[6:8]),
-        int(stamp[8:10]), int(stamp[10:12]), int(stamp[12:]), tzinfo=timezone.utc,
+    if stamp[8:10] == "24":  # ISO 8601's next-day midnight; compact14 never writes it
+        raise ValueError(f"hour out of range in {stamp!r}")
+    # One C-level call: fromisoformat checks each field's range and gives
+    # the +00:00 offset as timezone.utc itself.
+    return datetime.fromisoformat(
+        f"{stamp[:4]}-{stamp[4:6]}-{stamp[6:8]}T{stamp[8:10]}:{stamp[10:12]}:{stamp[12:]}+00:00"
     )
 
 

@@ -12,7 +12,13 @@ byte equality). A save within a stage appends the records changed since
 the last save and a cursor line to the journal ``state.jsonl``; the
 snapshot ``state.json`` is rewritten atomically, and the journal removed,
 at the first save of each stage and when ``run`` returns, so a finished or
-stopped run leaves ``state.json`` alone. Method 1's selection is not
+stopped run leaves ``state.json`` alone. A checkpoint's CPU, like its
+bytes, grows only with what changed: each stored record's JSON text is
+kept while the collection holds that record, so a save encodes only the
+records changed since the last, and a snapshot joins the kept texts. A
+loaded record keeps the text it was read from when that is exactly what
+the encoder writes for it; a file in another layout (indented, or from an
+earlier version) is encoded at its first save. Method 1's selection is not
 stored apart: its URI-Rs are the records that carry a source tag, and
 resuming counts them again under the config's ``quota_per_bucket``.
 """
@@ -25,7 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .client import ArchiveClient, FetchPolicy, Transport, open_transport
 from .discovery import (
@@ -199,14 +205,10 @@ def _record_to_dict(record: TimeMapRecord) -> dict:
 
 def _record_from_dict(d: dict) -> TimeMapRecord:
     urir = _resource_from_dict(d["urir"])
+    key = urir.canonical_key
+    # Positional: a frozen dataclass takes keywords at twice the cost.
     mementos = tuple(
-        Memento(
-            urim=urim,
-            memento_datetime=parse_compact14(stamp),
-            urir_key=urir.canonical_key,
-            archive_id=archive_id,
-            raw_urim=raw,
-        )
+        Memento(urim, parse_compact14(stamp), key, archive_id, raw)
         for stamp, urim, archive_id, raw in d["mementos"]
     )
     return TimeMapRecord(
@@ -217,10 +219,23 @@ def _record_from_dict(d: dict) -> TimeMapRecord:
     )
 
 
-def _dumps(payload: dict) -> str:
-    # Compact separators keep json on its C encoder; load_state reads
-    # indented files from earlier versions just the same.
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+# json.dumps(payload, sort_keys=True, separators=(",", ":")) without
+# building an encoder per call. Compact separators keep json on its C
+# encoder; load_state reads indented files from earlier versions just the same.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _encode(record: TimeMapRecord) -> str:
+    """The state file text of ``record``: the one place a record is encoded."""
+    return _dumps(_record_to_dict(record))
+
+
+# The keys _record_to_dict writes, at the top and under "urir". A record
+# decoded from a dict with exactly these keys holds the dict's values (its
+# stamps and enums read back as written), so _encode writes it as _dumps
+# of that dict.
+_RECORD_KEYS = {"urir", "provenance", "fetched_at", "mementos"}
+_RESOURCE_KEYS = {"uri", "canonical_key", "final_uri", "path_bucket", "source", "live_status"}
 
 
 @contextmanager
@@ -264,6 +279,7 @@ class DiscoveryPipeline:
         self.selection_state = SelectionState(quota_per_bucket=config.quota_per_bucket)
         self.collection = MementoCollection()
         self._snapshot_stage: str | None = None  # the stage of the snapshot the journal extends
+        self._texts: dict[str, tuple[TimeMapRecord, str]] = {}  # key -> a record and its text
 
     @property
     def accepted(self) -> list[OriginalResource]:
@@ -289,25 +305,48 @@ class DiscoveryPipeline:
         if self._snapshot_stage != self.stage:
             self._write_snapshot()
             return
-        lines = [_dumps(_record_to_dict(r)) for r in changed]
-        lines.append(_dumps({"stage": self.stage, "scan_index": self.scan_index}))
+        lines = [self._text(r) for r in changed]
+        lines.append(self._cursor())
         with self.journal_path.open("a", encoding="utf-8") as journal:
             journal.write("\n".join(lines) + "\n")
 
     def _write_snapshot(self) -> None:
         self.config.out_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "stage": self.stage,
-            "scan_index": self.scan_index,
-            "records": [_record_to_dict(r) for r in self.collection.records()],
-        }
+        text = self._snapshot(self._text(r) for r in self.collection.records())
         tmp = self.state_path.with_suffix(".json.tmp")
-        tmp.write_text(_dumps(payload), "utf-8")
-        # The journal goes before the old snapshot does: replayed over the
-        # new one, it would put back records as they were before it.
-        self.journal_path.unlink(missing_ok=True)
-        os.replace(tmp, self.state_path)
+        try:
+            tmp.write_text(text, "utf-8")
+            # The journal goes before the old snapshot does: replayed over the
+            # new one, it would put back records as they were before it.
+            self.journal_path.unlink(missing_ok=True)
+            os.replace(tmp, self.state_path)
+        finally:
+            tmp.unlink(missing_ok=True)  # left by a write or replace that failed
         self._snapshot_stage = self.stage
+
+    def _cursor(self) -> str:
+        return _dumps({"stage": self.stage, "scan_index": self.scan_index})
+
+    def _snapshot(self, texts: Iterable[str]) -> str:
+        """``_dumps`` of the whole state, given its records' texts: with
+        keys sorted, "records" comes before the cursor's."""
+        return '{"records":[' + ",".join(texts) + "]," + self._cursor()[1:]
+
+    def _text(self, record: TimeMapRecord) -> str:
+        """``_encode(record)``, kept while the collection holds this very
+        record: records are frozen, and ``add`` stores a new one on every
+        change."""
+        key = record.urir.canonical_key
+        kept = self._texts.get(key)
+        if kept is None or kept[0] is not record:
+            kept = self._texts[key] = record, _encode(record)
+        return kept[1]
+
+    def _keep(self, record: TimeMapRecord, d: dict, text: str) -> None:
+        """Keep ``text``, the ``_dumps(d)`` that ``record`` was read from, as
+        the record's text when ``_encode`` writes that for it."""
+        if d.keys() == _RECORD_KEYS and d["urir"].keys() == _RESOURCE_KEYS:
+            self._texts[record.urir.canonical_key] = record, text
 
     def load_state(self) -> bool:
         """Load the snapshot ``state.json`` when it exists, then replay the
@@ -320,11 +359,19 @@ class DiscoveryPipeline:
         if not self.state_path.exists():
             return False  # a journal without its snapshot is stale: the first save removes it
         with _decoding(self.state_path):
-            payload = json.loads(self.state_path.read_text("utf-8"))
+            text = self.state_path.read_text("utf-8")
+            payload = json.loads(text)
             self._load_cursor(self.state_path, payload)
-            self.collection = MementoCollection()
-            for d in payload["records"]:
-                self.collection.add(_record_from_dict(d))
+            records = [(_record_from_dict(d), d) for d in payload["records"]]
+        texts = [_dumps(d) for _, d in records]
+        # A file in another layout keeps no text: the first save encodes it.
+        compact = text == self._snapshot(texts)
+        self.collection = MementoCollection()
+        self._texts = {}
+        for (record, d), record_text in zip(records, texts):
+            self.collection.add(record)
+            if compact:
+                self._keep(record, d, record_text)
         self._snapshot_stage = self.stage
         if self.journal_path.exists():
             self._replay_journal()
@@ -347,17 +394,20 @@ class DiscoveryPipeline:
     def _replay_journal(self) -> None:
         path = self.journal_path
         *lines, torn = path.read_bytes().split(b"\n")  # torn: b"" after a whole last line
-        pending: list[TimeMapRecord] = []
+        pending: list[tuple[TimeMapRecord, dict, bytes]] = []
         for number, line in enumerate(lines, 1):
             with _decoding(path, number):
                 entry = json.loads(line)
                 if "stage" in entry:
                     self._load_cursor(path, entry)
-                    for record in pending:
+                    for record, d, read in pending:
                         self.collection.add(record)
+                        text = _dumps(d)
+                        if text.encode() == read:
+                            self._keep(record, d, text)
                     pending = []
                 else:
-                    pending.append(_record_from_dict(entry))
+                    pending.append((_record_from_dict(entry), entry, line))
         if pending or torn:
             self._snapshot_stage = None  # appending after a torn save would join it
 

@@ -571,6 +571,7 @@ class TestFastPathsMatchGeneralParsers:
     @example("19000229000000")
     @example("20001301000000")
     @example("20000101000060")
+    @example("20000101240000")  # ISO 8601's hour 24, which fromisoformat may read
     @example("٢٠٠٠0101000000")
     def test_parse_compact14(self, stamp):
         # The value, or the error class without strptime's wording. Stamps

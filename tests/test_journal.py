@@ -4,19 +4,34 @@ boundaries and when ``run`` returns.
 
 A run stopped anywhere, mid-append or mid-snapshot included, must resume
 to the state of an uninterrupted run, and a checkpoint must write a number
-of bytes that does not grow with the records already stored.
+of bytes that does not grow with the records already stored. Its CPU must
+not grow with them either: each stored record's JSON text is kept while the
+collection holds that record, so a checkpoint encodes only the records that
+changed, and a loaded record keeps the text it was read from when that is
+exactly what the encoder writes. The encoder the state files were written
+with before, ``reference_dumps`` below, holds every file to the same bytes.
 """
 
+import errno
 import itertools
 import json
 import os
+import tempfile
+from dataclasses import replace
+from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mementoset import ParseError
+import mementoset.pipeline as pipeline_module
+from mementoset import ParseError, Provenance
 from mementoset.cli import main
 from mementoset.client import FixtureTransport
-from mementoset.pipeline import DiscoveryPipeline, RunConfig, _record_to_dict
+from mementoset.linkformat import TimeMapReducer
+from mementoset.pipeline import STAGES, DiscoveryPipeline, RunConfig, _record_to_dict
+from mockserver import FakeTransport
 from test_lookahead import scan_config, universe_transport
 from test_pipeline import FIXED_NOW, build_fixture_corpus, write_config
 from universe import build_universe
@@ -50,9 +65,16 @@ def corpus(tmp_path):
     return fixtures, write_config(tmp_path, fixtures)
 
 
+def reference_dumps(payload) -> str:
+    """A state file's text as the encoder wrote it before record texts were
+    kept: ``state.json`` is the whole payload, a journal line one record
+    (``_record_to_dict``) or the cursor."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def encoded(payload) -> int:
     """The length of ``payload`` as a state file line, its newline included."""
-    return len(json.dumps(payload, sort_keys=True, separators=(",", ":"))) + 1
+    return len(reference_dumps(payload)) + 1
 
 
 def pipeline(corpus, out, after=None, checkpoint_every=None):
@@ -231,3 +253,280 @@ def test_each_checkpoint_appends_only_what_changed(tmp_path):
     for appended, bound, changed in appends.values():
         assert 0 < appended <= bound
         assert changed <= config.checkpoint_every
+
+
+# -- record texts: what a checkpoint encodes -----------------------------------
+
+# URI-Rs whose texts escape: non-ASCII hosts and paths, a character outside
+# the BMP, a quote and a backslash.
+URIRS = (
+    "http://a.example/",
+    "http://b.example/pfad/ä?q=é",
+    "http://例え.jp/パス",
+    "http://c.example/😀",
+    'http://d.example/a"b\\c',
+)
+SOURCES = (None, "moz", "wahr-é")
+
+
+def offline(out: Path) -> DiscoveryPipeline:
+    """A pipeline that sends no request, its records stored by ``grow``."""
+    return DiscoveryPipeline(RunConfig(out_dir=out), transport=FakeTransport(), clock=lambda: FIXED_NOW)
+
+
+def grow(pipe: DiscoveryPipeline, uri: str, years, source=None):
+    """Reduce captures of ``uri`` in ``years`` with the record stored under
+    its key, as Methods 1-4 do, and store the result: a new record, or one
+    that replaces the stored record. ``source`` tags a new record as
+    Method 1's."""
+    reducer = TimeMapReducer(pipe.registry, pipe.collection.get)
+    for year in years:
+        reducer.offer(datetime(year, 1, 2, 3, 4, 5, tzinfo=timezone.utc), f"http://web.archive.org/web/{year}0102030405/{uri}")
+        reducer.offer(datetime(year, 6, 1, tzinfo=timezone.utc), f"http://arquivo.pt/wayback/{year}0601000000/{uri}")
+    record = reducer.record(uri, Provenance.AGGREGATOR, FIXED_NOW)
+    if source is not None:
+        record = replace(record, urir=replace(record.urir, source=source, live_status=200))
+    return pipe.collection.add(record)
+
+
+def checked_save(pipe: DiscoveryPipeline) -> None:
+    """``pipe.save_state()``, and what it wrote held to ``reference_dumps``
+    byte for byte: the whole state in a snapshot, or each changed record
+    and the cursor appended to the journal."""
+    journal = pipe.journal_path.read_bytes() if pipe.journal_path.exists() else b""
+    take, taken = pipe.collection.take_changed, []
+
+    def spied():  # the changed records, as the save takes them
+        taken[:] = take()
+        return taken
+
+    pipe.collection.take_changed = spied
+    try:
+        pipe.save_state()
+    finally:
+        del pipe.collection.take_changed
+    cursor = {"stage": pipe.stage, "scan_index": pipe.scan_index}
+    if pipe.journal_path.exists():
+        lines = [reference_dumps(_record_to_dict(r)) for r in taken] + [reference_dumps(cursor)]
+        assert pipe.journal_path.read_bytes() == journal + "".join(f"{line}\n" for line in lines).encode()
+    else:
+        records = [_record_to_dict(r) for r in pipe.collection.records()]
+        assert pipe.state_path.read_bytes() == reference_dumps({**cursor, "records": records}).encode()
+
+
+def held(pipe: DiscoveryPipeline):
+    return pipe.stage, pipe.scan_index, list(pipe.collection.records())
+
+
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("grow"), st.sampled_from(URIRS),
+            st.lists(st.integers(1996, 2024), max_size=3), st.sampled_from(SOURCES),
+        ),
+        st.sampled_from([("save",), ("scan",), ("cut",), ("stage",), ("load",)]),
+    ),
+    max_size=30,
+)
+
+
+@given(STEPS)
+def test_every_state_file_is_the_reference_encoders(steps):
+    """Runs of adds, replacements through a reducer merge, saves, Method 1
+    cuts, stage ends and fresh pipelines that load the snapshot and replay
+    the journal: each ``state.json`` and each journal line is what the
+    previous encoder wrote, and each load gives back the state last saved."""
+    with tempfile.TemporaryDirectory() as out:
+        pipe = offline(Path(out))
+        saved = None
+        for step, *args in steps:
+            if step == "grow":
+                grow(pipe, *args)
+            elif step == "scan":
+                pipe.scan_index += 1
+            elif step == "stage" and pipe.stage != "done":
+                pipe.stage = STAGES[STAGES.index(pipe.stage) + 1]
+            elif step == "load":
+                pipe = offline(Path(out))
+                assert pipe.load_state() == (saved is not None)
+                if saved is not None:
+                    assert held(pipe) == saved
+            elif step in ("save", "cut"):
+                if step == "cut":
+                    pipe._snapshot_stage = None  # as _run_method1 does when max_candidates cuts it
+                checked_save(pipe)
+                saved = held(pipe)
+
+
+@pytest.fixture()
+def encodes(monkeypatch):
+    """The canonical keys of the records encoded, one per call of the
+    pipeline's record-encode helper."""
+    keys = []
+    encode = pipeline_module._encode
+
+    def counted(record):
+        keys.append(record.urir.canonical_key)
+        return encode(record)
+
+    monkeypatch.setattr(pipeline_module, "_encode", counted)
+    return keys
+
+
+def keys_of(*records):
+    return sorted(r.urir.canonical_key for r in records)
+
+
+def test_a_checkpoint_encodes_only_the_records_that_changed(tmp_path, encodes):
+    pipe = offline(tmp_path)
+    stored = [grow(pipe, uri, [2001, 2003], "moz") for uri in URIRS]
+    pipe.save_state()  # the first: a snapshot
+    assert sorted(encodes) == keys_of(*stored)
+    for k in range(len(URIRS) + 1):
+        encodes.clear()
+        changed = [grow(pipe, uri, [2010 + k]) for uri in URIRS[:k]]
+        pipe.scan_index += 1
+        pipe.save_state()  # an append
+        assert sorted(encodes) == keys_of(*changed)
+        assert pipe.journal_path.exists()
+    for k in range(len(URIRS) + 1):
+        encodes.clear()
+        changed = [grow(pipe, uri, [2020 + k]) for uri in URIRS[:k]]
+        pipe._snapshot_stage = None  # a Method 1 cut
+        pipe.save_state()
+        assert sorted(encodes) == keys_of(*changed)
+        assert not pipe.journal_path.exists()
+
+
+def test_a_loaded_record_keeps_the_text_it_was_read_from(tmp_path, encodes):
+    writer = offline(tmp_path)
+    for uri in URIRS[:3]:
+        grow(writer, uri, [2001], "moz")
+    writer.save_state()
+    for uri in URIRS[3:]:
+        grow(writer, uri, [2002], "moz")
+    writer.save_state()  # new records in the journal
+    encodes.clear()
+    reader = offline(tmp_path)
+    assert reader.load_state()
+    reader._snapshot_stage = None  # a Method 1 cut: the snapshot and the journal, rewritten
+    checked_save(reader)
+    assert encodes == []
+    changed = grow(reader, URIRS[0], [2005])
+    reader._snapshot_stage = None
+    checked_save(reader)
+    assert encodes == [changed.urir.canonical_key]
+
+
+def reversed_keys(value):
+    if isinstance(value, dict):
+        return {key: reversed_keys(value[key]) for key in reversed(value)}
+    if isinstance(value, list):
+        return [reversed_keys(v) for v in value]
+    return value
+
+
+def without_unset_tags(value):
+    """A state or one record, compact, its records that carry neither a
+    source nor a live status without both keys, as in state files from
+    before they were stored."""
+    for d in value.get("records", [value]):
+        if d["urir"]["source"] is None and d["urir"]["live_status"] is None:
+            del d["urir"]["source"], d["urir"]["live_status"]
+    return reference_dumps(value)
+
+
+LAYOUTS = {
+    "compact": reference_dumps,
+    "indented": lambda payload: json.dumps(payload, indent=1, sort_keys=True),
+    "unsorted keys": lambda payload: json.dumps(reversed_keys(payload), separators=(",", ":")),
+    "no unset tags": without_unset_tags,
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_a_file_in_another_layout_is_encoded_once_and_resumes(corpus, encodes, layout):
+    expected, _ = reference(corpus)
+    first = pipeline(corpus, "out")
+    assert first.run(stop_after="method2") == "method3"
+    written = first.state_path.read_bytes()
+    payload = json.loads(written)
+    every = [d["urir"]["canonical_key"] for d in payload["records"]]
+    unset = [
+        d["urir"]["canonical_key"] for d in payload["records"]
+        if d["urir"]["source"] is None and d["urir"]["live_status"] is None
+    ]
+    assert 0 < len(unset) < len(every)
+    reencoded = {"compact": [], "indented": every, "unsorted keys": every, "no unset tags": unset}[layout]
+    first.state_path.write_text(LAYOUTS[layout](payload))
+
+    encodes.clear()
+    resumed = pipeline(corpus, "out")
+    assert resumed.load_state()
+    for _ in range(2):  # each record encoded at the first snapshot at most
+        resumed._snapshot_stage = None
+        resumed.save_state()
+        assert sorted(encodes) == sorted(reencoded)
+        assert resumed.state_path.read_bytes() == written
+        reencoded = []
+        encodes.clear()
+    resumes_to(corpus, "out", expected)
+
+
+@pytest.mark.parametrize("layout", ["unsorted keys", "no unset tags"])
+def test_a_journal_line_in_another_layout_is_encoded_once(tmp_path, encodes, layout):
+    writer = offline(tmp_path)
+    grow(writer, URIRS[0], [2001], "moz")
+    writer.save_state()
+    journaled = [grow(writer, uri, [2002]) for uri in URIRS[1:]]  # no source, no live status
+    writer.save_state()
+    cursor = {"stage": writer.stage, "scan_index": writer.scan_index}
+    records = [_record_to_dict(r) for r in writer.collection.records()]
+    expected = reference_dumps({**cursor, "records": records}).encode()
+    *lines, last = writer.journal_path.read_text().splitlines()
+    rewritten = [LAYOUTS[layout](json.loads(line)) for line in lines]
+    writer.journal_path.write_text("".join(f"{line}\n" for line in [*rewritten, last]))
+
+    encodes.clear()
+    reader = offline(tmp_path)
+    assert reader.load_state()
+    reader._snapshot_stage = None
+    reader.save_state()
+    assert sorted(encodes) == keys_of(*journaled)
+    assert reader.state_path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("failing", ["write", "replace"])
+def test_a_snapshot_that_fails_leaves_the_state_file_and_no_temporary_file(tmp_path, monkeypatch, failing):
+    pipe = offline(tmp_path)
+    grow(pipe, URIRS[1], [2001], "moz")
+    pipe.save_state()
+    grow(pipe, URIRS[2], [2001], "moz")
+    pipe.save_state()  # a journal beside the snapshot
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    full = OSError(errno.ENOSPC, "No space left on device")
+
+    def write_text(path, text, encoding=None):
+        with open(path, "w", encoding=encoding) as f:
+            f.write(text[: len(text) // 2])  # a partial write, then the disk is full
+        raise full
+
+    def replace_file(src, dst):
+        raise full
+
+    grow(pipe, URIRS[3], [2001], "moz")
+    pipe._snapshot_stage = None
+    if failing == "write":
+        monkeypatch.setattr(Path, "write_text", write_text)
+    else:
+        monkeypatch.setattr(os, "replace", replace_file)
+    with pytest.raises(OSError, match="No space left on device"):
+        pipe.save_state()
+    monkeypatch.undo()
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert "state.json.tmp" not in after
+    assert after["state.json"] == before["state.json"]
+    if failing == "write":
+        assert after == before  # the journal goes only after the write succeeded
+    loaded = offline(tmp_path)
+    assert loaded.load_state()
