@@ -356,7 +356,7 @@ def compact14(dt: datetime) -> str:
 
 def parse_compact14(stamp: str) -> datetime:
     """The aware UTC datetime of a 14-digit stamp written by :func:`compact14`."""
-    if len(stamp) != 14 or not stamp.isascii() or not stamp.isdigit():
+    if type(stamp) is not str or len(stamp) != 14 or not stamp.isascii() or not stamp.isdigit():
         raise ValueError(f"expected 14 digits, got {stamp!r}")
     if stamp[8:10] == "24":  # ISO 8601's next-day midnight; compact14 never writes it
         raise ValueError(f"hour out of range in {stamp!r}")

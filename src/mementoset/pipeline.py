@@ -11,16 +11,17 @@ uninterrupted one (fetches must be deterministic, e.g. fixture-backed, for
 byte equality). A save within a stage appends the records changed since
 the last save and a cursor line to the journal ``state.jsonl``; the
 snapshot ``state.json`` is rewritten atomically, and the journal removed,
-at the first save of each stage and when ``run`` returns, so a finished or
-stopped run leaves ``state.json`` alone. A checkpoint's CPU, like its
-bytes, grows only with what changed: each stored record's JSON text is
-kept while the collection holds that record, so a save encodes only the
-records changed since the last, and a snapshot joins the kept texts. A
-loaded record keeps the text it was read from when that is exactly what
-the encoder writes for it; a file in another layout (indented, or from an
-earlier version) is encoded at its first save. Method 1's selection is not
-stored apart: its URI-Rs are the records that carry a source tag, and
-resuming counts them again under the config's ``quota_per_bucket``.
+at the first save of each stage, so a run that finishes or stops at a
+stage boundary leaves ``state.json`` alone. A Method 1 cut after
+``max_candidates`` is an ordinary checkpoint: it appends like any other,
+and resuming replays the journal, as after a crash. A checkpoint's CPU,
+like its bytes, grows only with what changed: each stored record's JSON
+text is kept while the collection holds that record, so a save encodes
+only the records changed since the last, and a snapshot joins the kept
+texts. A loaded record, in whatever layout it was read, is encoded once,
+at the next snapshot. Method 1's selection is not stored apart: its
+URI-Rs are the records that carry a source tag, and resuming counts them
+again under the config's ``quota_per_bucket``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from .client import ArchiveClient, FetchPolicy, Transport, open_transport
 from .discovery import (
@@ -180,8 +181,17 @@ def _resource_to_dict(r: OriginalResource) -> dict:
     }
 
 
+# The types a stored URI-R's fields may hold, tested with type(): a bool is
+# no int here. Plain tests, as a resume decodes every record.
+_STR, _STR_OR_NULL = {str}, {str, type(None)}
+_RESOURCE_TYPES = dict(
+    uri=_STR, canonical_key=_STR, final_uri=_STR,
+    source=_STR_OR_NULL, live_status={int, type(None)},
+)
+
+
 def _resource_from_dict(d: dict) -> OriginalResource:
-    return OriginalResource(
+    resource = OriginalResource(
         uri=d["uri"],
         canonical_key=d["canonical_key"],
         final_uri=d["final_uri"],
@@ -189,6 +199,11 @@ def _resource_from_dict(d: dict) -> OriginalResource:
         source=d.get("source"),
         live_status=d.get("live_status"),
     )
+    for name, types in _RESOURCE_TYPES.items():
+        value = getattr(resource, name)
+        if type(value) not in types:
+            raise TypeError(f"the URI-R's {name!r} has the wrong type: {value!r}")
+    return resource
 
 
 def _record_to_dict(record: TimeMapRecord) -> dict:
@@ -206,14 +221,22 @@ def _record_to_dict(record: TimeMapRecord) -> dict:
 def _record_from_dict(d: dict) -> TimeMapRecord:
     urir = _resource_from_dict(d["urir"])
     key = urir.canonical_key
-    # Positional: a frozen dataclass takes keywords at twice the cost.
-    mementos = tuple(
-        Memento(urim, parse_compact14(stamp), key, archive_id, raw)
-        for stamp, urim, archive_id, raw in d["mementos"]
-    )
+    mementos = []
+    for m in d["mementos"]:
+        if (  # parse_compact14 checks the stamp
+            type(m) is not list
+            or len(m) != 4
+            or type(m[1]) is not str
+            or type(m[2]) not in _STR_OR_NULL
+            or type(m[3]) not in _STR_OR_NULL
+        ):
+            raise TypeError(f"a memento is not [stamp, URI-M, archive|null, raw URI-M|null]: {m!r}")
+        stamp, urim, archive_id, raw = m
+        # Positional: a frozen dataclass takes keywords at twice the cost.
+        mementos.append(Memento(urim, parse_compact14(stamp), key, archive_id, raw))
     return TimeMapRecord(
         urir=urir,
-        mementos=mementos,
+        mementos=tuple(mementos),
         fetched_at=parse_compact14(d["fetched_at"]),
         provenance=Provenance(d["provenance"]),
     )
@@ -228,14 +251,6 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 def _encode(record: TimeMapRecord) -> str:
     """The state file text of ``record``: the one place a record is encoded."""
     return _dumps(_record_to_dict(record))
-
-
-# The keys _record_to_dict writes, at the top and under "urir". A record
-# decoded from a dict with exactly these keys holds the dict's values (its
-# stamps and enums read back as written), so _encode writes it as _dumps
-# of that dict.
-_RECORD_KEYS = {"urir", "provenance", "fetched_at", "mementos"}
-_RESOURCE_KEYS = {"uri", "canonical_key", "final_uri", "path_bucket", "source", "live_status"}
 
 
 @contextmanager
@@ -312,7 +327,10 @@ class DiscoveryPipeline:
 
     def _write_snapshot(self) -> None:
         self.config.out_dir.mkdir(parents=True, exist_ok=True)
-        text = self._snapshot(self._text(r) for r in self.collection.records())
+        # _dumps of the whole state: with keys sorted, "records" comes
+        # before the cursor's.
+        texts = ",".join(self._text(r) for r in self.collection.records())
+        text = '{"records":[' + texts + "]," + self._cursor()[1:]
         tmp = self.state_path.with_suffix(".json.tmp")
         try:
             tmp.write_text(text, "utf-8")
@@ -327,11 +345,6 @@ class DiscoveryPipeline:
     def _cursor(self) -> str:
         return _dumps({"stage": self.stage, "scan_index": self.scan_index})
 
-    def _snapshot(self, texts: Iterable[str]) -> str:
-        """``_dumps`` of the whole state, given its records' texts: with
-        keys sorted, "records" comes before the cursor's."""
-        return '{"records":[' + ",".join(texts) + "]," + self._cursor()[1:]
-
     def _text(self, record: TimeMapRecord) -> str:
         """``_encode(record)``, kept while the collection holds this very
         record: records are frozen, and ``add`` stores a new one on every
@@ -342,36 +355,27 @@ class DiscoveryPipeline:
             kept = self._texts[key] = record, _encode(record)
         return kept[1]
 
-    def _keep(self, record: TimeMapRecord, d: dict, text: str) -> None:
-        """Keep ``text``, the ``_dumps(d)`` that ``record`` was read from, as
-        the record's text when ``_encode`` writes that for it."""
-        if d.keys() == _RECORD_KEYS and d["urir"].keys() == _RESOURCE_KEYS:
-            self._texts[record.urir.canonical_key] = record, text
-
     def load_state(self) -> bool:
         """Load the snapshot ``state.json`` when it exists, then replay the
-        journal ``state.jsonl`` over it. A journal save takes effect with
-        its cursor line, so lines after the last cursor, a truncated last
-        line among them, are dropped, and the next save writes a snapshot.
-        A file that does not decode, lacks a key, names no stage of
-        ``STAGES`` or holds a ``scan_index`` that is not a non-negative int
-        is a ParseError that names it."""
+        journal ``state.jsonl`` over it: the one a Method 1 cut or a crash
+        left. A journal save takes effect with its cursor line, so lines
+        after the last cursor, a truncated last line among them, are
+        dropped, and the next save writes a snapshot. Every layout loads
+        the same way, and no text is kept: a loaded record is encoded once,
+        at the next snapshot. A file that does not decode, lacks a key,
+        holds a value of the wrong type, names no stage of ``STAGES`` or
+        holds a ``scan_index`` that is not a non-negative int is a
+        ParseError that names it."""
         if not self.state_path.exists():
             return False  # a journal without its snapshot is stale: the first save removes it
         with _decoding(self.state_path):
-            text = self.state_path.read_text("utf-8")
-            payload = json.loads(text)
+            payload = json.loads(self.state_path.read_text("utf-8"))
             self._load_cursor(self.state_path, payload)
-            records = [(_record_from_dict(d), d) for d in payload["records"]]
-        texts = [_dumps(d) for _, d in records]
-        # A file in another layout keeps no text: the first save encodes it.
-        compact = text == self._snapshot(texts)
+            records = [_record_from_dict(d) for d in payload["records"]]
         self.collection = MementoCollection()
         self._texts = {}
-        for (record, d), record_text in zip(records, texts):
+        for record in records:
             self.collection.add(record)
-            if compact:
-                self._keep(record, d, record_text)
         self._snapshot_stage = self.stage
         if self.journal_path.exists():
             self._replay_journal()
@@ -394,20 +398,17 @@ class DiscoveryPipeline:
     def _replay_journal(self) -> None:
         path = self.journal_path
         *lines, torn = path.read_bytes().split(b"\n")  # torn: b"" after a whole last line
-        pending: list[tuple[TimeMapRecord, dict, bytes]] = []
+        pending: list[TimeMapRecord] = []
         for number, line in enumerate(lines, 1):
             with _decoding(path, number):
                 entry = json.loads(line)
                 if "stage" in entry:
                     self._load_cursor(path, entry)
-                    for record, d, read in pending:
+                    for record in pending:
                         self.collection.add(record)
-                        text = _dumps(d)
-                        if text.encode() == read:
-                            self._keep(record, d, text)
                     pending = []
                 else:
-                    pending.append((_record_from_dict(entry), entry, line))
+                    pending.append(_record_from_dict(entry))
         if pending or torn:
             self._snapshot_stage = None  # appending after a torn save would join it
 
@@ -457,10 +458,7 @@ class DiscoveryPipeline:
             or len(self.accepted) >= self.config.target
             or self.scan_index == len(stream)
         )
-        if not completed:
-            # Cut at max_candidates: run() returns, so state.json alone is
-            # left as the whole state.
-            self._snapshot_stage = None
+        if not completed:  # cut at max_candidates: a checkpoint like any other
             self.save_state()
         return completed
 

@@ -1,21 +1,23 @@
 """The state journal: ``save_state`` appends what changed since the last save
 to ``state.jsonl`` and writes the ``state.json`` snapshot only at stage
-boundaries and when ``run`` returns.
+boundaries. A Method 1 cut after ``max_candidates`` appends like any other
+checkpoint.
 
 A run stopped anywhere, mid-append or mid-snapshot included, must resume
 to the state of an uninterrupted run, and a checkpoint must write a number
 of bytes that does not grow with the records already stored. Its CPU must
 not grow with them either: each stored record's JSON text is kept while the
 collection holds that record, so a checkpoint encodes only the records that
-changed, and a loaded record keeps the text it was read from when that is
-exactly what the encoder writes. The encoder the state files were written
-with before, ``reference_dumps`` below, holds every file to the same bytes.
+changed, and a loaded record is encoded once, at the next snapshot. The
+encoder the state files were written with before, ``reference_dumps``
+below, holds every file to the same bytes.
 """
 
 import errno
 import itertools
 import json
 import os
+import re
 import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -77,13 +79,14 @@ def encoded(payload) -> int:
     return len(reference_dumps(payload)) + 1
 
 
-def pipeline(corpus, out, after=None, checkpoint_every=None):
+def pipeline(corpus, out, after=None, checkpoint_every=None, transport=None):
     fixtures, config_path = corpus
     config = RunConfig.from_file(config_path)
     config.out_dir = config.out_dir.parent / out
     if checkpoint_every is not None:
         config.checkpoint_every = checkpoint_every
-    transport = CrashingTransport(FixtureTransport(fixtures), after)
+    if transport is None:
+        transport = CrashingTransport(FixtureTransport(fixtures), after)
     return DiscoveryPipeline(config, transport=transport, clock=lambda: FIXED_NOW)
 
 
@@ -147,6 +150,35 @@ def test_a_crash_after_any_save_resumes_to_the_uninterrupted_state(corpus):
         assert list(loaded.collection.records()) == list(cut.collection.records())
         resumes_to(corpus, f"crash{saves}", expected)
     assert journaled == {"method1", "method2", "method3", "method4"}
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_a_run_cut_every_k_candidates_resumes_from_a_crash_at_any_request(corpus, k):
+    """Method 1 cut every ``k`` candidates, each continuation a fresh
+    pipeline: a cut appends to the journal like any checkpoint, and a run
+    crashed at any request of the cut sequence resumes to the
+    uninterrupted state."""
+    expected, _ = reference(corpus)
+    fixtures, _ = corpus
+    sent = CrashingTransport(FixtureTransport(fixtures))  # shared by the continuations
+    cuts = 0
+    while (cut := pipeline(corpus, "cut", transport=sent)).run(max_candidates=k) == "method1":
+        cuts += 1
+        # Each save appends but the run's first, which wrote the snapshot.
+        assert cut.journal_path.exists() == (cut.scan_index > 1)
+        loaded = pipeline(corpus, "cut")
+        assert loaded.load_state()
+        assert held(loaded) == held(cut)
+    assert cuts == (len(cut._stream()) - 1) // k
+    assert cut.state_path.read_bytes() == expected
+    assert not cut.journal_path.exists()
+    for after in range(sent.sent):
+        out = f"crash{after}"
+        crashing = CrashingTransport(FixtureTransport(fixtures), after)
+        with pytest.raises(Crash):
+            while pipeline(corpus, out, transport=crashing).run(max_candidates=k) == "method1":
+                pass
+        resumes_to(corpus, out, expected)
 
 
 def test_a_truncated_journal_drops_its_last_save_and_resumes(corpus):
@@ -219,6 +251,83 @@ def test_discover_exits_1_on_a_garbled_journal(broken_journal, capsys):
     assert capsys.readouterr().err.startswith(f"error: {journal} does not decode:")
 
 
+# -- what a state file may hold ------------------------------------------------
+
+# Memento entries that are not [stamp, URI-M, archive or null, raw URI-M or
+# null]. The object was once read as its four keys.
+URIM = "http://web.archive.org/web/20120101000000/http://a.example/"
+BAD_MEMENTOS = {
+    "an object": {"20120101000000": 0, URIM: 0, "web.archive.org": 0, "x": 0},
+    "three items": ["20120101000000", URIM, "web.archive.org"],
+    "five items": ["20120101000000", URIM, "web.archive.org", None, None],
+    "a URI-M that is a number": ["20120101000000", 5, "web.archive.org", None],
+    "an archive that is a bool": ["20120101000000", URIM, True, None],
+    "a raw URI-M that is a list": ["20120101000000", URIM, None, [URIM]],
+    "a stamp that is a list": [list("20120101000000"), URIM, None, None],
+}
+BAD_FIELDS = [
+    ("uri", 5),
+    ("canonical_key", None),
+    ("final_uri", ["http://a.example/"]),
+    ("source", 5),
+    ("live_status", True),
+    ("live_status", "200"),
+]
+
+
+def fails_to_load(tmp_path, file, spoil):
+    """Store a snapshot of one record and a journal of one more, apply
+    ``spoil`` to the first record in ``file``, and expect the load to raise
+    a ParseError naming the file, and the line in the journal."""
+    writer = offline(tmp_path)
+    grow(writer, URIRS[0], [2001], "moz")
+    writer.save_state()
+    grow(writer, URIRS[1], [2002], "moz")
+    writer.save_state()
+    if file == "state.json":
+        payload = json.loads(writer.state_path.read_text())
+        spoil(payload["records"][0])
+        writer.state_path.write_text(reference_dumps(payload))
+        path, where = writer.state_path, ""
+    else:
+        lines = [json.loads(line) for line in writer.journal_path.read_text().splitlines()]
+        spoil(lines[0])
+        writer.journal_path.write_text("".join(reference_dumps(line) + "\n" for line in lines))
+        path, where = writer.journal_path, " \\(at offset 1\\)"
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))} does not decode: .*{where}$"):
+        offline(tmp_path).load_state()
+
+
+@pytest.mark.parametrize("file", ["state.json", "state.jsonl"])
+@pytest.mark.parametrize("memento", BAD_MEMENTOS)
+def test_a_memento_that_is_not_an_array_of_four_is_a_parse_error(tmp_path, file, memento):
+    def spoil(record):
+        record["mementos"][0] = BAD_MEMENTOS[memento]
+
+    fails_to_load(tmp_path, file, spoil)
+
+
+@pytest.mark.parametrize("file", ["state.json", "state.jsonl"])
+@pytest.mark.parametrize("field, value", BAD_FIELDS)
+def test_a_urir_field_of_the_wrong_type_is_a_parse_error(tmp_path, file, field, value):
+    def spoil(record):
+        record["urir"][field] = value
+
+    fails_to_load(tmp_path, file, spoil)
+
+
+def test_discover_exits_1_on_a_mistyped_record(corpus, capsys):
+    done = pipeline(corpus, "out")
+    assert done.run() == "done"
+    payload = json.loads(done.state_path.read_text())
+    payload["records"][0]["urir"]["uri"] = 5
+    done.state_path.write_text(reference_dumps(payload))
+    capsys.readouterr()
+    assert main(["discover", "--config", str(corpus[1])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {done.state_path} does not decode: the URI-R's 'uri' has the wrong type: 5")
+
+
 def test_each_checkpoint_appends_only_what_changed(tmp_path):
     universe = build_universe(seed=5, n=260)
     transport = universe_transport(universe)
@@ -249,7 +358,7 @@ def test_each_checkpoint_appends_only_what_changed(tmp_path):
 
     scan.save_state = measured
     assert scan.run(stop_after="method1", max_candidates=200) == "method1"
-    assert sorted(appends) == list(range(25, 201, 25))
+    assert sorted(appends) == [*range(25, 201, 25), 210]  # the checkpoints, then the cut
     for appended, bound, changed in appends.values():
         assert 0 < appended <= bound
         assert changed <= config.checkpoint_every
@@ -324,7 +433,7 @@ STEPS = st.lists(
             st.just("grow"), st.sampled_from(URIRS),
             st.lists(st.integers(1996, 2024), max_size=3), st.sampled_from(SOURCES),
         ),
-        st.sampled_from([("save",), ("scan",), ("cut",), ("stage",), ("load",)]),
+        st.sampled_from([("save",), ("scan",), ("stage",), ("load",)]),
     ),
     max_size=30,
 )
@@ -332,10 +441,10 @@ STEPS = st.lists(
 
 @given(STEPS)
 def test_every_state_file_is_the_reference_encoders(steps):
-    """Runs of adds, replacements through a reducer merge, saves, Method 1
-    cuts, stage ends and fresh pipelines that load the snapshot and replay
-    the journal: each ``state.json`` and each journal line is what the
-    previous encoder wrote, and each load gives back the state last saved."""
+    """Runs of adds, replacements through a reducer merge, saves, stage
+    ends and fresh pipelines that load the snapshot and replay the journal:
+    each ``state.json`` and each journal line is what the previous encoder
+    wrote, and each load gives back the state last saved."""
     with tempfile.TemporaryDirectory() as out:
         pipe = offline(Path(out))
         saved = None
@@ -351,9 +460,7 @@ def test_every_state_file_is_the_reference_encoders(steps):
                 assert pipe.load_state() == (saved is not None)
                 if saved is not None:
                     assert held(pipe) == saved
-            elif step in ("save", "cut"):
-                if step == "cut":
-                    pipe._snapshot_stage = None  # as _run_method1 does when max_candidates cuts it
+            elif step == "save":
                 checked_save(pipe)
                 saved = held(pipe)
 
@@ -389,33 +496,13 @@ def test_a_checkpoint_encodes_only_the_records_that_changed(tmp_path, encodes):
         pipe.save_state()  # an append
         assert sorted(encodes) == keys_of(*changed)
         assert pipe.journal_path.exists()
-    for k in range(len(URIRS) + 1):
+    for k, stage in enumerate(STAGES[1:]):
         encodes.clear()
         changed = [grow(pipe, uri, [2020 + k]) for uri in URIRS[:k]]
-        pipe._snapshot_stage = None  # a Method 1 cut
-        pipe.save_state()
+        pipe.stage = stage
+        pipe.save_state()  # a stage's first: a snapshot
         assert sorted(encodes) == keys_of(*changed)
         assert not pipe.journal_path.exists()
-
-
-def test_a_loaded_record_keeps_the_text_it_was_read_from(tmp_path, encodes):
-    writer = offline(tmp_path)
-    for uri in URIRS[:3]:
-        grow(writer, uri, [2001], "moz")
-    writer.save_state()
-    for uri in URIRS[3:]:
-        grow(writer, uri, [2002], "moz")
-    writer.save_state()  # new records in the journal
-    encodes.clear()
-    reader = offline(tmp_path)
-    assert reader.load_state()
-    reader._snapshot_stage = None  # a Method 1 cut: the snapshot and the journal, rewritten
-    checked_save(reader)
-    assert encodes == []
-    changed = grow(reader, URIRS[0], [2005])
-    reader._snapshot_stage = None
-    checked_save(reader)
-    assert encodes == [changed.urir.canonical_key]
 
 
 def reversed_keys(value):
@@ -457,28 +544,27 @@ def test_a_file_in_another_layout_is_encoded_once_and_resumes(corpus, encodes, l
         if d["urir"]["source"] is None and d["urir"]["live_status"] is None
     ]
     assert 0 < len(unset) < len(every)
-    reencoded = {"compact": [], "indented": every, "unsorted keys": every, "no unset tags": unset}[layout]
     first.state_path.write_text(LAYOUTS[layout](payload))
 
     encodes.clear()
     resumed = pipeline(corpus, "out")
     assert resumed.load_state()
-    for _ in range(2):  # each record encoded at the first snapshot at most
-        resumed._snapshot_stage = None
-        resumed.save_state()
+    assert encodes == []  # a load encodes nothing
+    for reencoded in (every, []):  # each loaded record, at the first snapshot only
+        resumed._write_snapshot()
         assert sorted(encodes) == sorted(reencoded)
         assert resumed.state_path.read_bytes() == written
-        reencoded = []
         encodes.clear()
     resumes_to(corpus, "out", expected)
 
 
-@pytest.mark.parametrize("layout", ["unsorted keys", "no unset tags"])
+@pytest.mark.parametrize("layout", ["compact", "unsorted keys", "no unset tags"])
 def test_a_journal_line_in_another_layout_is_encoded_once(tmp_path, encodes, layout):
     writer = offline(tmp_path)
     grow(writer, URIRS[0], [2001], "moz")
     writer.save_state()
-    journaled = [grow(writer, uri, [2002]) for uri in URIRS[1:]]  # no source, no live status
+    for uri in URIRS[1:]:
+        grow(writer, uri, [2002])  # no source, no live status
     writer.save_state()
     cursor = {"stage": writer.stage, "scan_index": writer.scan_index}
     records = [_record_to_dict(r) for r in writer.collection.records()]
@@ -490,9 +576,8 @@ def test_a_journal_line_in_another_layout_is_encoded_once(tmp_path, encodes, lay
     encodes.clear()
     reader = offline(tmp_path)
     assert reader.load_state()
-    reader._snapshot_stage = None
-    reader.save_state()
-    assert sorted(encodes) == keys_of(*journaled)
+    reader._write_snapshot()
+    assert sorted(encodes) == keys_of(*writer.collection.records())  # the snapshot's and the journal's
     assert reader.state_path.read_bytes() == expected
 
 
@@ -515,7 +600,7 @@ def test_a_snapshot_that_fails_leaves_the_state_file_and_no_temporary_file(tmp_p
         raise full
 
     grow(pipe, URIRS[3], [2001], "moz")
-    pipe._snapshot_stage = None
+    pipe.stage = "method2"  # the stage's first save: a snapshot
     if failing == "write":
         monkeypatch.setattr(Path, "write_text", write_text)
     else:

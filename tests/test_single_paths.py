@@ -74,6 +74,14 @@ def saved_state(pipeline):
     return json.loads(pipeline.state_path.read_text())
 
 
+def loaded_cursor(config):
+    """(stage, scan_index) as a fresh pipeline loads them: a cut leaves its
+    cursor in the journal beside ``state.json``."""
+    pipeline = DiscoveryPipeline(config, clock=lambda: FIXED_NOW)
+    assert pipeline.load_state()
+    return pipeline.stage, pipeline.scan_index
+
+
 class TestMethod1Cursor:
     def test_checkpoint_every_n_candidates_then_stage_save(self, config):
         pipeline, saves = pipeline_with_saves(config)
@@ -85,15 +93,15 @@ class TestMethod1Cursor:
         pipeline, saves = pipeline_with_saves(config)
         assert pipeline.run(max_candidates=3) == "method1"
         assert saves == [("method1", 2), ("method1", 3)]
-        assert saved_state(pipeline)["scan_index"] == 3
+        assert loaded_cursor(config) == ("method1", 3)
         assert [r.uri for r in pipeline.accepted] == ACCEPTED[:3]
 
     def test_one_candidate_per_run_advances_scan_index_by_one(self, config):
         for expected in range(1, len(STREAM) + 1):
             pipeline = DiscoveryPipeline(config, clock=lambda: FIXED_NOW)
             pipeline.run(max_candidates=1, stop_after="method1")
-            assert saved_state(pipeline)["scan_index"] == expected
-        assert saved_state(pipeline)["stage"] == "method2"
+            assert loaded_cursor(config)[1] == expected
+        assert loaded_cursor(config)[0] == "method2"
         resumed = DiscoveryPipeline(config, clock=lambda: FIXED_NOW)
         assert resumed.load_state()
         assert [r.uri for r in resumed.accepted] == ACCEPTED
