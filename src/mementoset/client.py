@@ -11,6 +11,24 @@ operation can be replayed hermetically from a fixture directory, and a
 recording transport captures live responses into one. ``requests`` is
 imported only when a live ``RequestsTransport`` is first built, so
 offline paths (replays, ``canon``, ``stats``) load no HTTP stack.
+
+A client asks each question once per run. It remembers the status,
+headers and elapsed time, never the body, of every answer it is sent,
+and from that memory it answers every request whose body no caller
+reads: a redirect hop (HEAD and the 405/501 GET fallback), a repeated
+raw download (its ``body`` is None), and a TimeMap page that answered
+404 or an empty 200. A TimeMap page with content is sent each time,
+because its reader needs the body, and so is a plain ``request``.
+Requests are the same question when their methods match and their URIs
+are equivalent under RFC 9110 §4.2.3: scheme and host in any case, the
+default port written or not, an empty path or "/", and any fragment,
+which §7.1 never sends (``equivalent_uri``). A remembered answer
+returns without waiting for its lane, and a request already waiting
+asks the memory again after each wait, before it is sent, so look-ahead
+resolutions that meet at one URI send one request at any
+``min_request_interval``. A network error and an answer still 429/503
+after its retries are never remembered. Nothing is persisted: a resumed
+run starts with the memory empty.
 """
 
 from __future__ import annotations
@@ -25,7 +43,7 @@ import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Generator, Protocol
@@ -74,6 +92,41 @@ RETRIED_STATUSES = (429, 503)
 # A blocking operation written as a generator: it yields each wait, in
 # seconds, that it needs before it can go on, and returns its result.
 Steps = Generator[float, None, object]
+
+
+# The port RFC 9110 §4.2.3 makes equivalent to no port, per scheme.
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+
+
+def _split(uri: str) -> tuple[str, str]:
+    """``uri``'s host, which picks its lane, and ``equivalent_uri(uri)``,
+    from one ``urlsplit``. MalformedUri when ``uri`` or its port does not
+    parse."""
+    try:
+        parts = urlsplit(uri)
+        port = parts.port
+    except ValueError as exc:
+        raise MalformedUri(uri, str(exc)) from None
+    host = parts.hostname
+    scheme = parts.scheme
+    sent = uri.partition("#")[0]
+    if not host or scheme not in _DEFAULT_PORTS:
+        return (host or uri).lower(), sent
+    authority = f"[{host}]" if ":" in host else host
+    if port is not None and port != _DEFAULT_PORTS[scheme]:
+        authority = f"{authority}:{port}"
+    userinfo, at, _ = parts.netloc.rpartition("@")
+    query = f"?{parts.query}" if "?" in sent else ""
+    return host, f"{scheme}://{userinfo}{at}{authority}{parts.path or '/'}{query}"
+
+
+def equivalent_uri(uri: str) -> str:
+    """The one form of ``uri`` that every http(s) URI equivalent to it
+    under RFC 9110 §4.2.3 takes: scheme and host in lower case, no default
+    port, "/" for an empty path, and no fragment. Userinfo, path and query
+    stay as written. Another URI loses only its fragment. MalformedUri
+    when ``uri`` or its port does not parse."""
+    return _split(uri)[1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -319,9 +372,32 @@ class _Lane:
 
 
 @dataclass(frozen=True, slots=True)
+class _Answer:
+    """What one request told the run, its body dropped: the client's memory."""
+
+    status: int
+    headers: dict[str, str]
+    elapsed: float  # seconds from the request's start to its answer
+    empty: bool  # the body was empty or only whitespace
+
+
+def _always(answer: _Answer) -> bool:
+    return True
+
+
+def _never(answer: _Answer) -> bool:
+    return False
+
+
+def _lists_nothing(answer: _Answer) -> bool:
+    """A TimeMap page that answered 404 or an empty 200."""
+    return answer.status == 404 or (answer.status == 200 and answer.empty)
+
+
+@dataclass(frozen=True, slots=True)
 class RawContent:
     """Result of downloading a memento's unaltered content; ``body`` is
-    None when the client answers from a download it made before."""
+    None when the client answers from what the run was told before."""
 
     status: int
     headers: dict[str, str]
@@ -339,8 +415,13 @@ class ArchiveClient:
     """Rate-limited fetch operations against archives and aggregators.
 
     Thread-safe: many workers may call into one client; each archive's
-    lane serializes and spaces their attempts. A client downloads each
-    raw URI once (``timed_download``), so a run shares one client.
+    lane serializes and spaces their attempts. The client is a run's
+    memory (see the module docstring): it sends each redirect hop, raw
+    download and empty TimeMap page once, up to RFC 9110 URI equivalence,
+    so a run shares one client. A network error, an answer still 429/503
+    after its retries and a TimeMap page with content are asked again; a
+    resumed run, in a new client, starts with nothing remembered. The
+    memory holds no body: a repeated raw download's ``body`` is None.
     """
 
     def __init__(
@@ -362,20 +443,13 @@ class ArchiveClient:
         self.clock = clock or (lambda: datetime.now(timezone.utc))
         self._lanes: dict[str, _Lane] = {}
         self._lanes_lock = threading.Lock()
-        # What each raw URI's first download told, its body dropped.
-        self._downloads: dict[str, TimedDownload] = {}
-        self._downloads_lock = threading.Lock()
+        # (method, equivalent URI) -> what the request told; dict.get and
+        # item assignment are atomic, so threads share it without a lock.
+        self._answers: dict[tuple[str, str], _Answer] = {}
 
-    def _lane_key(self, uri: str) -> str:
-        try:
-            host = (urlsplit(uri).hostname or uri).lower()
-        except ValueError as exc:
-            raise MalformedUri(uri, str(exc)) from None
+    def _lane(self, host: str) -> _Lane:
         match = self.registry.match_host(host)
-        return f"archive:{match.id}" if match else f"host:{host}"
-
-    def _lane(self, uri: str) -> _Lane:
-        key = self._lane_key(uri)
+        key = f"archive:{match.id}" if match else f"host:{host}"
         with self._lanes_lock:
             lane = self._lanes.get(key)
             if lane is None:
@@ -383,7 +457,9 @@ class ArchiveClient:
         return lane
 
     def request(self, method: str, uri: str) -> TransportResponse:
-        """One polite request: lane spacing, retries with backoff.
+        """One polite request: lane spacing, retries with backoff. It is
+        always sent, since its caller reads the body, which the memory
+        does not keep; what it tells is remembered.
 
         A :class:`PermanentNetworkError` is raised after its one attempt;
         other network errors, 429 and 503 are retried.
@@ -394,13 +470,34 @@ class ArchiveClient:
         """``request`` as a step generator: yields each wait in seconds, for
         lane spacing or back-off, instead of sleeping, and returns the
         response. A back-off closes the lane to every request until it ends."""
-        lane = self._lane(uri)
+        response, _ = yield from self._ask_steps(method, uri, _never)
+        return response
+
+    def _ask_steps(
+        self, method: str, uri: str, usable: Callable[[_Answer], bool] = _always
+    ) -> Steps:
+        """``request_steps`` through the run's memory. Returns ``(response,
+        answer)``: ``answer`` is what the request told, and ``response`` the
+        transport's, body included, or None when a remembered answer that
+        ``usable`` accepts was found, at once or after any wait for the
+        lane. Every answer but a 429/503 is remembered."""
+        host, equivalent = _split(uri)
+        key = method, equivalent
+
+        def recall() -> _Answer | None:
+            answer = self._answers.get(key)
+            return answer if answer is not None and usable(answer) else None
+
+        lane = self._lane(host)
+        started = time.monotonic()
         last_error: NetworkError | None = None
         response = None
         for attempt in range(self.policy.retries + 1):
-            response, last_error = yield from self._attempt(lane, method, uri)
+            response, last_error = yield from self._attempt(lane, method, uri, recall)
+            if isinstance(response, _Answer):
+                return None, response
             if response is not None and response.status not in RETRIED_STATUSES:
-                return response
+                break
             if attempt == self.policy.retries or isinstance(last_error, PermanentNetworkError):
                 break
             delay = self._backoff_delay(method, uri, attempt, response)
@@ -408,11 +505,20 @@ class ArchiveClient:
                 lane.closed_until = max(lane.closed_until, time.monotonic() + delay)
         if last_error is not None:
             raise last_error
-        return response  # exhausted retries on 429/503; caller classifies
+        elapsed, body = time.monotonic() - started, response.body
+        answer = _Answer(response.status, response.headers, elapsed, not body or body.isspace())
+        if response.status not in RETRIED_STATUSES:  # else: exhausted retries; caller classifies
+            self._answers[key] = answer
+        return response, answer
 
-    def _attempt(self, lane, method, uri):
-        """Yields waits until the lane opens, then sends once: (response, error)."""
+    def _attempt(self, lane, method, uri, recall):
+        """Yields waits until the lane opens, then sends once: (response,
+        error), or (remembered answer, None) as soon as ``recall`` gives
+        one. The one place a request reaches the transport."""
         while True:
+            known = recall()
+            if known is not None:
+                return known, None
             with lane.lock:
                 opens = max(lane.last_done + self.policy.min_request_interval, lane.closed_until)
                 wait = opens - time.monotonic()
@@ -460,11 +566,11 @@ class ArchiveClient:
             if len(visited) == MAX_TIMEMAP_PAGES:
                 raise NetworkError(f"{first_uri}: more than {MAX_TIMEMAP_PAGES} TimeMap pages")
             visited.add(uri)
-            response = self.request("GET", uri)
-            if response.status == 404 or (response.status == 200 and not response.body.strip()):
+            response, answer = run_steps(self._ask_steps("GET", uri, _lists_nothing))
+            if _lists_nothing(answer):
                 continue
-            if response.status != 200:
-                raise NetworkError(f"GET {uri}: status {response.status}")
+            if answer.status != 200:
+                raise NetworkError(f"GET {uri}: status {answer.status}")
             queue.extend(target for target in read(response.body) if target not in visited)
             pages += 1
         return pages
@@ -518,33 +624,22 @@ class ArchiveClient:
     def timed_download(self, memento: Memento) -> TimedDownload:
         """Raw download plus wall-clock cost, for budget estimation.
 
-        The client remembers what each raw URI's first download told it:
-        a repeat sends no request and returns that download's status,
-        headers, classification and elapsed time, with ``body`` None. A
-        raised network error, or an answer still 429/503 after its
-        retries, is not remembered, so the next call tries again.
+        A download the run was answered before sends no request: it
+        returns that answer's status, headers, classification and elapsed
+        time, with ``body`` None. A raised network error, or an answer
+        still 429/503 after its retries, is not remembered, so the next
+        call tries again.
         """
         if memento.raw_urim is None:
             raise RawAccessUnsupported(memento.urim)
-        with self._downloads_lock:
-            known = self._downloads.get(memento.raw_urim)
-        if known is not None:
-            return known
-        started = time.monotonic()
-        response = self.request("GET", memento.raw_urim)
-        elapsed = time.monotonic() - started
+        response, answer = run_steps(self._ask_steps("GET", memento.raw_urim))
         content = RawContent(
-            status=response.status,
-            headers=response.headers,
-            body=response.body,
-            classification=classify_response(response.status, response.headers),
+            status=answer.status,
+            headers=answer.headers,
+            body=None if response is None else response.body,
+            classification=classify_response(answer.status, answer.headers),
         )
-        if response.status not in RETRIED_STATUSES:
-            with self._downloads_lock:
-                self._downloads.setdefault(
-                    memento.raw_urim, TimedDownload(replace(content, body=None), elapsed)
-                )
-        return TimedDownload(content, elapsed)
+        return TimedDownload(content, answer.elapsed)
 
     def resolve(self, uri: str) -> RedirectChain:
         """Redirect resolution routed through the polite request lanes."""
@@ -556,7 +651,7 @@ class ArchiveClient:
         try:
             method, target = next(walk)
             while True:
-                response = yield from self.request_steps(method, target)
-                method, target = walk.send((response.status, response.headers))
+                _, answer = yield from self._ask_steps(method, target)
+                method, target = walk.send((answer.status, answer.headers))
         except StopIteration as done:
             return done.value

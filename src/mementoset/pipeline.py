@@ -14,7 +14,9 @@ snapshot ``state.json`` is rewritten atomically, and the journal removed,
 at the first save of each stage, so a run that finishes or stops at a
 stage boundary leaves ``state.json`` alone. A Method 1 cut after
 ``max_candidates`` is an ordinary checkpoint: it appends like any other,
-and resuming replays the journal, as after a crash. A checkpoint's CPU,
+and resuming replays the journal, as after a crash. A save with no
+changed record and the cursor as saved appends nothing, so a cut that
+lands on a checkpoint writes no second cursor line. A checkpoint's CPU,
 like its bytes, grows only with what changed: each stored record's JSON
 text is kept while the collection holds that record, so a save encodes
 only the records changed since the last, and a snapshot joins the kept
@@ -294,6 +296,7 @@ class DiscoveryPipeline:
         self.selection_state = SelectionState(quota_per_bucket=config.quota_per_bucket)
         self.collection = MementoCollection()
         self._snapshot_stage: str | None = None  # the stage of the snapshot the journal extends
+        self._saved_cursor = ""  # the last cursor the snapshot or the journal holds
         self._texts: dict[str, tuple[TimeMapRecord, str]] = {}  # key -> a record and its text
 
     @property
@@ -314,23 +317,29 @@ class DiscoveryPipeline:
 
     def save_state(self) -> None:
         """Append the records changed since the last save and a cursor line
-        (stage, scan index) to the journal. Write a snapshot instead while
+        (stage, scan index) to the journal; with no changed record and the
+        cursor as saved, append nothing. Write a snapshot instead while
         this pipeline has written or loaded none of the current stage."""
         changed = self.collection.take_changed()
         if self._snapshot_stage != self.stage:
             self._write_snapshot()
             return
+        cursor = self._cursor()
+        if not changed and cursor == self._saved_cursor:
+            return  # a cut that lands on a checkpoint
         lines = [self._text(r) for r in changed]
-        lines.append(self._cursor())
+        lines.append(cursor)
         with self.journal_path.open("a", encoding="utf-8") as journal:
             journal.write("\n".join(lines) + "\n")
+        self._saved_cursor = cursor
 
     def _write_snapshot(self) -> None:
         self.config.out_dir.mkdir(parents=True, exist_ok=True)
         # _dumps of the whole state: with keys sorted, "records" comes
         # before the cursor's.
         texts = ",".join(self._text(r) for r in self.collection.records())
-        text = '{"records":[' + texts + "]," + self._cursor()[1:]
+        cursor = self._cursor()
+        text = '{"records":[' + texts + "]," + cursor[1:]
         tmp = self.state_path.with_suffix(".json.tmp")
         try:
             tmp.write_text(text, "utf-8")
@@ -340,7 +349,7 @@ class DiscoveryPipeline:
             os.replace(tmp, self.state_path)
         finally:
             tmp.unlink(missing_ok=True)  # left by a write or replace that failed
-        self._snapshot_stage = self.stage
+        self._snapshot_stage, self._saved_cursor = self.stage, cursor
 
     def _cursor(self) -> str:
         return _dumps({"stage": self.stage, "scan_index": self.scan_index})
@@ -380,6 +389,7 @@ class DiscoveryPipeline:
         if self.journal_path.exists():
             self._replay_journal()
         self.collection.take_changed()
+        self._saved_cursor = self._cursor()
         # Files that also hold "accepted", "selection_state" or "method_tables"
         # load the same: the selection is rebuilt from the records.
         self.selection_state = SelectionState.from_resources(

@@ -164,8 +164,9 @@ def test_a_run_cut_every_k_candidates_resumes_from_a_crash_at_any_request(corpus
     cuts = 0
     while (cut := pipeline(corpus, "cut", transport=sent)).run(max_candidates=k) == "method1":
         cuts += 1
-        # Each save appends but the run's first, which wrote the snapshot.
-        assert cut.journal_path.exists() == (cut.scan_index > 1)
+        # Each save appends but the run's first, which wrote the snapshot,
+        # and a cut on a checkpoint, which has nothing left to append.
+        assert cut.journal_path.exists() == (cut.scan_index > min(k, cut.config.checkpoint_every))
         loaded = pipeline(corpus, "cut")
         assert loaded.load_state()
         assert held(loaded) == held(cut)
@@ -179,6 +180,19 @@ def test_a_run_cut_every_k_candidates_resumes_from_a_crash_at_any_request(corpus
             while pipeline(corpus, out, transport=crashing).run(max_candidates=k) == "method1":
                 pass
         resumes_to(corpus, out, expected)
+
+
+def test_a_cut_on_a_checkpoint_appends_no_second_cursor_line(corpus):
+    expected, _ = reference(corpus)
+    for _ in range(2):
+        cut = pipeline(corpus, "cut", checkpoint_every=2)
+        assert cut.run(max_candidates=2) == "method1"
+    # The first run's checkpoint at 2 wrote the snapshot, and its cut
+    # nothing; the second run's checkpoint at 4 appended its records and a
+    # cursor line, and its cut nothing.
+    entries = [json.loads(line) for line in cut.journal_path.read_text("utf-8").splitlines()]
+    assert [entry for entry in entries if "stage" in entry] == [{"scan_index": 4, "stage": "method1"}]
+    resumes_to(corpus, "cut", expected)
 
 
 def test_a_truncated_journal_drops_its_last_save_and_resumes(corpus):
@@ -401,7 +415,8 @@ def grow(pipe: DiscoveryPipeline, uri: str, years, source=None):
 def checked_save(pipe: DiscoveryPipeline) -> None:
     """``pipe.save_state()``, and what it wrote held to ``reference_dumps``
     byte for byte: the whole state in a snapshot, or each changed record
-    and the cursor appended to the journal."""
+    and the cursor appended to the journal, or nothing when no record and
+    not the cursor changed since the last save."""
     journal = pipe.journal_path.read_bytes() if pipe.journal_path.exists() else b""
     take, taken = pipe.collection.take_changed, []
 
@@ -417,6 +432,8 @@ def checked_save(pipe: DiscoveryPipeline) -> None:
     cursor = {"stage": pipe.stage, "scan_index": pipe.scan_index}
     if pipe.journal_path.exists():
         lines = [reference_dumps(_record_to_dict(r)) for r in taken] + [reference_dumps(cursor)]
+        if not taken and journal.endswith(f"{lines[-1]}\n".encode()):
+            lines = []  # nothing changed since the cursor last saved: nothing appended
         assert pipe.journal_path.read_bytes() == journal + "".join(f"{line}\n" for line in lines).encode()
     else:
         records = [_record_to_dict(r) for r in pipe.collection.records()]
