@@ -10,7 +10,8 @@ that sleeps, and a plain method's wait runs in the thread's loop. Every
 operation can be replayed hermetically from a fixture directory, and a
 recording transport captures live responses into one. ``requests`` is
 imported only when a live ``RequestsTransport`` is first built, so
-offline paths (replays, ``canon``, ``stats``) load no HTTP stack.
+offline paths (replays, ``canon``, ``stats``) load no HTTP stack. No
+memento stores its raw URI-M: ``timed_download`` derives it to download.
 
 A client asks each question once per run. It remembers the status,
 headers and elapsed time, never the body, of every answer it is sent,
@@ -57,6 +58,7 @@ from .errors import (
     NoTimeMapEndpoint,
     PermanentNetworkError,
     RawAccessUnsupported,
+    UnknownArchive,
 )
 from .linkformat import TimeMapReader
 from .model import (
@@ -70,6 +72,7 @@ from .model import (
     classify_response,
     header_value,
     parse_http_datetime,
+    raw_variant,
 )
 
 if TYPE_CHECKING:
@@ -617,22 +620,29 @@ class ArchiveClient:
         )
 
     def fetch_raw_memento(self, memento: Memento) -> RawContent:
-        """Download unaltered content via the archive's raw-access scheme,
-        as ``timed_download`` does."""
+        """``timed_download``'s unaltered content, without its duration."""
         return self.timed_download(memento).content
 
     def timed_download(self, memento: Memento) -> TimedDownload:
         """Raw download plus wall-clock cost, for budget estimation.
 
-        A download the run was answered before sends no request: it
-        returns that answer's status, headers, classification and elapsed
-        time, with ``body`` None. A raised network error, or an answer
-        still 429/503 after its retries, is not remembered, so the next
-        call tries again.
+        The raw URI-M is ``raw_variant`` of the URI-M under the
+        ``raw_scheme`` of its archive in this client's registry: it is
+        RawAccessUnsupported, before any request, to download a memento of
+        no archive, of one the registry does not hold or of scheme ``none``,
+        or a URI-M without a 14-digit segment. A download the run was
+        answered before sends no request: it returns that answer's status,
+        headers, classification and elapsed time, with ``body`` None. A
+        network error, or an answer still 429/503 after its retries, is not
+        remembered, so the next call tries again.
         """
-        if memento.raw_urim is None:
+        try:
+            raw = raw_variant(memento.urim, self.registry.get(memento.archive_id).raw_scheme)
+        except UnknownArchive:  # no archive, or one this client's registry does not hold
+            raw = None
+        if raw is None:
             raise RawAccessUnsupported(memento.urim)
-        response, answer = run_steps(self._ask_steps("GET", memento.raw_urim))
+        response, answer = run_steps(self._ask_steps("GET", raw))
         content = RawContent(
             status=answer.status,
             headers=answer.headers,

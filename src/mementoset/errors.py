@@ -93,7 +93,7 @@ class NoTimeMapEndpoint(MementosetError):
 
 
 class RawAccessUnsupported(MementosetError):
-    """Archive has no scheme for retrieving unaltered (raw) content."""
+    """No raw URI-M for a memento: no registered archive, no raw scheme or no 14-digit stamp."""
 
     def __init__(self, urim: str):
         super().__init__(f"no raw-access variant for {urim!r}")

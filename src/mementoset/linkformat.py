@@ -56,7 +56,6 @@ from .model import (
     format_http_datetime,
     parse_compact14,
     parse_http_datetime,
-    raw_variant,
 )
 
 logger = logging.getLogger(__name__)
@@ -266,12 +265,12 @@ class TimeMapReader:
         self._undated: str | None = None  # the first memento member without a datetime
         # (URI-M, its archive, its IMF-fixdate or datetime) per memento read
         self._read: list[tuple[str, ArchiveDescriptor | None, str | datetime]] = []
-        self._archive_by_id: dict[str, ArchiveDescriptor] = {}
+        self._archive_ids: set[str] = set()
 
     @property
     def archives(self) -> set[str]:
         """The archives the memento members read are attributed to."""
-        return set(self._archive_by_id)
+        return set(self._archive_ids)
 
     def read(self, body: bytes | str, archive: ArchiveDescriptor | None = None) -> list[str]:
         """Read one page and return its ``rel="timemap"`` targets but self.
@@ -338,7 +337,7 @@ class TimeMapReader:
                 logger.debug("no registered archive for %s", urim)
                 return None
         if archive is not None:
-            self._archive_by_id.setdefault(archive.id, archive)
+            self._archive_ids.add(archive.id)
         return archive
 
     def _candidate(self, urim: str, host: str | None, key: str, when: str | datetime) -> None:
@@ -346,18 +345,13 @@ class TimeMapReader:
         and ``key`` orders it."""
         self._read.append((urim, self._archive(urim, host), when))
 
-    def _memento(
-        self, urim: str, archive: ArchiveDescriptor | None, when: str | datetime
-    ) -> Memento:
+    def _memento(self, urim: str, archive_id: str | None, when: str | datetime) -> Memento:
         dt = parse_http_datetime(when) if isinstance(when, str) else when
-        key = self._resource.canonical_key
-        if archive is None:
-            return Memento(urim, dt, key)
-        return Memento(urim, dt, key, archive.id, raw_variant(urim, archive.raw_scheme))
+        return Memento(urim, dt, self._resource.canonical_key, archive_id)
 
     def _assemble(self) -> list[Memento]:
         """The record's mementos, once the TimeMap is keyed."""
-        return [self._memento(*read) for read in self._read]
+        return [self._memento(urim, a and a.id, when) for urim, a, when in self._read]
 
     def record(
         self,
@@ -463,7 +457,7 @@ class TimeMapReducer(TimeMapReader):
             for year in sorted(years):
                 _, urim, when = years[year]
                 if not isinstance(when, Memento):
-                    when = self._memento(urim, self._archive_by_id[archive_id], when)
+                    when = self._memento(urim, archive_id, when)
                 mementos.append(when)
         return mementos
 

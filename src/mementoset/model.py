@@ -367,21 +367,16 @@ def parse_compact14(stamp: str) -> datetime:
     )
 
 
-_TIMESTAMP_SEGMENT = re.compile(r"/(\d{14})(/)")
+_TIMESTAMP_SEGMENT = re.compile(r"/(\d{14})/")
 
 
 def raw_variant(urim: str, raw_scheme: RawScheme) -> str | None:
-    """URI-M for unaltered content, or None when the archive has no scheme.
-
-    For Wayback-style archives this inserts ``id_`` directly after the
-    14-digit timestamp path segment.
-    """
+    """The URI-M of unaltered content: for a Wayback-style archive, ``id_``
+    after the first 14-digit path segment; None without one, or no scheme."""
     if raw_scheme is not RawScheme.WAYBACK_ID_SUFFIX:
         return None
-    match = _TIMESTAMP_SEGMENT.search(urim)
-    if match is None:
-        return None
-    return urim[: match.end(1)] + "id_" + urim[match.end(1) :]
+    raw, found = _TIMESTAMP_SEGMENT.subn(r"/\1id_/", urim, count=1)
+    return raw if found else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -398,13 +393,12 @@ class OriginalResource:
 
 @dataclass(frozen=True, slots=True)
 class Memento:
-    """One archived snapshot (URI-M) of an original resource."""
+    """One archived snapshot (URI-M) of an original resource, without its raw URI-M."""
 
     urim: str
     memento_datetime: datetime
     urir_key: str
     archive_id: str | None = None
-    raw_urim: str | None = None
 
     @property
     def year(self) -> int:

@@ -4,7 +4,9 @@ template, or a published list of an unknown archive or format, fails when
 the pipeline is built, before any request.
 
 The state is the stage, the Method 1 scan index and the collected
-records. It is saved every ``checkpoint_every`` scanned candidates, after
+records, each memento as [stamp, URI-M, archive, null]: the client
+derives the raw URI-M, and one an earlier version stored there is
+ignored. It is saved every ``checkpoint_every`` scanned candidates, after
 every archive that Methods 2-4 grew and at every stage boundary, so an
 interrupted run resumed from disk converges to the same final state as an
 uninterrupted one (fetches must be deterministic, e.g. fixture-backed, for
@@ -214,8 +216,7 @@ def _record_to_dict(record: TimeMapRecord) -> dict:
         "provenance": record.provenance.value,
         "fetched_at": compact14(record.fetched_at),
         "mementos": [
-            [compact14(m.memento_datetime), m.urim, m.archive_id, m.raw_urim]
-            for m in record.mementos
+            [compact14(m.memento_datetime), m.urim, m.archive_id, None] for m in record.mementos
         ],
     }
 
@@ -232,10 +233,10 @@ def _record_from_dict(d: dict) -> TimeMapRecord:
             or type(m[2]) not in _STR_OR_NULL
             or type(m[3]) not in _STR_OR_NULL
         ):
-            raise TypeError(f"a memento is not [stamp, URI-M, archive|null, raw URI-M|null]: {m!r}")
-        stamp, urim, archive_id, raw = m
+            raise TypeError(f"a memento is not [stamp, URI-M, archive|null, null|raw URI-M]: {m!r}")
+        stamp, urim, archive_id, _ = m  # the raw URI-M of earlier versions, derived at download
         # Positional: a frozen dataclass takes keywords at twice the cost.
-        mementos.append(Memento(urim, parse_compact14(stamp), key, archive_id, raw))
+        mementos.append(Memento(urim, parse_compact14(stamp), key, archive_id))
     return TimeMapRecord(
         urir=urir,
         mementos=tuple(mementos),

@@ -53,7 +53,15 @@ def _build_memento(
     archive = _attribute(urim, registry)
     if archive is None:
         return Memento(urim, dt, urir_key)
-    return Memento(urim, dt, urir_key, archive.id, raw_variant(urim, archive.raw_scheme))
+    return Memento(urim, dt, urir_key, archive.id)
+
+
+def reference_raw_urim(memento: Memento, registry: ArchiveRegistry) -> str | None:
+    """The raw URI-M the previous code stored with ``memento``: the Wayback
+    variant of its URI-M under its archive's scheme, None without one."""
+    if memento.archive_id is None:
+        return None
+    return raw_variant(memento.urim, registry.get(memento.archive_id).raw_scheme)
 
 
 def record_from_entries(

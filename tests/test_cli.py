@@ -18,7 +18,7 @@ from mementoset.linkformat import (
     serialize_compact,
     serialize_linkformat,
 )
-from mementoset.model import default_registry, raw_variant
+from mementoset.model import default_registry
 
 from published_counts import build_published_manifest
 from reduction_reference import reference_add
@@ -137,10 +137,7 @@ class TestTimemap:
         if direct:
             serving = registry.get("perma.cc")
             uri = serving.timemap_template.format(uri=urir)
-            record = record.with_mementos(
-                replace(m, archive_id=serving.id, raw_urim=raw_variant(m.urim, serving.raw_scheme))
-                for m in record.mementos
-            )
+            record = record.with_mementos(replace(m, archive_id=serving.id) for m in record.mementos)
             form = [*form, "--direct", "perma.cc"]
         else:
             uri = AGG.format(uri=urir)

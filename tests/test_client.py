@@ -1,13 +1,17 @@
 import errno
+import re
 import sys
 import threading
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mementoset import (
     ArchiveClient,
+    ArchiveRegistry,
     Classification,
     EmptyTimeMap,
     FetchPolicy,
@@ -20,12 +24,19 @@ from mementoset import (
     Provenance,
     RawAccessUnsupported,
     RecordingTransport,
+    default_registry,
 )
 from mementoset.client import TransportResponse
+from mementoset.model import RawScheme, raw_variant
 from mockserver import FakeTransport, Route
 
 AGG = "http://aggregator.test/timemap/link/{uri}"
 MD_2004 = {"Memento-Datetime": "Wed, 20 Oct 2004 19:18:00 GMT"}
+
+
+def raw_of(memento):
+    """The raw URI-M of a Wayback-style memento: ``id_`` after its stamp."""
+    return re.sub(r"/(\d{14})/", r"/\1id_/", memento.urim, count=1)
 
 
 def make_client(transport, registry, interval=0.0, retries=3):
@@ -165,7 +176,7 @@ class TestDirectFetch:
         assert len(record.mementos) == 57
         assert record.provenance is Provenance.DIRECT_ARCHIVE
         assert all(m.archive_id == "perma.cc" for m in record.mementos)
-        assert all(m.raw_urim and "id_" in m.raw_urim for m in record.mementos)
+        assert all("id_/" in raw_of(m) for m in record.mementos)
 
     def test_non_native_archive_refused(self, registry):
         webcite = registry.get("webcitation.org")
@@ -195,14 +206,15 @@ class TestDirectFetch:
         assert len(record.mementos) == 1
 
 
+W3_2004 = "http://wayback.vefsafn.is/wayback/20041020191800/http://www.w3.org/"
+
+
 def vefsafn_memento(registry):
-    urim = "http://wayback.vefsafn.is/wayback/20041020191800/http://www.w3.org/"
     return Memento(
-        urim=urim,
+        urim=W3_2004,
         memento_datetime=datetime(2004, 10, 20, 19, 18, tzinfo=timezone.utc),
         urir_key="org,w3)/",
         archive_id="vefsafn.is",
-        raw_urim=urim.replace("20041020191800/", "20041020191800id_/"),
     )
 
 
@@ -210,7 +222,7 @@ class TestRawFetch:
     def test_raw_body_and_classification(self, registry, raw_w3_html):
         m = vefsafn_memento(registry)
         transport = FakeTransport()
-        transport.add("GET", m.raw_urim, 200, MD_2004, raw_w3_html)
+        transport.add("GET", raw_of(m), 200, MD_2004, raw_w3_html)
         client = make_client(transport, registry)
         result = client.fetch_raw_memento(m)
         assert result.classification is Classification.ARCHIVAL_OK
@@ -222,7 +234,6 @@ class TestRawFetch:
             memento_datetime=datetime(2012, 3, 28, 21, 10, 40, tzinfo=timezone.utc),
             urir_key="org,futureofmusic)/about/positions.cfm",
             archive_id="webcitation.org",
-            raw_urim=None,
         )
         client = make_client(FakeTransport(), registry)
         with pytest.raises(RawAccessUnsupported):
@@ -231,7 +242,7 @@ class TestRawFetch:
     def test_non_archival_503_body_still_returned(self, registry):
         m = vefsafn_memento(registry)
         transport = FakeTransport()
-        transport.add("GET", m.raw_urim, 503, {}, b"service unavailable")
+        transport.add("GET", raw_of(m), 503, {}, b"service unavailable")
         client = make_client(transport, registry, retries=0)
         result = client.fetch_raw_memento(m)
         assert result.classification is Classification.NON_ARCHIVAL_ERROR
@@ -240,7 +251,7 @@ class TestRawFetch:
     def test_archival_error_classified(self, registry):
         m = vefsafn_memento(registry)
         transport = FakeTransport()
-        transport.add("GET", m.raw_urim, 404, MD_2004, b"captured 404 page")
+        transport.add("GET", raw_of(m), 404, MD_2004, b"captured 404 page")
         client = make_client(transport, registry)
         assert client.fetch_raw_memento(m).classification is Classification.ARCHIVAL_ERROR
 
@@ -249,7 +260,7 @@ class TestTimedDownload:
     def test_elapsed_lower_bound(self, registry):
         m = vefsafn_memento(registry)
         transport = FakeTransport()
-        transport.add("GET", m.raw_urim, 200, MD_2004, b"x", delay=0.1)
+        transport.add("GET", raw_of(m), 200, MD_2004, b"x", delay=0.1)
         client = make_client(transport, registry)
         timed = client.timed_download(m)
         assert timed.elapsed >= 0.1
@@ -265,9 +276,8 @@ class TestTimedDownload:
                 memento_datetime=datetime(2004, 10, 20, 19, 18, i, tzinfo=timezone.utc),
                 urir_key=f"example,w{i})/",
                 archive_id="vefsafn.is",
-                raw_urim=urim.replace(f"2004102019180{i}/", f"2004102019180{i}id_/"),
             )
-            transport.add("GET", m.raw_urim, 200, MD_2004, b"y")
+            transport.add("GET", raw_of(m), 200, MD_2004, b"y")
             mementos.append(m)
         client = make_client(transport, registry)
         durations = [client.timed_download(m).elapsed for m in mementos]
@@ -281,7 +291,7 @@ class TestRememberedDownloads:
     def test_repeat_keeps_the_duration_of_the_download_made(self, registry):
         m = vefsafn_memento(registry)
         transport = FakeTransport()
-        transport.add("GET", m.raw_urim, 200, MD_2004, b"x", delay=0.1)
+        transport.add("GET", raw_of(m), 200, MD_2004, b"x", delay=0.1)
         client = make_client(transport, registry)
         first = client.timed_download(m)
         repeat = client.timed_download(m)
@@ -296,7 +306,7 @@ class TestRememberedDownloads:
     def test_answer_still_503_is_not_remembered(self, registry):
         m = vefsafn_memento(registry)
         transport = FakeTransport()
-        transport.add_sequence("GET", m.raw_urim, [
+        transport.add_sequence("GET", raw_of(m), [
             Route(503, {}, b"service unavailable"), Route(200, MD_2004, b"page"),
         ])
         client = make_client(transport, registry, retries=0)
@@ -309,7 +319,7 @@ class TestRememberedDownloads:
     def test_network_error_is_not_remembered(self, registry):
         m = vefsafn_memento(registry)
         transport = FakeTransport()
-        transport.add_sequence("GET", m.raw_urim, [
+        transport.add_sequence("GET", raw_of(m), [
             NetworkError("connection reset"), Route(200, MD_2004, b"page"),
         ])
         client = make_client(transport, registry, retries=0)
@@ -325,7 +335,6 @@ class TestRememberedDownloads:
             memento_datetime=datetime(2012, 3, 28, 21, 10, 40, tzinfo=timezone.utc),
             urir_key="org,futureofmusic)/about/positions.cfm",
             archive_id="webcitation.org",
-            raw_urim=None,
         )
         transport = FakeTransport()
         client = make_client(transport, registry)
@@ -344,9 +353,8 @@ class TestRememberedDownloads:
                 memento_datetime=datetime(2004, 10, 20, 19, 18, tzinfo=timezone.utc),
                 urir_key=f"example,w{i})/",
                 archive_id="vefsafn.is",
-                raw_urim=urim.replace("20041020191800/", "20041020191800id_/"),
             )
-            transport.add("GET", m.raw_urim, 200, MD_2004, b"y")
+            transport.add("GET", raw_of(m), 200, MD_2004, b"y")
             mementos.append(m)
         client = make_client(transport, registry)
         errors = []
@@ -370,10 +378,59 @@ class TestRememberedDownloads:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert {uri for _, uri in transport.requests} == {m.raw_urim for m in mementos}
+        assert {uri for _, uri in transport.requests} == {raw_of(m) for m in mementos}
         sent = len(transport.requests)
         assert all(client.timed_download(m).content.body is None for m in mementos)
         assert len(transport.requests) == sent
+
+
+WAYBACK_ARCHIVES = [a for a in default_registry() if a.raw_scheme is RawScheme.WAYBACK_ID_SUFFIX]
+SEGMENT = st.text("abcXYZ019-._~", max_size=8)
+
+
+class TestRawDerivation:
+    """The client derives the raw URI-M when it downloads; no memento stores it."""
+
+    @given(
+        archive=st.sampled_from(WAYBACK_ARCHIVES),
+        scheme=st.sampled_from(["http", "https"]),
+        prefix=st.lists(SEGMENT, max_size=3),
+        stamp=st.from_regex(r"[0-9]{14}", fullmatch=True),
+        target=st.lists(SEGMENT, max_size=3),
+    )
+    def test_a_download_requests_the_raw_variant_of_its_urim(
+        self, archive, scheme, prefix, stamp, target
+    ):
+        path = "".join(f"/{p}" for p in prefix)
+        urim = f"{scheme}://{archive.domains[-1]}{path}/{stamp}/http://a.example/{'/'.join(target)}"
+        m = Memento(urim, datetime(2004, 1, 1, tzinfo=timezone.utc), "example,a)/", archive.id)
+        raw = raw_variant(urim, archive.raw_scheme)
+        assert raw == raw_of(m)
+        transport = FakeTransport()
+        transport.add("GET", raw, 200, MD_2004, b"x")
+        client = make_client(transport, default_registry(), retries=0)
+        assert client.timed_download(m).content.body == b"x"
+        assert transport.requests == [("GET", raw)]
+
+    @pytest.mark.parametrize("urim, archive_id, held", [
+        pytest.param(W3_2004, None, True, id="no archive"),
+        pytest.param(W3_2004, "vefsafn.is", False, id="an archive the registry does not hold"),
+        pytest.param("http://www.webcitation.org/66VfNacdz", "webcitation.org", True,
+                     id="a scheme of none"),
+        pytest.param("http://wayback.vefsafn.is/wayback/2004/http://www.w3.org/", "vefsafn.is",
+                     True, id="no 14-digit segment"),
+    ])
+    def test_no_raw_access_is_refused_before_any_request(self, registry, urim, archive_id, held):
+        if not held:
+            registry = ArchiveRegistry(a for a in registry if a.id != archive_id)
+        m = Memento(urim, datetime(2004, 10, 20, tzinfo=timezone.utc), "org,w3)/", archive_id)
+        transport = FakeTransport()
+        client = make_client(transport, registry)
+        with pytest.raises(RawAccessUnsupported, match="no raw-access variant"):
+            client.timed_download(m)
+        with pytest.raises(RawAccessUnsupported):
+            client.fetch_raw_memento(m)
+        assert transport.requests == []
 
 
 class TestRetries:

@@ -328,7 +328,6 @@ def seed_collection(registry, archive_id, urir, stamps):
             ),
             urir_key=resource.canonical_key,
             archive_id=archive_id,
-            raw_urim=f"http://wayback.{host}/wayback/{stamp}id_/{urir}",
         )
         for stamp in stamps
     )

@@ -62,7 +62,7 @@ from mementoset.linkformat import (
     parse_compact_line,
     parse_link_entries,
 )
-from mementoset.model import compact14, parse_compact14, parse_http_datetime, raw_variant
+from mementoset.model import compact14, parse_compact14, parse_http_datetime
 from mockserver import FakeTransport
 from reduction_reference import compact_record, record_from_entries, reference_add
 
@@ -699,10 +699,7 @@ def full_record(pages, hint, registry, archive, provenance=Provenance.AGGREGATOR
         [e for page in parsed for e in page], hint, registry, provenance, FETCHED
     )
     if archive is not None:
-        record = record.with_mementos(
-            replace(m, archive_id=archive.id, raw_urim=raw_variant(m.urim, archive.raw_scheme))
-            for m in record.mementos
-        )
+        record = record.with_mementos(replace(m, archive_id=archive.id) for m in record.mementos)
     return [links(page) for page in parsed], record
 
 

@@ -32,6 +32,7 @@ from mementoset import ParseError, Provenance
 from mementoset.cli import main
 from mementoset.client import FixtureTransport
 from mementoset.linkformat import TimeMapReducer
+from mementoset.model import raw_variant
 from mementoset.pipeline import STAGES, DiscoveryPipeline, RunConfig, _record_to_dict
 from mockserver import FakeTransport
 from test_lookahead import scan_config, universe_transport
@@ -267,8 +268,9 @@ def test_discover_exits_1_on_a_garbled_journal(broken_journal, capsys):
 
 # -- what a state file may hold ------------------------------------------------
 
-# Memento entries that are not [stamp, URI-M, archive or null, raw URI-M or
-# null]. The object was once read as its four keys.
+# Memento entries that are not [stamp, URI-M, archive or null, null or the
+# raw URI-M string of an earlier version]. The object was once read as its
+# four keys.
 URIM = "http://web.archive.org/web/20120101000000/http://a.example/"
 BAD_MEMENTOS = {
     "an object": {"20120101000000": 0, URIM: 0, "web.archive.org": 0, "x": 0},
@@ -277,6 +279,8 @@ BAD_MEMENTOS = {
     "a URI-M that is a number": ["20120101000000", 5, "web.archive.org", None],
     "an archive that is a bool": ["20120101000000", URIM, True, None],
     "a raw URI-M that is a list": ["20120101000000", URIM, None, [URIM]],
+    "a raw URI-M that is a number": ["20120101000000", URIM, "web.archive.org", 5],
+    "a raw URI-M that is a bool": ["20120101000000", URIM, "web.archive.org", False],
     "a stamp that is a list": [list("20120101000000"), URIM, None, None],
 }
 BAD_FIELDS = [
@@ -340,6 +344,63 @@ def test_discover_exits_1_on_a_mistyped_record(corpus, capsys):
     assert main(["discover", "--config", str(corpus[1])]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {done.state_path} does not decode: the URI-R's 'uri' has the wrong type: 5")
+
+
+# -- the raw URI-M column ------------------------------------------------------
+
+
+def entries_of(payload: dict):
+    """The memento entries of a decoded state, journal record or cursor."""
+    return [m for d in payload.get("records", [payload]) for m in d.get("mementos", [])]
+
+
+def memento_entries(text: str):
+    """Every memento entry of a state file's text, each journal line's too."""
+    return [m for line in text.splitlines() for m in entries_of(json.loads(line))]
+
+
+def with_raw_urims(text: str, registry) -> str:
+    """A state file's text as versions that stored the raw URI-M wrote it:
+    column 4 of each memento entry the Wayback variant of its URI-M, or null
+    when its archive has no raw access."""
+    lines = [json.loads(line) for line in text.splitlines()]
+    for m in (m for line in lines for m in entries_of(line)):
+        archive = None if m[2] is None else registry.get(m[2])
+        m[3] = None if archive is None else raw_variant(m[1], archive.raw_scheme)
+    return "".join(reference_dumps(line) + "\n" for line in lines)
+
+
+def test_a_fresh_runs_state_files_hold_no_raw_uri(corpus):
+    expected, _ = reference(corpus)
+    cut = crashed(corpus, "out", 6, checkpoint_every=1)
+    for text in (expected.decode(), cut.state_path.read_text(), cut.journal_path.read_text()):
+        entries = memento_entries(text)
+        assert entries and all(m[3] is None for m in entries)
+        assert "id_/" not in text
+
+
+@pytest.mark.parametrize("crash", [None, 6], ids=["state.json", "state.jsonl"])
+def test_a_state_with_raw_uris_loads_and_resumes_as_one_without(corpus, crash):
+    """A stage-boundary snapshot, or a snapshot and journal left by a crash,
+    rewritten as an earlier version wrote them: each loads to the same
+    collection and cursor, and resumes to the uninterrupted state."""
+    expected, _ = reference(corpus)
+    if crash is None:
+        assert pipeline(corpus, "out").run(stop_after="method1") == "method2"
+    else:
+        crashed(corpus, "out", crash, checkpoint_every=1)
+    current = pipeline(corpus, "out")
+    assert current.load_state()
+    files = [current.state_path, *([current.journal_path] if crash else [])]
+    assert all(path.exists() for path in files)
+    for path in files:
+        earlier = with_raw_urims(path.read_text(), current.registry)
+        assert any(m[3] and "id_/" in m[3] for m in memento_entries(earlier))
+        path.write_text(earlier)
+    loaded = pipeline(corpus, "out")
+    assert loaded.load_state()
+    assert held(loaded) == held(current)
+    resumes_to(corpus, "out", expected)
 
 
 def test_each_checkpoint_appends_only_what_changed(tmp_path):

@@ -31,6 +31,7 @@ from mementoset.canonical import path_length, registrable_domain, surt
 from mementoset.client import StepLoop, equivalent_uri
 from mementoset.sampler import probe_archives
 from mockserver import FakeTransport, Route
+from test_client import raw_of
 from universe import AGG_TEMPLATE, ERROR, brute_force_select, build_universe, install_universe, timemap_body
 
 DEFAULT_PORTS = {"http": 80, "https": 443}
@@ -223,13 +224,11 @@ class TestTimeMapPages:
 
 
 def vefsafn(stamp, host="http://www.w3.org/"):
-    urim = f"http://wayback.vefsafn.is/wayback/{stamp}/{host}"
     return Memento(
-        urim=urim,
+        urim=f"http://wayback.vefsafn.is/wayback/{stamp}/{host}",
         memento_datetime=datetime(2004, 10, 20, 19, 18, tzinfo=timezone.utc),
         urir_key="org,w3)/",
         archive_id="vefsafn.is",
-        raw_urim=urim.replace(f"{stamp}/", f"{stamp}id_/"),
     )
 
 
@@ -237,12 +236,12 @@ class TestRawDownloads:
     def test_probe_durations_are_real_downloads_elapsed_times(self, registry):
         first = vefsafn("20041020191800")
         # The same raw URI spelled another way: host case, ":80", a fragment.
-        spelled_again = first.raw_urim.replace("wayback.vefsafn.is", "WAYBACK.vefsafn.IS:80") + "#a"
-        same = replace(first, urim=first.urim + "#a", raw_urim=spelled_again)
+        spelled_again = first.urim.replace("wayback.vefsafn.is", "WAYBACK.vefsafn.IS:80") + "#a"
+        same = replace(first, urim=spelled_again)
         other = vefsafn("20041020191801")
         transport = FakeTransport()
-        transport.add("GET", first.raw_urim, 200, MD_2004, b"x", delay=0.05)
-        transport.add("GET", other.raw_urim, 200, MD_2004, b"y", delay=0.02)
+        transport.add("GET", raw_of(first), 200, MD_2004, b"x", delay=0.05)
+        transport.add("GET", raw_of(other), 200, MD_2004, b"y", delay=0.02)
         client = make_client(transport, registry)
         durations, classifications = probe_archives(client, {"vefsafn.is": [first, same, other]})
         assert len(transport.requests) == 2

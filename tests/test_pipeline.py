@@ -326,7 +326,11 @@ class TestDownloadOncePerRun:
         # each classification, so pruning removes something.
         store = FixtureStore(fixtures)
         answers = [(200, MEMENTO_DATETIME), (404, MEMENTO_DATETIME), (500, {})]
-        raw_urims = sorted({m.raw_urim for r in records for m in r.mementos if m.raw_urim})
+        schemes = {a.id: a.raw_scheme for a in pipe.registry}
+        raw_urims = sorted({
+            ms.raw_variant(m.urim, schemes[m.archive_id])
+            for r in records for m in r.mementos if m.archive_id
+        } - {None})
         for i, raw_urim in enumerate(raw_urims):
             if store.load("GET", raw_urim) is None:
                 status, headers = answers[i % len(answers)]

@@ -261,12 +261,12 @@ class TestProbeArchives:
                     memento_datetime=datetime(2004, 10, 20, 19, 18, i, tzinfo=timezone.utc),
                     urir_key=f"example,p{i})/",
                     archive_id=a,
-                    raw_urim=urim.replace(f"2004102019180{i}/", f"2004102019180{i}id_/"),
                 )
                 status, headers = (200, {"Memento-Datetime": "Wed, 20 Oct 2004 19:18:00 GMT"})
                 if a == "digar.ee" and i == 1:
                     status, headers = 503, {}
-                transport.add("GET", m.raw_urim, status, headers, b"body", delay=delay)
+                raw_urim = urim.replace(f"2004102019180{i}/", f"2004102019180{i}id_/")
+                transport.add("GET", raw_urim, status, headers, b"body", delay=delay)
                 selection[a].append(m)
         client = ArchiveClient(
             registry,
@@ -297,7 +297,6 @@ class TestProbeArchives:
             memento_datetime=datetime(2012, 3, 28, tzinfo=timezone.utc),
             urir_key="org,x)/",
             archive_id="webcitation.org",
-            raw_urim=None,
         )
         client = ArchiveClient(
             registry, FetchPolicy(min_request_interval=0.0, retries=0), FakeTransport()
@@ -345,8 +344,7 @@ class TestProbeArchives:
         selection = {}
         for i in range(40):
             m = memento(f"a{i:02d}.example", 2001, i)
-            selection[m.archive_id] = [Memento(m.urim, m.memento_datetime, m.urir_key,
-                                               m.archive_id, raw_urim=m.urim)]
+            selection[m.archive_id] = [m]
         client = CountingClient()
         durations, _ = probe_archives(client, selection)
         assert len(durations) == 40

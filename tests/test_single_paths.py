@@ -12,6 +12,7 @@ import json
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import pytest
@@ -19,6 +20,7 @@ import pytest
 from mementoset import (
     ArchiveClient,
     Classification,
+    Memento,
     ParseError,
     Provenance,
     SelectionState,
@@ -399,13 +401,15 @@ class TestPublishedListClock:
 
 
 class TestRawDownloads:
-    def test_only_timed_download_reads_raw_urim_in_the_client(self):
+    def test_only_timed_download_derives_a_raw_uri_in_the_client(self):
         tree = ast.parse(inspect.getsource(client_module))
-        readers = {
+        derivers = {
             function.name
             for function in ast.walk(tree)
             if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
             for node in ast.walk(function)
-            if isinstance(node, ast.Attribute) and node.attr == "raw_urim"
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "raw_variant"
         }
-        assert readers == {"timed_download"}
+        assert derivers == {"timed_download"}
+        # No memento stores a raw URI-M for any other code to read.
+        assert "raw_urim" not in {f.name for f in fields(Memento)}

@@ -6,7 +6,9 @@ stage loops of ``DiscoveryPipeline`` (``_run_method2``..``_run_method4``)
 with their state saves left out. One rule was added since: a
 ``urirs_only`` list, like Method 2's links, asks for each key at most once,
 so ``reference_ingest_published_list`` skips a key it has already tried in
-the same list (``attempted``), as ``reference_method2_expand`` does.
+the same list (``attempted``), as ``reference_method2_expand`` does. And
+mementos no longer store their raw URI-M, so where the previous code read
+it, ``reference_method2_expand`` derives it (``reference_raw_urim``).
 Each adds its records through the previous ``MementoCollection.add``,
 ``reduction_reference.reference_add``. Each stage of the new code must
 send the same requests in the same order, add records of the same URI-Rs in the
@@ -55,7 +57,12 @@ from mementoset.errors import (
 from mementoset.linkformat import parse_compact_line, parse_link_entries
 from mementoset.model import ArchiveDescriptor, ArchiveRegistry, Purpose, RawScheme
 from mockserver import FakeTransport
-from reduction_reference import compact_record, record_from_entries, reference_add
+from reduction_reference import (
+    compact_record,
+    record_from_entries,
+    reference_add,
+    reference_raw_urim,
+)
 
 logger = logging.getLogger(__name__)
 FIXED_NOW = datetime(2017, 11, 15, tzinfo=timezone.utc)
@@ -96,7 +103,7 @@ def reference_method2_expand(
         return new_records
     attempted: set[str] = set()
     for memento in collection.mementos_of(archive.id):
-        if memento.raw_urim is None:
+        if reference_raw_urim(memento, client.registry) is None:
             continue
         base_record = collection.get(memento.urir_key)
         base = base_record.urir.final_uri if base_record else memento.urim
@@ -453,7 +460,10 @@ def raw_urims(body: str):
     """(archive id, raw URI-M) of each memento a TimeMap body keeps once
     the collection has reduced it, in stored order."""
     record = record_from_entries(parse_link_entries(body), registry=REGISTRY, fetched_at=FIXED_NOW)
-    return [(m.archive_id, m.raw_urim) for m in reference_add(MementoCollection(), record).mementos]
+    return [
+        (m.archive_id, reference_raw_urim(m, REGISTRY))
+        for m in reference_add(MementoCollection(), record).mementos
+    ]
 
 
 def run_stages(world, stages):
