@@ -4,8 +4,6 @@ from .canonical import (
     RedirectChain,
     path_length,
     registrable_domain,
-    resolve_redirects,
-    same_resource,
     surt,
     unsurt,
 )

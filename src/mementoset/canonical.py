@@ -5,10 +5,10 @@ whether two URI-Rs are the same page and where a page sits in the
 path-length quota buckets.
 
 Redirect resolution does no I/O of its own: ``redirect_steps`` is the
-walk as a generator that yields each request and is sent its response,
-and ``resolve_redirects`` and ``same_resource`` drive it with an explicit
-``fetch`` callable. Use ``ArchiveClient.resolve`` to resolve through the
-client's rate-limited lanes, fixtures and User-Agent.
+walk as a generator that yields each request and is sent its response.
+``ArchiveClient.resolve_steps`` is the one driver, so every hop goes
+through the client's rate-limited lanes, memory, retries and User-Agent;
+resolve a URI with ``ArchiveClient.resolve``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Callable, Generator, Mapping
+from typing import Generator, Mapping
 from urllib.parse import urljoin, urlsplit
 
 from .errors import HopLimitExceeded, MalformedUri, RedirectLoop
@@ -24,10 +24,8 @@ from .model import OriginalResource, PathBucket, header_value
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_MAX_HOPS = 10
+MAX_HOPS = 10
 
-# (method, uri) -> (status, headers)
-Fetch = Callable[[str, str], tuple[int, Mapping[str, str]]]
 # Yields (method, uri), is sent (status, headers), returns the chain.
 RedirectSteps = Generator[tuple[str, str], tuple[int, Mapping[str, str]], "RedirectChain"]
 
@@ -171,7 +169,7 @@ class RedirectChain:
     terminal_status: int
 
 
-def redirect_steps(uri: str, max_hops: int = DEFAULT_MAX_HOPS) -> RedirectSteps:
+def redirect_steps(uri: str) -> RedirectSteps:
     """Follow 3xx Location hops until a non-redirect response.
 
     A generator: yields each ``(method, uri)`` to request and must be sent
@@ -179,14 +177,12 @@ def redirect_steps(uri: str, max_hops: int = DEFAULT_MAX_HOPS) -> RedirectSteps:
     first and replaced by a body-discarding GET when the server rejects
     it (405/501). Relative Locations resolve against the current URI.
     Raises RedirectLoop on a repeated URI, HopLimitExceeded past
-    ``max_hops``.
+    ``MAX_HOPS``.
     """
-    if max_hops < 1:
-        raise ValueError("max_hops must be >= 1")
     current = uri
     seen = {current}
     hops: list[tuple[str, int]] = []
-    for _ in range(max_hops):
+    for _ in range(MAX_HOPS):
         status, headers = yield "HEAD", current
         if status in (405, 501):
             status, headers = yield "GET", current
@@ -202,33 +198,7 @@ def redirect_steps(uri: str, max_hops: int = DEFAULT_MAX_HOPS) -> RedirectSteps:
             raise RedirectLoop(nxt, [h[0] for h in hops])
         seen.add(nxt)
         current = nxt
-    raise HopLimitExceeded(max_hops, [h[0] for h in hops])
-
-
-def resolve_redirects(
-    uri: str,
-    max_hops: int = DEFAULT_MAX_HOPS,
-    *,
-    fetch: Fetch,
-) -> RedirectChain:
-    """``redirect_steps`` with each request made by ``fetch``; whatever
-    ``fetch`` raises propagates."""
-    walk = redirect_steps(uri, max_hops)
-    try:
-        request = next(walk)
-        while True:
-            request = walk.send(fetch(*request))
-    except StopIteration as done:
-        return done.value
-
-
-def same_resource(a: str, b: str, *, fetch: Fetch) -> bool:
-    """True when two URI-Rs canonicalize or redirect to the same page."""
-    if surt(a) == surt(b):
-        return True
-    final_a = resolve_redirects(a, fetch=fetch).final_uri
-    final_b = resolve_redirects(b, fetch=fetch).final_uri
-    return surt(final_a) == surt(final_b)
+    raise HopLimitExceeded(MAX_HOPS, [h[0] for h in hops])
 
 
 def original_resource(uri: str) -> OriginalResource:

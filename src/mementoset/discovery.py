@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator
 from urllib.parse import urljoin
 
 from .canonical import RedirectChain, path_length, registrable_domain, surt
-from .client import ArchiveClient, StepLoop, run_steps
+from .client import ArchiveClient, StepLoop
 from .errors import (
     EmptyTimeMap,
     MalformedUri,
@@ -281,7 +281,7 @@ def screen_candidate(
     source: str,
     client: ArchiveClient,
     state: SelectionState,
-    resolved: ResolvedCandidate | None = None,
+    resolved: ResolvedCandidate,
 ) -> ScreenResult:
     """Evaluate the selection conditions for one candidate URI-R.
 
@@ -289,12 +289,10 @@ def screen_candidate(
     path bucket has quota left, (c) its domain is unused in that bucket,
     and (d) its TimeMap holds at least one memento. Network failures
     reject the candidate without aborting the scan. ``resolved`` is the
-    candidate's redirect resolution when it was made ahead; the checks,
-    the TimeMap fetch and the admission run here, against the current
-    ``state``.
+    candidate's redirect resolution, which ``select_initial`` makes ahead
+    in its look-ahead window; the checks, the TimeMap fetch and the
+    admission run here, against the current ``state``.
     """
-    if resolved is None:
-        resolved = run_steps(_resolve_steps(uri, client))
     if resolved.error is not None:
         return ScreenResult(None, None, resolved.error)
     key, bucket, domain = resolved.key, resolved.bucket, resolved.domain

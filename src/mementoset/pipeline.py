@@ -6,7 +6,7 @@ the pipeline is built, before any request.
 The state is the stage, the Method 1 scan index and the collected
 records, each memento as [stamp, URI-M, archive, null]: the client
 derives the raw URI-M, and one an earlier version stored there is
-ignored. It is saved every ``checkpoint_every`` scanned candidates, after
+ignored. It is saved every ``CHECKPOINT_EVERY`` scanned candidates, after
 every archive that Methods 2-4 grew and at every stage boundary, so an
 interrupted run resumed from disk converges to the same final state as an
 uninterrupted one (fetches must be deterministic, e.g. fixture-backed, for
@@ -71,6 +71,7 @@ from .reports import write_csv, write_urir_table
 from .sampler import SEED
 
 STAGES = ("method1", "method2", "method3", "method4", "done")
+CHECKPOINT_EVERY = 25  # Method 1 saves after this many committed candidates
 
 
 # Config keys that fill a RunConfig field of another name: at the top level,
@@ -110,7 +111,6 @@ class RunConfig:
     min_request_interval: float = FetchPolicy.min_request_interval
     timeout: float = FetchPolicy.timeout
     retries: int = FetchPolicy.retries
-    checkpoint_every: int = 25
 
     def __post_init__(self):
         self.check()
@@ -122,7 +122,7 @@ class RunConfig:
         not a string (``path`` may be a Path), or an unknown format.
         ``FetchPolicy`` checks the fetch settings' ranges, and the pipeline
         that the archives are registered."""
-        check_fields(self, positive=("target", "quota_per_bucket", "checkpoint_every"))
+        check_fields(self, positive=("target", "quota_per_bucket"))
         for i, entry in enumerate(self.published_lists):
             where = f"published_lists[{i}]"
             json_kwargs(entry, _LIST_KEYS, where)
@@ -457,7 +457,7 @@ class DiscoveryPipeline:
             if result.accepted is not None:
                 self.collection.add(result.record)
             self.scan_index += 1
-            if self.scan_index % self.config.checkpoint_every == 0:
+            if self.scan_index % CHECKPOINT_EVERY == 0:
                 self.save_state()
 
         select_initial(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import math
 import random
-import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -98,29 +97,35 @@ def probe_archives(
     Runs one worker per archive, at most ``PROBE_WORKERS`` at a time (the
     client's lanes keep each archive serial and spaced). Returns
     wall-clock durations per archive for budget estimation plus the
-    response classification of every probed URI-M. A memento the client
+    response classification of every probed URI-M, both in selection
+    order whichever archive finishes first. A memento the client
     downloaded before in the run is not downloaded again: its duration
     and classification are those of the download the run made. Mementos
-    without raw access or with failing downloads are skipped and logged.
+    without raw access or with failing downloads are skipped and logged;
+    an archive with none downloaded has no durations.
     """
-    durations: dict[str, list[float]] = {}
-    classifications: dict[str, Classification] = {}
-    lock = threading.Lock()
 
-    def worker(archive_id: str) -> None:
+    def worker(archive_id: str) -> list[tuple[str, float, Classification]]:
+        downloads = []
         for m in selection[archive_id][:per_archive]:
             try:
                 timed = client.timed_download(m)
             except MementosetError as exc:
                 logger.info("probe failed for %s: %s", m.urim, exc)
                 continue
-            with lock:
-                durations.setdefault(archive_id, []).append(timed.elapsed)
-                classifications[m.urim] = timed.content.classification
+            downloads.append((m.urim, timed.elapsed, timed.content.classification))
+        return downloads
 
+    durations: dict[str, list[float]] = {}
+    classifications: dict[str, Classification] = {}
     if selection:
         with ThreadPoolExecutor(max_workers=min(len(selection), PROBE_WORKERS)) as pool:
-            list(pool.map(worker, selection))
+            probed = list(pool.map(worker, selection))
+        for archive_id, downloads in zip(selection, probed):
+            if downloads:
+                durations[archive_id] = [elapsed for _, elapsed, _ in downloads]
+            for urim, _, classification in downloads:
+                classifications[urim] = classification
     return durations, classifications
 
 

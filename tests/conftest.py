@@ -25,6 +25,15 @@ def registry():
 
 
 @pytest.fixture()
+def corpus_cadence(monkeypatch):
+    """Method 1 checkpoints every 2 candidates, so a run over the six
+    candidates of ``test_pipeline.build_fixture_corpus`` saves mid-stage."""
+    import mementoset.pipeline
+
+    monkeypatch.setattr(mementoset.pipeline, "CHECKPOINT_EVERY", 2)
+
+
+@pytest.fixture()
 def mock_server():
     server = MockArchiveServer()
     base = server.start()

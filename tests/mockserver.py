@@ -16,6 +16,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import quote, unquote
 
 import requests
+from requests.adapters import HTTPAdapter
 
 from mementoset.client import TransportResponse
 from mementoset.errors import NetworkError
@@ -68,18 +69,31 @@ class LoggedRequest:
 
 
 class MockArchiveServer:
-    """Threaded localhost HTTP server scripted with logical-URI routes."""
+    """Threaded localhost HTTP server scripted with logical-URI routes.
+
+    Each request is logged with the time its handler started and the time
+    it finished writing the response. A client can hold a response whose
+    request is not logged yet, so ``log`` and ``requests_for`` wait until
+    no handler is in flight.
+    """
 
     def __init__(self):
         self.routes: dict[tuple[str, str], Route] = {}
-        self.log: list[LoggedRequest] = []
-        self._lock = threading.Lock()
+        self._log: list[LoggedRequest] = []
+        self._in_flight = 0
+        self._idle = threading.Condition()
         self._httpd: ThreadingHTTPServer | None = None
 
     def add(self, method, uri, status=200, headers=None, body=b"", delay=0.0):
         if isinstance(body, str):
             body = body.encode()
         self.routes[(method.upper(), uri)] = Route(status, dict(headers or {}), body, delay)
+
+    @property
+    def log(self) -> list[LoggedRequest]:
+        with self._idle:
+            self._idle.wait_for(lambda: self._in_flight == 0)
+            return list(self._log)
 
     def requests_for(self, host_fragment: str) -> list[LoggedRequest]:
         return [r for r in self.log if host_fragment in r.uri]
@@ -91,6 +105,16 @@ class MockArchiveServer:
             protocol_version = "HTTP/1.1"
 
             def _serve(self, send_body: bool):
+                with server._idle:
+                    server._in_flight += 1
+                try:
+                    self._respond(send_body)
+                finally:
+                    with server._idle:
+                        server._in_flight -= 1
+                        server._idle.notify_all()
+
+            def _respond(self, send_body: bool):
                 started = time.monotonic()
                 logical = unquote(self.path.lstrip("/"))
                 route = server.routes.get((self.command, logical))
@@ -106,10 +130,9 @@ class MockArchiveServer:
                 self.end_headers()
                 if body:
                     self.wfile.write(body)
-                with server._lock:
-                    server.log.append(
-                        LoggedRequest(started, time.monotonic(), self.command, logical)
-                    )
+                finished = time.monotonic()
+                with server._idle:
+                    server._log.append(LoggedRequest(started, finished, self.command, logical))
 
             def do_GET(self):
                 self._serve(send_body=True)
@@ -133,12 +156,16 @@ class MockArchiveServer:
 
 
 class ServerTransport:
-    """Transport that tunnels logical URIs to a MockArchiveServer."""
+    """Transport that tunnels logical URIs to a MockArchiveServer.
+
+    Its connection pool holds one connection per bundled archive, so the
+    client's 17 lanes each keep theirs."""
 
     def __init__(self, base_url: str, timeout: float = 10.0):
         self.base_url = base_url
         self.timeout = timeout
         self._session = requests.Session()
+        self._session.mount("http://", HTTPAdapter(pool_maxsize=17))
 
     def request(self, method, uri) -> TransportResponse:
         tunneled = f"{self.base_url}/{quote(uri, safe='')}"

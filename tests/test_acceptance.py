@@ -16,8 +16,6 @@ from mementoset import (
     parse_compact,
     parse_timemap,
     prune_non_archival,
-    resolve_redirects,
-    same_resource,
     serialize_compact,
     surt,
     unsurt,
@@ -74,22 +72,20 @@ class TestCriterion1Surt:
 
 
 class TestCriterion2Redirects:
-    def test_fb_unification_against_local_mock(self, mock_server):
+    def test_fb_unification_against_local_mock(self, mock_server, registry):
         started = time.monotonic()
         final = "https://www.facebook.com/"
         mock_server.add("HEAD", "http://www.fb.com", 301, {"Location": final})
         mock_server.add("HEAD", "http://facebook.com", 301, {"Location": final})
         mock_server.add("HEAD", final, 200)
-        transport = ServerTransport(mock_server.base_url)
-
-        def fetch(method, uri):
-            response = transport.request(method, uri)
-            return response.status, response.headers
-
-        a = resolve_redirects("http://www.fb.com", fetch=fetch)
-        b = resolve_redirects("http://facebook.com", fetch=fetch)
+        client = ArchiveClient(
+            registry, FetchPolicy(min_request_interval=0, retries=0),
+            ServerTransport(mock_server.base_url),
+        )
+        a = client.resolve("http://www.fb.com")
+        b = client.resolve("http://facebook.com")
         assert a.final_uri == b.final_uri == final
-        assert same_resource("http://www.fb.com", "http://facebook.com", fetch=fetch)
+        assert surt(a.final_uri) == surt(b.final_uri)
         elapsed = time.monotonic() - started
         assert elapsed < 1.0, f"criterion 2 took {elapsed:.2f}s"
         note(f"2 redirect unification to {final} in {elapsed:.2f}s")

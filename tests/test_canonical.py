@@ -3,17 +3,18 @@ import random
 import pytest
 
 from mementoset import (
+    ArchiveClient,
+    FetchPolicy,
     HopLimitExceeded,
     MalformedUri,
     PathBucket,
     RedirectLoop,
     path_length,
     registrable_domain,
-    resolve_redirects,
-    same_resource,
     surt,
     unsurt,
 )
+from mementoset.canonical import MAX_HOPS
 from mockserver import FakeTransport
 
 
@@ -161,104 +162,92 @@ class TestRegistrableDomain:
         assert registrable_domain("example.com") == "example.com"
 
 
-def _fetch(transport, method, uri):
-    r = transport.request(method, uri)
-    return r.status, r.headers
-
-
 class TestResolveRedirects:
-    def fetch_for(self, mapping):
-        transport = FakeTransport()
-        for uri, (status, location, *rest) in mapping.items():
-            headers = {"Location": location} if location else {}
-            transport.add("HEAD", uri, status, headers)
-            if rest:  # GET fallback body for 405 cases
-                transport.add("GET", uri, rest[0], headers)
-        return lambda m, u: _fetch(transport, m, u)
+    """Redirects resolve through ``ArchiveClient.resolve``, the one driver
+    of ``redirect_steps``: each hop a request in the client's lanes."""
 
-    def test_no_redirect_single_hop(self):
-        fetch = self.fetch_for({"http://a.com/": (200, None)})
-        chain = resolve_redirects("http://a.com/", fetch=fetch)
+    @pytest.fixture()
+    def resolver(self, registry):
+        def build(mapping):
+            """A client over a transport that answers each URI's HEAD with
+            ``(status, location)``, and its GET with a third status."""
+            transport = FakeTransport()
+            for uri, (status, location, *rest) in mapping.items():
+                headers = {"Location": location} if location else {}
+                transport.add("HEAD", uri, status, headers)
+                if rest:
+                    transport.add("GET", uri, rest[0], headers)
+            return ArchiveClient(registry, FetchPolicy(0, 0), transport), transport
+
+        return build
+
+    def test_no_redirect_single_hop(self, resolver):
+        client, transport = resolver({"http://a.com/": (200, None)})
+        chain = client.resolve("http://a.com/")
         assert chain.final_uri == "http://a.com/"
         assert chain.terminal_status == 200
         assert chain.hops == (("http://a.com/", 200),)
+        assert transport.requests == [("HEAD", "http://a.com/")]
 
-    def test_fb_unification(self):
-        fetch = self.fetch_for(
+    def test_fb_unification(self, resolver):
+        client, _ = resolver(
             {
                 "http://www.fb.com": (301, "https://www.facebook.com/"),
                 "http://facebook.com": (301, "https://www.facebook.com/"),
                 "https://www.facebook.com/": (200, None),
             }
         )
-        a = resolve_redirects("http://www.fb.com", fetch=fetch)
-        b = resolve_redirects("http://facebook.com", fetch=fetch)
+        a = client.resolve("http://www.fb.com")
+        b = client.resolve("http://facebook.com")
         assert a.final_uri == b.final_uri == "https://www.facebook.com/"
         assert a.hops[0] == ("http://www.fb.com", 301)
+        assert surt(a.final_uri) == surt(b.final_uri)
 
-    def test_relative_location(self):
-        fetch = self.fetch_for(
+    def test_relative_location(self, resolver):
+        client, _ = resolver(
             {
                 "http://h.com/old": (302, "/new"),
                 "http://h.com/new": (200, None),
             }
         )
-        assert resolve_redirects("http://h.com/old", fetch=fetch).final_uri == "http://h.com/new"
+        assert client.resolve("http://h.com/old").final_uri == "http://h.com/new"
 
-    def test_loop_detected(self):
-        fetch = self.fetch_for(
+    def test_loop_detected(self, resolver):
+        client, _ = resolver(
             {
                 "http://a.com/1": (301, "http://a.com/2"),
                 "http://a.com/2": (301, "http://a.com/1"),
             }
         )
         with pytest.raises(RedirectLoop):
-            resolve_redirects("http://a.com/1", fetch=fetch)
+            client.resolve("http://a.com/1")
 
-    def test_hop_limit(self):
-        mapping = {
-            f"http://a.com/{i}": (301, f"http://a.com/{i + 1}") for i in range(20)
-        }
-        fetch = self.fetch_for(mapping)
-        with pytest.raises(HopLimitExceeded):
-            resolve_redirects("http://a.com/0", max_hops=5, fetch=fetch)
+    def test_hop_limit(self, resolver):
+        client, transport = resolver(
+            {f"http://a.com/{i}": (301, f"http://a.com/{i + 1}") for i in range(2 * MAX_HOPS)}
+        )
+        with pytest.raises(HopLimitExceeded) as info:
+            client.resolve("http://a.com/0")
+        assert info.value.limit == MAX_HOPS
+        assert len(transport.requests) == MAX_HOPS
 
-    def test_head_falls_back_to_get(self):
-        transport = FakeTransport()
-        transport.add("HEAD", "http://h.com/", 405)
-        transport.add("GET", "http://h.com/", 200)
-        chain = resolve_redirects("http://h.com/", fetch=lambda m, u: _fetch(transport, m, u))
+    def test_a_chain_of_max_hops_resolves(self, resolver):
+        client, _ = resolver(
+            {f"http://a.com/{i}": (301, f"http://a.com/{i + 1}") for i in range(MAX_HOPS - 1)}
+            | {f"http://a.com/{MAX_HOPS - 1}": (200, None)}
+        )
+        chain = client.resolve("http://a.com/0")
+        assert len(chain.hops) == MAX_HOPS
+        assert chain.final_uri == f"http://a.com/{MAX_HOPS - 1}"
+
+    def test_head_falls_back_to_get(self, resolver):
+        client, transport = resolver({"http://h.com/": (405, None, 200)})
+        chain = client.resolve("http://h.com/")
         assert chain.terminal_status == 200
-        assert ("GET", "http://h.com/") in transport.requests
+        assert transport.requests == [("HEAD", "http://h.com/"), ("GET", "http://h.com/")]
 
-    def test_redirect_without_location_terminates(self):
-        fetch = self.fetch_for({"http://a.com/": (301, None)})
-        chain = resolve_redirects("http://a.com/", fetch=fetch)
+    def test_redirect_without_location_terminates(self, resolver):
+        client, _ = resolver({"http://a.com/": (301, None)})
+        chain = client.resolve("http://a.com/")
         assert chain.terminal_status == 301
-
-
-class TestSameResource:
-    def test_surt_equal_needs_no_network(self):
-        # No fetch routes at all: the SURT short-circuit must fire first.
-        assert same_resource(
-            "http://www.example.com", "http://www.EXAMPLE.com",
-            fetch=lambda m, u: (_ for _ in ()).throw(AssertionError("network used")),
-        )
-
-    def test_redirect_equal(self):
-        transport = FakeTransport()
-        transport.add("HEAD", "http://www.fb.com", 301, {"Location": "https://www.facebook.com/"})
-        transport.add("HEAD", "http://facebook.com", 301, {"Location": "https://www.facebook.com/"})
-        transport.add("HEAD", "https://www.facebook.com/", 200)
-        assert same_resource(
-            "http://www.fb.com", "http://facebook.com",
-            fetch=lambda m, u: _fetch(transport, m, u),
-        )
-
-    def test_distinct(self):
-        transport = FakeTransport()
-        transport.add("HEAD", "http://a.com/x", 200)
-        transport.add("HEAD", "http://a.com/y", 200)
-        assert not same_resource(
-            "http://a.com/x", "http://a.com/y", fetch=lambda m, u: _fetch(transport, m, u)
-        )
+        assert chain.final_uri == "http://a.com/"

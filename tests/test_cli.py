@@ -346,7 +346,7 @@ class TestStats:
 
 
 class TestDiscoverCommand:
-    def test_end_to_end(self, tmp_path, capsys):
+    def test_end_to_end(self, tmp_path, capsys, corpus_cadence):
         fixtures_dir = tmp_path / "fixtures"
         build_fixture_corpus(fixtures_dir)
         config_path = write_config(tmp_path, fixtures_dir)
@@ -374,7 +374,7 @@ class TestDiscoverCommand:
             ({"registry": {"timemap-template": "http://x.test/{uri}"}}, "'timemap-template'"),
             ({"retries": "3"}, "retries"),
             ({"target": "5"}, "target"),
-            ({"checkpoint_every": 0}, "checkpoint_every"),
+            ({"checkpoint_every": 25}, "config: unknown key 'checkpoint_every'"),
             ({"registry": {"memento_native": "false"}}, "memento_native"),
             ({"published_lists": [{"path": "moz.txt", "format": "urirs_only"}]}, "'archive'"),
             ({"published_lists": [{"archive": "perma.cc", "format": "urirs_only"}]}, "'path'"),

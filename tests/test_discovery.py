@@ -262,6 +262,23 @@ class TestSelectInitial:
         assert resource.live_status == 200
         assert resource.source == "wahr:#paris"
 
+    def test_a_spelling_that_redirects_to_an_accepted_urir_is_a_duplicate(self, registry):
+        transport = FakeTransport()
+        final = "https://www.facebook.com/"
+        transport.add("HEAD", final, 200)
+        transport.add("HEAD", "http://www.fb.com/", 301, {"Location": final})
+        transport.add("GET", AGG_TEMPLATE.format(uri=final), 200, body=timemap_body(final, 1))
+        results = []
+        accepted = select_initial(
+            [(final, "moz"), ("http://www.fb.com/", "moz")], make_client(transport, registry),
+            SelectionState(), on_commit=results.append,
+        )
+        assert [r.uri for r in accepted] == [final]
+        assert [r.reason for r in results] == ["accepted", "duplicate resource"]
+        assert results[1].record is None
+        # The second spelling's redirect is followed; its TimeMap is not asked for.
+        assert transport.requests.count(("GET", AGG_TEMPLATE.format(uri=final))) == 1
+
     def test_original_keyed_differently_is_rekeyed(self, registry):
         # The aggregator names the URI-R with a trailing slash the candidate lacks.
         transport = FakeTransport()

@@ -210,7 +210,7 @@ class TestBackoffJitter:
 
 
 class TestStateFileLayout:
-    def test_compact_state_resumes_from_old_indented_file(self, tmp_path):
+    def test_compact_state_resumes_from_old_indented_file(self, tmp_path, corpus_cadence):
         fixtures = tmp_path / "fixtures"
         build_fixture_corpus(fixtures)
         reference = DiscoveryPipeline(

@@ -22,6 +22,7 @@ import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -62,7 +63,7 @@ class CrashingTransport:
 
 
 @pytest.fixture()
-def corpus(tmp_path):
+def corpus(tmp_path, corpus_cadence):
     fixtures = tmp_path / "fixtures"
     build_fixture_corpus(fixtures)
     return fixtures, write_config(tmp_path, fixtures)
@@ -80,12 +81,10 @@ def encoded(payload) -> int:
     return len(reference_dumps(payload)) + 1
 
 
-def pipeline(corpus, out, after=None, checkpoint_every=None, transport=None):
+def pipeline(corpus, out, after=None, transport=None):
     fixtures, config_path = corpus
     config = RunConfig.from_file(config_path)
     config.out_dir = config.out_dir.parent / out
-    if checkpoint_every is not None:
-        config.checkpoint_every = checkpoint_every
     if transport is None:
         transport = CrashingTransport(FixtureTransport(fixtures), after)
     return DiscoveryPipeline(config, transport=transport, clock=lambda: FIXED_NOW)
@@ -107,8 +106,11 @@ def resumes_to(corpus, out, expected):
 
 
 def crashed(corpus, out, after, checkpoint_every=None):
-    cut = pipeline(corpus, out, after, checkpoint_every)
-    with pytest.raises(Crash):
+    """A run that crashes after ``after`` requests, saving Method 1 every
+    ``checkpoint_every`` candidates (by default, the corpus cadence)."""
+    cut = pipeline(corpus, out, after)
+    cadence = checkpoint_every or pipeline_module.CHECKPOINT_EVERY
+    with pytest.raises(Crash), mock.patch.object(pipeline_module, "CHECKPOINT_EVERY", cadence):
         cut.run()
     return cut
 
@@ -167,7 +169,7 @@ def test_a_run_cut_every_k_candidates_resumes_from_a_crash_at_any_request(corpus
         cuts += 1
         # Each save appends but the run's first, which wrote the snapshot,
         # and a cut on a checkpoint, which has nothing left to append.
-        assert cut.journal_path.exists() == (cut.scan_index > min(k, cut.config.checkpoint_every))
+        assert cut.journal_path.exists() == (cut.scan_index > min(k, pipeline_module.CHECKPOINT_EVERY))
         loaded = pipeline(corpus, "cut")
         assert loaded.load_state()
         assert held(loaded) == held(cut)
@@ -186,7 +188,7 @@ def test_a_run_cut_every_k_candidates_resumes_from_a_crash_at_any_request(corpus
 def test_a_cut_on_a_checkpoint_appends_no_second_cursor_line(corpus):
     expected, _ = reference(corpus)
     for _ in range(2):
-        cut = pipeline(corpus, "cut", checkpoint_every=2)
+        cut = pipeline(corpus, "cut")
         assert cut.run(max_candidates=2) == "method1"
     # The first run's checkpoint at 2 wrote the snapshot, and its cut
     # nothing; the second run's checkpoint at 4 appended its records and a
@@ -403,11 +405,11 @@ def test_a_state_with_raw_uris_loads_and_resumes_as_one_without(corpus, crash):
     resumes_to(corpus, "out", expected)
 
 
-def test_each_checkpoint_appends_only_what_changed(tmp_path):
+def test_each_checkpoint_appends_only_what_changed(tmp_path, monkeypatch):
     universe = build_universe(seed=5, n=260)
     transport = universe_transport(universe)
     config = scan_config(tmp_path, universe, "out", retries=0)
-    config.checkpoint_every = 25
+    monkeypatch.setattr(pipeline_module, "CHECKPOINT_EVERY", 25)
 
     def fresh():
         return DiscoveryPipeline(config, transport=transport, clock=lambda: FIXED_NOW)
@@ -436,7 +438,7 @@ def test_each_checkpoint_appends_only_what_changed(tmp_path):
     assert sorted(appends) == [*range(25, 201, 25), 210]  # the checkpoints, then the cut
     for appended, bound, changed in appends.values():
         assert 0 < appended <= bound
-        assert changed <= config.checkpoint_every
+        assert changed <= pipeline_module.CHECKPOINT_EVERY
 
 
 # -- record texts: what a checkpoint encodes -----------------------------------

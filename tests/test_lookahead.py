@@ -14,6 +14,7 @@ from datetime import datetime, timezone
 import pytest
 
 import mementoset.discovery as discovery
+import mementoset.pipeline as pipeline_module
 from mementoset import ArchiveClient, FetchPolicy, SelectionState, select_initial
 from mementoset.client import StepLoop, run_steps
 from mementoset.pipeline import DiscoveryPipeline, RunConfig
@@ -323,7 +324,6 @@ def scan_config(tmp_path, universe, out, retries):
         moz_path=source,
         min_request_interval=0.0,
         retries=retries,
-        checkpoint_every=5,
     )
 
 
@@ -332,6 +332,7 @@ class TestResume:
         self, tmp_path, monkeypatch, in_flight
     ):
         fixed_backoff(monkeypatch, 0.05)
+        monkeypatch.setattr(pipeline_module, "CHECKPOINT_EVERY", 5)
         universe = build_universe(seed=11, n=120)
         transport = universe_transport(universe)
 

@@ -22,7 +22,6 @@ from mementoset import (
     surt,
 )
 from mementoset.cli import main
-from mementoset.discovery import screen_candidate
 from mementoset.reports import URIR_TABLE_HEADER, read_urir_table
 from mementoset.sampler import write_manifest
 from mockserver import FakeTransport
@@ -48,11 +47,18 @@ class TestMalformedUri:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
-    def test_screen_candidate_rejects_with_error_reason(self, registry):
-        client = make_client(FakeTransport(), registry)
-        result = screen_candidate(BAD_URI, "moz", client, SelectionState())
-        assert result.accepted is None
+    def test_scan_rejects_with_error_reason(self, registry):
+        transport = FakeTransport()
+        results = []
+        accepted = select_initial(
+            [(BAD_URI, "moz")], make_client(transport, registry), SelectionState(),
+            on_commit=results.append,
+        )
+        assert accepted == []
+        [result] = results
+        assert result.accepted is None and result.record is None
         assert result.reason.startswith("error:")
+        assert transport.requests == []
 
     def test_scan_continues_past_malformed_candidate(self, registry):
         transport = FakeTransport()

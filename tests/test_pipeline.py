@@ -127,7 +127,6 @@ def write_config(tmp_path, fixtures_dir, out_name="out"):
         "fixtures": str(fixtures_dir),
         "min_request_interval": 0.0,
         "retries": 0,
-        "checkpoint_every": 2,
     }
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
@@ -135,7 +134,7 @@ def write_config(tmp_path, fixtures_dir, out_name="out"):
 
 
 @pytest.fixture()
-def corpus(tmp_path):
+def corpus(tmp_path, corpus_cadence):
     fixtures_dir = tmp_path / "fixtures"
     build_fixture_corpus(fixtures_dir)
     return write_config(tmp_path, fixtures_dir)
@@ -397,7 +396,7 @@ class TestReadmeSchemas:
         table = self.readme().split("| key | default |", 1)[1].split("\n\n", 1)[0]
         rows = table.splitlines()[2:]
         keys = [k for row in rows for k in re.findall(r"`(\w+)`", row.split("|")[1])]
-        assert len(keys) == 15
+        assert len(keys) == 14
         path = tmp_path / "run.json"
 
         def error(key):

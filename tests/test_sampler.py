@@ -245,7 +245,9 @@ class TestFinalize:
 
 
 class TestProbeArchives:
-    def build_client_and_selection(self, registry, per_archive=3, delay=0.0):
+    def build_client_and_selection(self, registry, per_archive=3, delay=0.0, delays=None):
+        """Two archives' selections, ``vefsafn.is`` first, each raw download
+        served after ``delay``, or after its archive's entry in ``delays``."""
         from mementoset import ArchiveClient, FetchPolicy
         from mockserver import FakeTransport
 
@@ -266,7 +268,8 @@ class TestProbeArchives:
                 if a == "digar.ee" and i == 1:
                     status, headers = 503, {}
                 raw_urim = urim.replace(f"2004102019180{i}/", f"2004102019180{i}id_/")
-                transport.add("GET", raw_urim, status, headers, b"body", delay=delay)
+                transport.add("GET", raw_urim, status, headers, b"body",
+                              delay=(delays or {}).get(a, delay))
                 selection[a].append(m)
         client = ArchiveClient(
             registry,
@@ -286,6 +289,15 @@ class TestProbeArchives:
         assert set(classes) == {m.urim for m in probed}
         bad = selection["digar.ee"][1]
         assert classes[bad.urim] is Classification.NON_ARCHIVAL_ERROR
+
+    def test_results_come_back_in_selection_order(self, registry):
+        from mementoset.sampler import probe_archives
+
+        # The first archive of the selection finishes last.
+        client, selection = self.build_client_and_selection(registry, delays={"vefsafn.is": 0.05})
+        durations, classes = probe_archives(client, selection, per_archive=2)
+        assert list(durations) == ["vefsafn.is", "digar.ee"]
+        assert list(classes) == [m.urim for v in selection.values() for m in v[:2]]
 
     def test_raw_less_mementos_skipped(self, registry):
         from mementoset import ArchiveClient, FetchPolicy

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import mementoset.pipeline as pipeline_module
 from mementoset import PathBucket
 from mementoset.pipeline import DiscoveryPipeline, RunConfig, _resource_to_dict
 from mockserver import FakeTransport
@@ -20,9 +21,10 @@ from universe import AGG_TEMPLATE, build_universe, install_universe
 
 
 @pytest.fixture(params=["corpus", "universe"])
-def make(request, tmp_path):
+def make(request, tmp_path, monkeypatch):
     """A factory of fresh pipelines on one world: ``make(out, **config_changes)``."""
     if request.param == "corpus":
+        request.getfixturevalue("corpus_cadence")
         fixtures_dir = tmp_path / "fixtures"
         build_fixture_corpus(fixtures_dir)
         base = RunConfig.from_file(write_config(tmp_path, fixtures_dir))
@@ -40,8 +42,8 @@ def make(request, tmp_path):
             quota_per_bucket=6,
             min_request_interval=0.0,
             retries=0,
-            checkpoint_every=5,
         )
+        monkeypatch.setattr(pipeline_module, "CHECKPOINT_EVERY", 5)
 
     def pipeline(out, **changes):
         config = RunConfig(**{**vars(base), "out_dir": tmp_path / out, **changes})

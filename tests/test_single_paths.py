@@ -14,9 +14,11 @@ import sys
 import textwrap
 from dataclasses import fields
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
+import mementoset
 from mementoset import (
     ArchiveClient,
     Classification,
@@ -28,8 +30,6 @@ from mementoset import (
     default_registry,
     ingest_published_list,
     parse_compact,
-    resolve_redirects,
-    same_resource,
     select_initial,
 )
 from mementoset import client as client_module
@@ -52,7 +52,7 @@ CANADA = "http://www.collectionscanada.gc.ca/webarchives"
 
 
 @pytest.fixture()
-def config(tmp_path):
+def config(tmp_path, corpus_cadence):
     fixtures_dir = tmp_path / "fixtures"
     build_fixture_corpus(fixtures_dir)
     return RunConfig.from_file(write_config(tmp_path, fixtures_dir))
@@ -349,12 +349,26 @@ class TestTsv:
         assert info.value.offset == offset
 
 
-class TestRedirectsNeedFetch:
-    def test_no_implicit_live_fetch(self):
-        with pytest.raises(TypeError):
-            resolve_redirects("http://a.com/")
-        with pytest.raises(TypeError):
-            same_resource("http://a.com/", "http://b.com/")
+def callers(name: str) -> set[str]:
+    """``module.function`` of each function in the package that calls ``name``."""
+    return {
+        f"{path.stem}.{function.name}"
+        for path in Path(mementoset.__file__).parent.glob("*.py")
+        for function in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+
+
+class TestRedirectResolution:
+    def test_only_the_client_drives_the_redirect_walk(self):
+        # Every hop goes through the client's lanes, memory, retries and User-Agent.
+        assert callers("redirect_steps") == {"client.resolve_steps"}
+
+    def test_only_the_look_ahead_window_resolves_candidates(self):
+        assert callers("_resolve_steps") == {"discovery.select_initial"}
 
 
 class TestPublishedListClock:
