@@ -4,14 +4,16 @@ All traffic to one archive flows through a single serial "lane" that
 enforces a minimum spacing between requests and stays closed while a
 request to it backs off; lanes for different archives run concurrently.
 Requests are written as step generators that yield their waits
-(``request_steps``, ``resolve_steps``). A ``StepLoop`` runs many of them in
-one thread and overlaps their waits; it is the only code in the package
-that sleeps, and a plain method's wait runs in the thread's loop. Every
+(``resolve_steps``, and ``_ask_steps`` beneath it). A ``StepLoop`` runs
+many of them in one thread and overlaps their waits; it is the only code
+in the package that sleeps, and a plain method's wait runs in the
+thread's loop. Every
 operation can be replayed hermetically from a fixture directory, and a
 recording transport captures live responses into one. ``requests`` is
 imported only when a live ``RequestsTransport`` is first built, so
 offline paths (replays, ``canon``, ``stats``) load no HTTP stack. No
-memento stores its raw URI-M: ``timed_download`` derives it to download.
+memento stores its raw URI-M: ``fetch_raw_memento`` derives it to
+download, and returns the content with the download's elapsed time.
 
 A client asks each question once per run. It remembers the status,
 headers and elapsed time, never the body, of every answer it is sent,
@@ -399,19 +401,15 @@ def _lists_nothing(answer: _Answer) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class RawContent:
-    """Result of downloading a memento's unaltered content; ``body`` is
-    None when the client answers from what the run was told before."""
+    """Result of downloading a memento's unaltered content, and its cost
+    for the budget; ``body`` is None when the client answers from what the
+    run was told before, and ``elapsed`` is then that download's."""
 
     status: int
     headers: dict[str, str]
     body: bytes | None
     classification: Classification
-
-
-@dataclass(frozen=True, slots=True)
-class TimedDownload:
-    content: RawContent
-    elapsed: float
+    elapsed: float  # wall-clock seconds from the download's start to its answer
 
 
 class ArchiveClient:
@@ -467,23 +465,20 @@ class ArchiveClient:
         A :class:`PermanentNetworkError` is raised after its one attempt;
         other network errors, 429 and 503 are retried.
         """
-        return run_steps(self.request_steps(method, uri))
-
-    def request_steps(self, method: str, uri: str) -> Steps:
-        """``request`` as a step generator: yields each wait in seconds, for
-        lane spacing or back-off, instead of sleeping, and returns the
-        response. A back-off closes the lane to every request until it ends."""
-        response, _ = yield from self._ask_steps(method, uri, _never)
+        response, _ = run_steps(self._ask_steps(method, uri, _never))
         return response
 
     def _ask_steps(
         self, method: str, uri: str, usable: Callable[[_Answer], bool] = _always
     ) -> Steps:
-        """``request_steps`` through the run's memory. Returns ``(response,
-        answer)``: ``answer`` is what the request told, and ``response`` the
-        transport's, body included, or None when a remembered answer that
-        ``usable`` accepts was found, at once or after any wait for the
-        lane. Every answer but a 429/503 is remembered."""
+        """One request through the run's memory, as a step generator: it
+        yields each wait in seconds, for lane spacing or back-off, instead
+        of sleeping; a back-off closes the lane to every request until it
+        ends. Returns ``(response, answer)``: ``answer`` is what the request
+        told, and ``response`` the transport's, body included, or None when
+        a remembered answer that ``usable`` accepts was found, at once or
+        after any wait for the lane. Every answer but a 429/503 is
+        remembered."""
         host, equivalent = _split(uri)
         key = method, equivalent
 
@@ -620,11 +615,8 @@ class ArchiveClient:
         )
 
     def fetch_raw_memento(self, memento: Memento) -> RawContent:
-        """``timed_download``'s unaltered content, without its duration."""
-        return self.timed_download(memento).content
-
-    def timed_download(self, memento: Memento) -> TimedDownload:
-        """Raw download plus wall-clock cost, for budget estimation.
+        """A memento's unaltered content, and the download's wall-clock
+        cost, for budget estimation.
 
         The raw URI-M is ``raw_variant`` of the URI-M under the
         ``raw_scheme`` of its archive in this client's registry: it is
@@ -632,7 +624,7 @@ class ArchiveClient:
         no archive, of one the registry does not hold or of scheme ``none``,
         or a URI-M without a 14-digit segment. A download the run was
         answered before sends no request: it returns that answer's status,
-        headers, classification and elapsed time, with ``body`` None. A
+        headers, classification and ``elapsed``, with ``body`` None. A
         network error, or an answer still 429/503 after its retries, is not
         remembered, so the next call tries again.
         """
@@ -643,20 +635,21 @@ class ArchiveClient:
         if raw is None:
             raise RawAccessUnsupported(memento.urim)
         response, answer = run_steps(self._ask_steps("GET", raw))
-        content = RawContent(
+        return RawContent(
             status=answer.status,
             headers=answer.headers,
             body=None if response is None else response.body,
             classification=classify_response(answer.status, answer.headers),
+            elapsed=answer.elapsed,
         )
-        return TimedDownload(content, answer.elapsed)
 
     def resolve(self, uri: str) -> RedirectChain:
         """Redirect resolution routed through the polite request lanes."""
         return run_steps(self.resolve_steps(uri))
 
     def resolve_steps(self, uri: str) -> Steps:
-        """``resolve`` as a step generator, like ``request_steps``."""
+        """``resolve`` as a step generator: yields each wait in seconds
+        instead of sleeping, and returns the chain."""
         walk = redirect_steps(uri)
         try:
             method, target = next(walk)

@@ -262,7 +262,7 @@ class ResolvedCandidate:
 
 def _resolve_steps(uri: str, client: ArchiveClient):
     """Follow a candidate's redirects and key its final URI, as a step
-    generator (see ``ArchiveClient.request_steps``). Reads no selection
+    generator (see ``ArchiveClient.resolve_steps``). Reads no selection
     state, so candidates may be resolved in any order."""
     try:
         chain = yield from client.resolve_steps(uri)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
@@ -98,13 +99,16 @@ def json_kwargs(raw, keys: Mapping[str, str], where: str) -> dict:
 def check_fields(obj, positive: Iterable[str] = (), nonnegative: Iterable[str] = ()) -> None:
     """Raise ValueError naming the first field of dataclass ``obj`` whose
     value does not have the field's annotated type (an int passes as a
-    float, a bool as neither), or is not above zero for a field named in
-    ``positive``, or is below zero for one named in ``nonnegative``."""
+    float, a bool as neither), or is a float that is not finite, or is not
+    above zero for a field named in ``positive``, or is below zero for one
+    named in ``nonnegative``."""
     hints = _type_hints(type(obj))
     for f in fields(obj):
         value = getattr(obj, f.name)
         if not _has_type(value, hints[f.name]):
             raise ValueError(f"{f.name}: expected {f.type}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):  # json reads Infinity, NaN
+            raise ValueError(f"{f.name}: out of range: {value!r}")
         if f.name in positive or f.name in nonnegative:
             zero = type(value)()  # 0, 0.0 or timedelta(0)
             if not (value > zero if f.name in positive else value >= zero):

@@ -230,10 +230,10 @@ def _record_from_dict(d: dict) -> TimeMapRecord:
             type(m) is not list
             or len(m) != 4
             or type(m[1]) is not str
-            or type(m[2]) not in _STR_OR_NULL
+            or type(m[2]) is not str
             or type(m[3]) not in _STR_OR_NULL
         ):
-            raise TypeError(f"a memento is not [stamp, URI-M, archive|null, null|raw URI-M]: {m!r}")
+            raise TypeError(f"a memento is not [stamp, URI-M, archive, null|raw URI-M]: {m!r}")
         stamp, urim, archive_id, _ = m  # the raw URI-M of earlier versions, derived at download
         # Positional: a frozen dataclass takes keywords at twice the cost.
         mementos.append(Memento(urim, parse_compact14(stamp), key, archive_id))
@@ -467,7 +467,7 @@ class DiscoveryPipeline:
         completed = (
             self.selection_state.all_full()
             or len(self.accepted) >= self.config.target
-            or self.scan_index == len(stream)
+            or self.scan_index >= len(stream)  # the source lists may shrink between runs
         )
         if not completed:  # cut at max_candidates: a checkpoint like any other
             self.save_state()

@@ -56,7 +56,7 @@ def estimate_budget(
     """Derive the per-archive cap from measured download costs.
 
     ``probe`` holds wall-clock durations in seconds (the ``elapsed`` of
-    ``timed_download`` results; a remembered download's is that of the
+    ``fetch_raw_memento`` results; a remembered download's is that of the
     download the run made). The allowance is the download budget divided
     by the mean cost, never above the configured per-archive maximum.
     """
@@ -109,11 +109,11 @@ def probe_archives(
         downloads = []
         for m in selection[archive_id][:per_archive]:
             try:
-                timed = client.timed_download(m)
+                raw = client.fetch_raw_memento(m)
             except MementosetError as exc:
                 logger.info("probe failed for %s: %s", m.urim, exc)
                 continue
-            downloads.append((m.urim, timed.elapsed, timed.content.classification))
+            downloads.append((m.urim, raw.elapsed, raw.classification))
         return downloads
 
     durations: dict[str, list[float]] = {}

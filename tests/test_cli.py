@@ -196,6 +196,11 @@ class TestTimemap:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
 
+    def test_an_infinite_interval_exits_two(self, tmp_path, capsys):
+        code = main(timemap_args(tmp_path, "--interval", "inf", "http://a.example/"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: min_request_interval: out of range: inf\n"
+
     def test_network_failure_exit_one(self, tmp_path, capsys):
         code = main(timemap_args(tmp_path, "http://unrecorded.example/"))
         assert code == 1
@@ -380,8 +385,9 @@ class TestDiscoverCommand:
             ({"published_lists": [{"archive": "perma.cc", "format": "urirs_only"}]}, "'path'"),
             ({"published_lists": [{"archive": "perma.cc", "path": 3, "format": "urirs_only"}]},
              "path: expected a string, got 3"),
+            ({"min_request_interval": float("inf")}, "min_request_interval: out of range: inf"),
         ],
-        ids=[f"change{i}" for i in range(16)],
+        ids=[f"change{i}" for i in range(17)],
     )
     def test_config_errors_reported_before_the_first_request(
         self, tmp_path, capsys, monkeypatch, change, named

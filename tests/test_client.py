@@ -256,15 +256,15 @@ class TestRawFetch:
         assert client.fetch_raw_memento(m).classification is Classification.ARCHIVAL_ERROR
 
 
-class TestTimedDownload:
+class TestDownloadElapsed:
     def test_elapsed_lower_bound(self, registry):
         m = vefsafn_memento(registry)
         transport = FakeTransport()
         transport.add("GET", raw_of(m), 200, MD_2004, b"x", delay=0.1)
         client = make_client(transport, registry)
-        timed = client.timed_download(m)
-        assert timed.elapsed >= 0.1
-        assert timed.content.body == b"x"
+        raw = client.fetch_raw_memento(m)
+        assert raw.elapsed >= 0.1
+        assert raw.body == b"x"
 
     def test_batch_produces_k_durations(self, registry):
         transport = FakeTransport()
@@ -280,7 +280,7 @@ class TestTimedDownload:
             transport.add("GET", raw_of(m), 200, MD_2004, b"y")
             mementos.append(m)
         client = make_client(transport, registry)
-        durations = [client.timed_download(m).elapsed for m in mementos]
+        durations = [client.fetch_raw_memento(m).elapsed for m in mementos]
         assert len(durations) == 5
         assert all(d >= 0 for d in durations)
 
@@ -293,14 +293,14 @@ class TestRememberedDownloads:
         transport = FakeTransport()
         transport.add("GET", raw_of(m), 200, MD_2004, b"x", delay=0.1)
         client = make_client(transport, registry)
-        first = client.timed_download(m)
-        repeat = client.timed_download(m)
+        first = client.fetch_raw_memento(m)
+        repeat = client.fetch_raw_memento(m)
         assert len(transport.requests) == 1
-        assert first.content.body == b"x"
-        assert repeat.content.body is None
+        assert first.body == b"x"
+        assert repeat.body is None
         assert repeat.elapsed >= 0.1 and repeat.elapsed == first.elapsed
-        assert repeat.content.classification is Classification.ARCHIVAL_OK
-        assert client.fetch_raw_memento(m) == repeat.content
+        assert repeat.classification is Classification.ARCHIVAL_OK
+        assert client.fetch_raw_memento(m) == repeat
         assert len(transport.requests) == 1
 
     def test_answer_still_503_is_not_remembered(self, registry):
@@ -340,7 +340,7 @@ class TestRememberedDownloads:
         client = make_client(transport, registry)
         for _ in range(2):
             with pytest.raises(RawAccessUnsupported):
-                client.timed_download(m)
+                client.fetch_raw_memento(m)
         assert transport.requests == []
 
     def test_threads_sharing_a_client_leave_every_download_remembered(self, registry):
@@ -362,7 +362,7 @@ class TestRememberedDownloads:
         def worker(k):
             try:
                 for m in mementos[k:] + mementos[:k]:
-                    client.timed_download(m)
+                    client.fetch_raw_memento(m)
             except NetworkError as exc:
                 errors.append(exc)
 
@@ -380,7 +380,7 @@ class TestRememberedDownloads:
         assert errors == []
         assert {uri for _, uri in transport.requests} == {raw_of(m) for m in mementos}
         sent = len(transport.requests)
-        assert all(client.timed_download(m).content.body is None for m in mementos)
+        assert all(client.fetch_raw_memento(m).body is None for m in mementos)
         assert len(transport.requests) == sent
 
 
@@ -409,7 +409,7 @@ class TestRawDerivation:
         transport = FakeTransport()
         transport.add("GET", raw, 200, MD_2004, b"x")
         client = make_client(transport, default_registry(), retries=0)
-        assert client.timed_download(m).content.body == b"x"
+        assert client.fetch_raw_memento(m).body == b"x"
         assert transport.requests == [("GET", raw)]
 
     @pytest.mark.parametrize("urim, archive_id, held", [
@@ -427,8 +427,6 @@ class TestRawDerivation:
         transport = FakeTransport()
         client = make_client(transport, registry)
         with pytest.raises(RawAccessUnsupported, match="no raw-access variant"):
-            client.timed_download(m)
-        with pytest.raises(RawAccessUnsupported):
             client.fetch_raw_memento(m)
         assert transport.requests == []
 

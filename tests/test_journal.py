@@ -18,6 +18,8 @@ import itertools
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -36,6 +38,7 @@ from mementoset.linkformat import TimeMapReducer
 from mementoset.model import raw_variant
 from mementoset.pipeline import STAGES, DiscoveryPipeline, RunConfig, _record_to_dict
 from mockserver import FakeTransport
+from test_cli import child_env
 from test_lookahead import scan_config, universe_transport
 from test_pipeline import FIXED_NOW, build_fixture_corpus, write_config
 from universe import build_universe
@@ -280,10 +283,11 @@ BAD_MEMENTOS = {
     "five items": ["20120101000000", URIM, "web.archive.org", None, None],
     "a URI-M that is a number": ["20120101000000", 5, "web.archive.org", None],
     "an archive that is a bool": ["20120101000000", URIM, True, None],
-    "a raw URI-M that is a list": ["20120101000000", URIM, None, [URIM]],
+    "a null archive": ["20120101000000", URIM, None, None],
+    "a raw URI-M that is a list": ["20120101000000", URIM, "web.archive.org", [URIM]],
     "a raw URI-M that is a number": ["20120101000000", URIM, "web.archive.org", 5],
     "a raw URI-M that is a bool": ["20120101000000", URIM, "web.archive.org", False],
-    "a stamp that is a list": [list("20120101000000"), URIM, None, None],
+    "a stamp that is a list": [list("20120101000000"), URIM, "web.archive.org", None],
 }
 BAD_FIELDS = [
     ("uri", 5),
@@ -346,6 +350,21 @@ def test_discover_exits_1_on_a_mistyped_record(corpus, capsys):
     assert main(["discover", "--config", str(corpus[1])]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {done.state_path} does not decode: the URI-R's 'uri' has the wrong type: 5")
+
+
+def test_discover_exits_1_on_a_memento_without_an_archive(corpus):
+    done = pipeline(corpus, "out")
+    assert done.run() == "done"
+    payload = json.loads(done.state_path.read_text())
+    payload["records"][0]["mementos"][0][2] = None
+    done.state_path.write_text(reference_dumps(payload))
+    run = subprocess.run(
+        [sys.executable, "-m", "mementoset.cli", "discover", "--config", str(corpus[1])],
+        env=child_env(), capture_output=True, text=True,
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith(f"error: {done.state_path} does not decode: a memento is not")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
 
 
 # -- the raw URI-M column ------------------------------------------------------

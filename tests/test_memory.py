@@ -249,7 +249,7 @@ class TestRawDownloads:
         assert took[0] >= 0.05 and took[1] == took[0]
         assert took[2] >= 0.02
         assert len(classifications) == 3
-        assert client.timed_download(same).content.body is None
+        assert client.fetch_raw_memento(same).body is None
 
 
 class NoBackoff(ArchiveClient):

@@ -236,6 +236,17 @@ class TestDiscoveryPipeline:
         resumed_state = pipeline.state_path.read_text()
         assert resumed_state == reference_state
 
+    def test_a_scan_index_past_shrunk_source_lists_finishes_method1(self, corpus):
+        config = RunConfig.from_file(corpus)
+        scanned = len(DiscoveryPipeline(config)._stream()) + 5  # the lists had more URI-Rs
+        config.out_dir.mkdir()
+        state = {"records": [], "scan_index": scanned, "stage": "method1"}
+        (config.out_dir / "state.json").write_text(json.dumps(state))
+        pipeline, stage = run_pipeline(corpus)
+        assert stage == "done"
+        assert pipeline.accepted == []
+        assert pipeline.scan_index == scanned
+
     def test_all_satisfied_skips_expansion(self, corpus):
         config = RunConfig.from_file(corpus)
         config.constraints = type(config.constraints)(

@@ -336,7 +336,7 @@ class TestProbeArchives:
         assert budget.probe_mean_cost >= 0.01
 
     def test_worker_threads_bounded(self, registry):
-        from mementoset.client import RawContent, TimedDownload
+        from mementoset.client import RawContent
         from mementoset.sampler import PROBE_WORKERS, probe_archives
 
         class CountingClient:
@@ -344,14 +344,14 @@ class TestProbeArchives:
                 self.active = self.peak = 0
                 self.lock = threading.Lock()
 
-            def timed_download(self, m):
+            def fetch_raw_memento(self, m):
                 with self.lock:
                     self.active += 1
                     self.peak = max(self.peak, self.active)
                 time.sleep(0.05)
                 with self.lock:
                     self.active -= 1
-                return TimedDownload(RawContent(200, {}, b"", Classification.ARCHIVAL_OK), 0.05)
+                return RawContent(200, {}, b"", Classification.ARCHIVAL_OK, 0.05)
 
         selection = {}
         for i in range(40):

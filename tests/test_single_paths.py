@@ -415,7 +415,7 @@ class TestPublishedListClock:
 
 
 class TestRawDownloads:
-    def test_only_timed_download_derives_a_raw_uri_in_the_client(self):
+    def test_only_fetch_raw_memento_derives_a_raw_uri_in_the_client(self):
         tree = ast.parse(inspect.getsource(client_module))
         derivers = {
             function.name
@@ -424,6 +424,6 @@ class TestRawDownloads:
             for node in ast.walk(function)
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "raw_variant"
         }
-        assert derivers == {"timed_download"}
+        assert derivers == {"fetch_raw_memento"}
         # No memento stores a raw URI-M for any other code to read.
         assert "raw_urim" not in {f.name for f in fields(Memento)}
