@@ -10,10 +10,11 @@ quotes a backslash escapes the next character. An unterminated ``<`` or
 
 Most members of a real TimeMap have one plain form,
 ``<target>; rel="..."; datetime="..."``: the two params in that order with
-lowercase names, single spaces, no whitespace in the target, rel values
-separated by single spaces, and an IMF-fixdate (RFC 9110 section 5.6.7)
-as the datetime. Such a member is read directly by one pattern. Every
-other member goes through the RFC 6690 split above.
+lowercase names, single spaces, no whitespace at either end of the target,
+rel values separated by single spaces, and an IMF-fixdate (RFC 9110
+section 5.6.7) as the datetime. Such a member is read directly by one
+pattern, in ``parse_link_entries`` only. Every other member goes through
+the RFC 6690 split above.
 
 A :class:`TimeMapReader` is the one code that turns a TimeMap's members,
 or a list's (datetime, URI-M) pairs, into ``Memento`` objects: it holds
@@ -23,7 +24,12 @@ without a reader keep every memento it reads. The pipeline does not build
 the TimeMaps it fetches: its subclass :class:`TimeMapReducer` reduces each
 one while it reads it, page by page, to the first memento per archive per
 year, and builds a ``Memento`` only for those. It is the one place that
-rule is written; the collection stores what it returns.
+rule is written; the collection stores what it returns. To keep the first
+of each URI-M it holds a key of every URI-M read: for a URI-M of the
+Wayback shape, a head, a 14-digit stamp and a rest, one int made of the
+stamp and a number for the (head, rest) pair, and for any other URI-M the
+string itself. The pair and the stamp give the URI-M back, so the key is
+exact: two URI-Ms share it only if they are equal.
 
 The compact format is two columns per memento: the 14-digit UTC capture
 timestamp and the URI-M, separated by one space. It exists because full
@@ -33,7 +39,6 @@ needs.
 
 from __future__ import annotations
 
-import calendar
 import logging
 import re
 from dataclasses import dataclass
@@ -94,29 +99,29 @@ def _split(pattern: re.Pattern, text: str):
 
 # The plain member form of the module docstring, with the separators
 # around it: what the RFC 6690 split yields for such a member, stripped, is
-# exactly the match without them. The IMF-fixdate's fields are held to
-# their ranges, save the day to its month; the host, in a URI-M of the plain
-# form ``http(s)://host[:port]``, is the one ``urlsplit`` reads from it.
+# exactly the match without them. The target neither starts nor ends with
+# whitespace, which is all that split strips of it. The IMF-fixdate's fields
+# are held to their ranges, the day to its month: a 29th not in February of
+# a year that is not a leap year (divisible by 4, and by 400 if by 100), a
+# 30th not in February, a 31st in a month of 31 days. The host, in a URI-M
+# of the plain form ``http(s)://host[:port]``, is the one ``urlsplit`` reads
+# from it.
 _PLAIN = re.compile(
     r"""\s*<(?=[^\s>])(?P<target>
         (?:[Hh][Tt][Tt][Pp][Ss]?://(?P<host>[A-Za-z0-9.-]+)(?::[0-9]+)?(?=[/?#>]))?
-        [^\s>]*)>
+        [^>]*)(?<!\s)>
     ;\ rel="(?P<rel>[^\s"\\]+(?:\ [^\s"\\]+)*)"
     ;\ datetime="(?P<when>(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun),
-        \ (?P<day>0[1-9]|[12][0-9]|3[01])
+        \ (?P<day>0[1-9]|1[0-9]|2[0-8]
+            |29(?!\ Feb\ (?!(?:[0-9]{2}(?:0[48]|[2468][048]|[13579][26])
+                              |(?:[02468][048]|[13579][26])00)\ ))
+            |30(?!\ Feb)|31(?=\ (?:Jan|Mar|May|Jul|Aug|Oct|Dec)))
         \ (?P<month>Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec)
         \ (?P<year>(?!0000)[0-9]{4})
         \ (?P<clock>(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9])\ GMT)"
     \s*(?:,|\Z)""",
     re.X,
 )
-
-
-def _day_exists(plain: re.Match) -> bool:
-    day = plain["day"]
-    if day <= "28":
-        return True
-    return int(day) <= calendar.monthrange(int(plain["year"]), _MONTHS[plain["month"]])[1]
 
 
 def _byte_offset(text: str, char_offset: int) -> int:
@@ -188,14 +193,14 @@ def parse_link_entries(
             raise ParseError(f"not UTF-8: {exc}", exc.start) from None
     else:
         text = body
-    if not text.strip():
+    if not text or text.isspace():
         raise ParseError("empty link-format document", 0)
     entries = []
     members = 0
     start, size = 0, len(text)
     while True:
         plain = _PLAIN.match(text, start)
-        if plain is not None and _day_exists(plain):
+        if plain is not None:
             members += 1
             if visit is not None:
                 visit(plain)
@@ -385,6 +390,15 @@ def parse_timemap(
     return reader.record(urir_hint, fetched_at=fetched_at)
 
 
+# A URI-M of the Wayback shape: ``head`` + ``/`` + a 14-digit stamp + a
+# ``rest`` that does not start with an ASCII digit, split at the first such
+# stamp.
+_STAMP = re.compile(r"/([0-9]{14})(?![0-9])")
+# The most (head, rest) pairs a reducer numbers; the URI-Ms of any further
+# pair are kept as strings.
+_MAX_PAIRS = 1024
+
+
 class TimeMapReducer(TimeMapReader):
     """One TimeMap reduced while it is read, page by page, to the mementos
     a ``MementoCollection`` stores of it. This is the dataset's one
@@ -396,9 +410,22 @@ class TimeMapReducer(TimeMapReader):
     or None. Once the key is known its mementos are offered first, in
     stored order, each kept as stored, so the record holds the winners of
     the stored and the read mementos together. A plain member costs one
-    match and a sort key made of its date's fields. Only the winners read
-    become ``Memento`` objects. The record raises what ``TimeMapReader``'s
-    would raise for the same members.
+    match, one call of the visitor, which looks up its host, drops a URI-M
+    seen before and updates the winner of its year in place, and a sort key
+    made of its date's fields. Only the winners read become ``Memento``
+    objects. The record raises what ``TimeMapReader``'s would raise for the
+    same members.
+
+    Keeping the first of each URI-M needs every URI-M read, which is most of
+    what a large TimeMap costs. A URI-M of the Wayback shape, ``head`` +
+    ``/`` + a 14-digit stamp + ``rest`` split where ``_STAMP`` first
+    matches, is kept as one int: the reducer's number for its (``head``,
+    ``rest``) pair times 10**14, plus the stamp. Every other URI-M is kept
+    as itself. The split is a function of the URI-M alone, and the pair and
+    the stamp give the URI-M back, so two URI-Ms share a key only if they
+    are equal. Once ``_MAX_PAIRS`` pairs are numbered, the URI-Ms of a new
+    pair are kept as strings, so a TimeMap whose pairs are all distinct
+    costs what its strings cost plus that many pairs.
     """
 
     def __init__(
@@ -408,11 +435,27 @@ class TimeMapReducer(TimeMapReader):
     ):
         super().__init__(registry)
         self.stored = stored
-        self._seen: set[str] = set()
+        self._seen: set[int | str] = set()  # the key of each URI-M offered
+        self._pairs: dict[tuple[str, str], int] = {}  # (head, rest) -> its number
         self._pending: list[tuple] = []  # candidates read before the key is known
         # archive id -> year -> (sort key, URI-M, its datetime, IMF-fixdate
         # or stored Memento)
         self._winners: dict[str, dict[str, tuple[str, str, str | datetime | Memento]]] = {}
+
+    def _key(self, urim: str) -> int | str:
+        """The key ``urim`` is kept under in ``_seen``: equal for equal
+        URI-Ms only."""
+        parts = _STAMP.split(urim, 1)
+        if len(parts) == 1:
+            return urim
+        head, stamp, rest = parts
+        pairs = self._pairs
+        pair = pairs.get((head, rest))
+        if pair is None:
+            if len(pairs) == _MAX_PAIRS:
+                return urim
+            pair = pairs[head, rest] = len(pairs)
+        return pair * 10**14 + int(stamp)
 
     def _resolve(self, resource: OriginalResource) -> None:
         """Key the TimeMap by ``resource``, then offer the mementos stored
@@ -425,6 +468,40 @@ class TimeMapReducer(TimeMapReader):
         for candidate in self._pending:
             self._offer(*candidate)
         self._pending.clear()
+
+    def _visit(self, member: LinkEntry | re.Match) -> None:
+        if isinstance(member, LinkEntry):
+            super()._visit(member)
+            return
+        # A plain member: _candidate, _archive and _offer in one call.
+        urim, host, rel, when, day, month, year, clock = member.groups()
+        if rel != "memento" and not self._roles(urim, rel.split(" ")):
+            return
+        self.mementos += 1
+        archive = self._serving
+        if archive is not None:
+            self._archive_ids.add(archive.id)
+        else:
+            try:
+                archive = self._hosts[host]
+            except KeyError:
+                archive = self._archive(urim, host)
+            if archive is None:
+                return
+        key = f"{year}{_MONTH_DIGITS[month]}{day}{clock}"
+        if self._resource is None and self._failure is None:
+            self._pending.append((urim, archive.id, key, when))
+            return
+        urim_key = self._key(urim)
+        if urim_key in self._seen:
+            return
+        self._seen.add(urim_key)
+        years = self._winners.get(archive.id)
+        if years is None:
+            years = self._winners[archive.id] = {}
+        best = years.get(year)
+        if best is None or key < best[0] or (key == best[0] and urim < best[1]):
+            years[year] = (key, urim, when)
 
     def _candidate(self, urim: str, host: str | None, key: str, when: str | datetime) -> None:
         archive = self._archive(urim, host)
@@ -440,9 +517,10 @@ class TimeMapReducer(TimeMapReader):
     def _offer(
         self, urim: str, archive_id: str, key: str, when: str | datetime | Memento
     ) -> None:
-        if urim in self._seen:
+        urim_key = self._key(urim)
+        if urim_key in self._seen:
             return
-        self._seen.add(urim)
+        self._seen.add(urim_key)
         years = self._winners.get(archive_id)
         if years is None:
             years = self._winners[archive_id] = {}

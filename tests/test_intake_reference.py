@@ -32,6 +32,7 @@ from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
 from unittest import mock
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -492,7 +493,7 @@ IN_RANGE_FIXDATE = st.builds(
 FIXED_MEMBER = st.builds(
     '{}<{}>; rel="{}"; datetime="{}"{}'.format,
     SPACE,
-    st.one_of(PLAIN_URI.filter(lambda u: not any(c.isspace() or c == ">" for c in u)), TARGET),
+    st.one_of(PLAIN_URI, TARGET),
     pick("memento", "first memento", "original", "timemap", "memento  x", "self timemap"),
     IN_RANGE_FIXDATE,
     SPACE,
@@ -512,10 +513,27 @@ class TestTokenizerMatchesCharacterLoops:
     @example('<http://a.example/>; rel="memento"; datetime="Sun, 06 Nov 1994 08:49:37 GMT"')
     @example('<http://a.example/>; rel="memento"; datetime="Thu, 29 Feb 1900 00:00:00 GMT",')
     @example(' <http://a.example/>; rel="memento"; datetime="Sun, 06 Nov 1994 08:49:37 GMT" x')
+    @example(  # targets with inner and trailing whitespace, then a member that fails
+        '<http://a0.test/x y>; rel="memento"; datetime="Sun, 06 Nov 1994 08:49:37 GMT",\n'
+        '<http://a0.test/x\ty >; rel="memento"; datetime="Sun, 06 Nov 1994 08:49:38 GMT",\n'
+        '<http://a0.test/z>; rel="memento"; datetime="soon"'
+    )
     def test_entries_and_errors_identical(self, text):
         new = outcome(parse_link_entries, text)
         assert new == outcome(reference_parse_link_entries, text)
         assert outcome(visited, text) == new
+
+    @pytest.mark.parametrize(
+        "year", [1, 4, 100, 400, 1600, 1900, 1996, 2000, 2001, 2024, 2100, 9999]
+    )
+    def test_the_last_days_of_every_month_read_as_the_general_path_reads_them(self, year):
+        for month in MONTHS:
+            for day in (28, 29, 30, 31):
+                when = f"Mon, {day} {month} {year:04d} 00:00:00 GMT"
+                text = f'<http://a.example/>; rel="memento"; datetime="{when}"'
+                new = outcome(parse_link_entries, text)
+                assert new == outcome(reference_parse_link_entries, text)
+                assert outcome(visited, text) == new
 
 
 # Every field at and past its range, non-ASCII digits (which int() and
@@ -597,8 +615,27 @@ FETCHED = datetime(2017, 11, 15, tzinfo=timezone.utc)
 URIR = "http://site.test/page"
 # The same key spelt another way, another key, and a URI-R surt refuses.
 ORIGINALS = (URIR, "http://www.site.test/page", "http://other.test/", "not a uri")
-# Attributed hosts in several spellings, an unregistered one, and URI-Ms
-# whose host only the general path reads or that have none.
+# URI-Ms of the Wayback shape, which the reducer keeps as ints: one stamp
+# under two heads, and under one head with an http and an https URI-R (as
+# perma.cc lists them) and with the id_ modifier; digit runs of 13 and 15;
+# a stamp ending in a non-ASCII digit, which int() would read as the ASCII
+# stamp after it; two URI-Ms that differ only in case; and one with inner
+# whitespace, which the plain form reads too.
+WAYBACK_URIMS = (
+    f"http://a0.test/web/20000101000000/{URIR}",
+    f"http://a1.test/web/20000101000000/{URIR}",
+    "http://a0.test/web/20000101000000/https://site.test/page",
+    f"http://a0.test/web/20000101000000id_/{URIR}",
+    f"http://a0.test/web/2000010100000/{URIR}",
+    f"http://a0.test/web/200001010000000/{URIR}",
+    f"http://a0.test/web/2000010100000٣/{URIR}",
+    f"http://a0.test/web/20000101000003/{URIR}",
+    "http://a0.test/web/20000101000000/http://site.test/Page",
+    "http://A0.test/web/20000101000000/http://site.test/page",
+    f"http://a0.test/web/20000101000000/{URIR} x",
+)
+# Attributed hosts in several spellings, an unregistered one, URI-Ms whose
+# host only the general path reads or that have none, and the above.
 URIMS = tuple(
     f"{prefix}/web/2000{i}/{URIR}"
     for i, prefix in enumerate([
@@ -606,7 +643,8 @@ URIMS = tuple(
         "http://a1.test", "https://alias1.test", "http://unknown.test",
         "http://user@a1.test", "http://:80", "ftp://a0.test",
     ])
-) + ("not-a-uri",)
+) + ("not-a-uri",) + WAYBACK_URIMS
+WAYBACK = len(URIMS) - len(WAYBACK_URIMS)  # the index of the first of them
 # Duplicate URI-Ms pick among these: the same year, other years, dates the
 # general path reads, and dates no path accepts.
 DATES = (
@@ -619,7 +657,9 @@ MEMENTO_RELS = ("memento", "first memento", "last memento", "memento  first", "o
 
 
 # Mostly URI-Ms of a0, so that the stored record and the TimeMap share some.
-URIM = st.one_of(st.integers(0, 3), st.integers(0, len(URIMS) - 1))
+URIM = st.one_of(
+    st.integers(0, 3), st.integers(WAYBACK, WAYBACK + 3), st.integers(0, len(URIMS) - 1)
+)
 
 
 def memento_member(urim, rel, when, extra):
@@ -767,6 +807,27 @@ class TestReducerMatchesFullRecords:
         [f'{memento_member(6, "memento", DATES[0], "")},\n{memento_member(9, "memento", DATES[1], "")}'],
         URIR, REDUCER_REGISTRY.get("a1"), (URIR, [(6, DATES[2])]),
     )
+    @example(  # a stored URI-M read before the original, then again with another datetime
+        [f'{memento_member(WAYBACK, "memento", DATES[0], "")},\n<{URIR}>; rel="original",\n'
+         f'{memento_member(WAYBACK, "memento", DATES[3], "")},\n'
+         f'{memento_member(WAYBACK + 1, "memento", DATES[1], "")}'],
+        URIR, None, (URIR, [(WAYBACK, DATES[2])]),
+    )
+    @example(  # a plain member whose target has inner whitespace
+        [f'<{URIR}>; rel="original",\n<http://a0.test/x y>; rel="memento"; datetime="{DATES[0]}"'],
+        URIR, None, None,
+    )
+    @example(  # a stamp ending in a non-ASCII digit, then the ASCII stamp int() reads in it
+        [f'<{URIR}>; rel="original",\n{memento_member(WAYBACK + 6, "memento", DATES[1], "")},\n'
+         f'{memento_member(WAYBACK + 7, "memento", DATES[0], "")}'],
+        URIR, None, None,
+    )
+    @example(  # one head + rest split at two places: not one URI-M
+        [f'<{URIR}>; rel="original",\n'
+         f'<http://a0.test/web//20000101000000{URIR}>; rel="memento"; datetime="{DATES[1]}",\n'
+         f'<http://a0.test/web/20000101000000/{URIR}>; rel="memento"; datetime="{DATES[0]}"'],
+        URIR, None, None,
+    )
     def test_adding_the_reduced_record_stores_what_the_full_record_does(
         self, pages, hint, archive, stored
     ):
@@ -784,6 +845,13 @@ class TestReducerMatchesFullRecords:
     def test_offering_pairs_stores_what_the_full_record_does(self, pairs, stored):
         offered, full = offered_intake(pairs, stored)
         assert offered == full
+
+    @given(timemap_pages(), st.sampled_from([None, *REDUCER_REGISTRY]), STORED, st.integers(0, 3))
+    def test_urims_of_pairs_past_the_limit_are_kept_exactly(self, pages, archive, stored, limit):
+        # Past its limit of (head, rest) pairs a reducer keeps URI-Ms as strings.
+        with mock.patch.object(linkformat, "_MAX_PAIRS", limit):
+            reduced = intake(reduced_intake, pages, URIR, archive, stored)
+        assert reduced == intake(full_intake, pages, URIR, archive, stored)
 
     def test_all_unattributed_timemap_is_accepted_and_stored_empty(self):
         transport = FakeTransport()

@@ -1,5 +1,7 @@
 import random
-from datetime import datetime, timezone
+import sys
+import tracemalloc
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -13,12 +15,14 @@ from mementoset import (
     Purpose,
     TimeMapRecord,
     TimeMapReducer,
+    default_registry,
     parse_compact,
     parse_timemap,
     serialize_compact,
     serialize_linkformat,
 )
 from mementoset.canonical import original_resource
+from mementoset.model import compact14, format_http_datetime
 
 URIR_FOM = "http://www.futureofmusic.org/about/positions.cfm"
 FIXED_NOW = datetime(2017, 11, 15, tzinfo=timezone.utc)
@@ -294,3 +298,58 @@ class TestYearlyFilter:
         for order in ((https_form, http_form), (http_form, https_form)):
             record = TimeMapRecord(resource, order, FIXED_NOW, Provenance.AGGREGATOR)
             assert reduce_record(record).mementos == (http_form,)
+
+
+class TestReducerMemory:
+    URIR = "http://www.example.com/news/2016/11/08/election-results.html"
+    # Four archives' URI-M heads and three spellings of the URI-R.
+    HEADS = (
+        "http://web.archive.org/web/", "https://arquivo.pt/wayback/",
+        "https://www.webarchive.org.uk/wayback/archive/", "http://archive.is/",
+    )
+    SPELLINGS = (URIR, URIR.replace("http:", "https:"), URIR.replace("www.", ""))
+
+    def aggregated_timemap(self, urims: int, per_page: int, overlap: int):
+        """``urims`` distinct Wayback-shaped URI-Ms, and the pages of an
+        aggregated TimeMap listing them, each page repeating the last
+        ``overlap`` members of the page before."""
+        start = datetime(1996, 1, 1, tzinfo=timezone.utc)
+        listed, members = [], []
+        for i in range(urims):
+            dt = start + timedelta(minutes=997 * i)
+            urim = f"{self.HEADS[i % 4]}{compact14(dt)}/{self.SPELLINGS[i % 3]}"
+            listed.append(urim)
+            members.append(f'<{urim}>; rel="memento"; datetime="{format_http_datetime(dt)}"')
+        original = f'<{self.URIR}>; rel="original"'
+        pages = [
+            ",\n".join([original, *members[max(0, k - overlap) : k + per_page]]) + "\n"
+            for k in range(0, urims, per_page)
+        ]
+        return listed, pages
+
+    def test_seen_urims_cost_a_fraction_of_their_strings(self):
+        # About 20,000 members on 8 pages. The URI-Ms the reducer must
+        # remember are not held as strings: at its peak it holds less than
+        # 60 % of what their strings alone take (measured: about 45 %, and
+        # at least 100 % when they are kept as strings). The pages exist
+        # before tracing starts, so the peak is beyond their bodies. Past
+        # 19,661 keys a set's table grows fourfold, to more than the ints
+        # take, so 19,000 URI-Ms measure the keys and not that step.
+        listed, pages = self.aggregated_timemap(19_000, per_page=2_400, overlap=25)
+        strings = sum(map(sys.getsizeof, listed))
+        reducer = TimeMapReducer(default_registry())
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            for page in pages:
+                reducer.read(page)
+            record = reducer.record()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(pages) == 8 and reducer.mementos == 19_000 + 7 * 25
+        assert {m.archive_id for m in record.mementos} == {
+            "web.archive.org", "arquivo.pt", "webarchive.org.uk", "archive.is"
+        }
+        assert peak <= 0.6 * strings, (peak, strings)
