@@ -32,16 +32,21 @@ RedirectSteps = Generator[tuple[str, str], tuple[int, Mapping[str, str]], "Redir
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _WWW_LABEL = re.compile(r"^www\d*$")
 _SPACE_OR_CONTROL = re.compile(r"[\s\x00-\x1f\x7f]")
+# urlsplit deletes these anywhere in a URI (WHATWG URL), so two URIs would share one key.
+_DROPPED_BY_URLSPLIT = re.compile(r"[\t\r\n]")
 
 
 def _split_http_uri(uri: str):
     """Parse into urlsplit parts, tolerating scheme-less web URIs.
 
     Bare host forms like ``www.EXAMPLE.com`` are treated as http. Anything
-    with an explicit non-http(s) scheme is rejected.
+    with an explicit non-http(s) scheme, or holding a tab, CR or LF, is
+    rejected.
     """
     if not isinstance(uri, str) or not uri.strip():
         raise MalformedUri(str(uri), "empty input")
+    if _DROPPED_BY_URLSPLIT.search(uri):
+        raise MalformedUri(uri, "tab, CR or LF in URI")
     candidate = uri.strip()
     lowered = candidate.lower()
     if lowered.startswith(("http://", "https://")):

@@ -262,9 +262,12 @@ class ResolvedCandidate:
 
 def _resolve_steps(uri: str, client: ArchiveClient):
     """Follow a candidate's redirects and key its final URI, as a step
-    generator (see ``ArchiveClient.resolve_steps``). Reads no selection
-    state, so candidates may be resolved in any order."""
+    generator (see ``ArchiveClient.resolve_steps``). A candidate whose own
+    URI has no key is an error before any request, whatever its redirects
+    would reach. Reads no selection state, so candidates may be resolved
+    in any order."""
     try:
+        surt(uri)
         chain = yield from client.resolve_steps(uri)
         final = chain.final_uri
         key = surt(final)

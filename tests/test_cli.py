@@ -361,6 +361,9 @@ class TestDiscoverCommand:
         assert "discovery stopped at stage: done" in out
         assert "selected URI-Rs: 4" in out
         assert (tmp_path / "out" / "counts_method4.csv").exists()
+        # A finished run leaves the state snapshot and no journal.
+        assert (tmp_path / "out" / "state.json").exists()
+        assert not (tmp_path / "out" / "state.jsonl").exists()
 
     @pytest.mark.parametrize(
         "change, named",

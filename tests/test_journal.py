@@ -346,10 +346,13 @@ def test_discover_exits_1_on_a_mistyped_record(corpus, capsys):
     payload = json.loads(done.state_path.read_text())
     payload["records"][0]["urir"]["uri"] = 5
     done.state_path.write_text(reference_dumps(payload))
+    urirs = done.state_path.with_name("urirs.tsv")
+    urirs.unlink()
     capsys.readouterr()
     assert main(["discover", "--config", str(corpus[1])]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {done.state_path} does not decode: the URI-R's 'uri' has the wrong type: 5")
+    assert not urirs.exists()
 
 
 def test_discover_exits_1_on_a_memento_without_an_archive(corpus):

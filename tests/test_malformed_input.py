@@ -22,10 +22,13 @@ from mementoset import (
     surt,
 )
 from mementoset.cli import main
+from mementoset.client import FixtureStore, FixtureTransport, TransportResponse
+from mementoset.pipeline import DiscoveryPipeline, RunConfig
 from mementoset.reports import URIR_TABLE_HEADER, read_urir_table
 from mementoset.sampler import write_manifest
 from mockserver import FakeTransport
 from test_discovery import make_client, multi_archive_timemap, seed_collection
+from test_pipeline import AGG, FIXED_NOW, WAYBACK, build_fixture_corpus, linkformat, write_config
 from universe import AGG_TEMPLATE, timemap_body
 
 BAD_URI = "http://[::1/x"
@@ -58,6 +61,24 @@ class TestMalformedUri:
         [result] = results
         assert result.accepted is None and result.record is None
         assert result.reason.startswith("error:")
+        assert transport.requests == []
+
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "CR", "LF"])
+    def test_scan_rejects_a_tab_cr_or_lf_before_any_request(self, registry, char):
+        # urlsplit drops the character, so the URI would be keyed as another;
+        # it is rejected even when its redirect would lead to a clean URI.
+        uri, clean = f"http://a.example/x{char}y", "http://a.example/xy"
+        transport = FakeTransport()
+        transport.add("HEAD", uri, 301, headers={"Location": clean})
+        transport.add("HEAD", clean, 200)
+        transport.add("GET", AGG_TEMPLATE.format(uri=clean), 200, body=timemap_body(clean, 1))
+        results = []
+        accepted = select_initial(
+            [(uri, "moz")], make_client(transport, registry), SelectionState(),
+            on_commit=results.append,
+        )
+        assert accepted == []
+        assert [r.reason for r in results] == [f"error: tab, CR or LF in URI: {uri!r}"]
         assert transport.requests == []
 
     def test_scan_continues_past_malformed_candidate(self, registry):
@@ -150,3 +171,28 @@ class TestStatsOnMalformedUrirTable:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_a_moz_line_with_a_tab_is_rejected_and_the_urir_table_reads_back(
+    tmp_path, monkeypatch, corpus_cadence
+):
+    uri = "http://a.example/x\ty"
+    fixtures_dir = tmp_path / "fixtures"
+    build_fixture_corpus(fixtures_dir)
+    store = FixtureStore(fixtures_dir)  # the URI answers as an archived page would
+    store.save("HEAD", uri, TransportResponse(200, {}, b""))
+    body = linkformat(uri, [(f"http://{WAYBACK}/web", "20030101000000")])
+    store.save("GET", AGG.format(uri=uri), TransportResponse(200, {}, body))
+    config = RunConfig.from_file(write_config(tmp_path, fixtures_dir))
+    config.moz_path.write_text(f"{uri}\n" + config.moz_path.read_text())
+    sent = []
+    request = FixtureTransport.request
+    monkeypatch.setattr(
+        FixtureTransport, "request",
+        lambda self, method, target: sent.append(target) or request(self, method, target),
+    )
+    pipeline = DiscoveryPipeline(config, clock=lambda: FIXED_NOW)
+    assert pipeline.run() == "done"
+    assert [u for u in sent if "\t" in u] == []
+    assert uri not in [r.uri for r in pipeline.accepted]
+    assert read_urir_table(config.out_dir / "urirs.tsv") == pipeline.accepted

@@ -1,28 +1,24 @@
 """Each job has one code path: the Method 1 scan, the stage loop, transport
-choice, compact lines, TSV tables, redirect resolution and raw downloads.
+choice, compact lines and TSV tables.
 
 These tests pin the behaviour the shared paths must keep: the pipeline's
 Method 1 is ``select_initial`` over a resumable cursor, so its
-checkpoints, ``scan_index`` and interruption rule are checked here.
+checkpoints, ``scan_index`` and interruption rule are checked here. Which
+code may call a one-way path, such as the redirect walk or a raw download,
+is a rule in ``test_architecture.py``.
 """
 
-import ast
-import inspect
 import json
 import subprocess
 import sys
 import textwrap
-from dataclasses import fields
 from datetime import datetime, timezone
-from pathlib import Path
 
 import pytest
 
-import mementoset
 from mementoset import (
     ArchiveClient,
     Classification,
-    Memento,
     ParseError,
     Provenance,
     SelectionState,
@@ -32,7 +28,6 @@ from mementoset import (
     parse_compact,
     select_initial,
 )
-from mementoset import client as client_module
 from mementoset.client import FixtureTransport, RecordingTransport, RequestsTransport, open_transport
 from mementoset.discovery import MementoCollection
 from mementoset.linkformat import parse_compact_line, write_compact
@@ -349,28 +344,6 @@ class TestTsv:
         assert info.value.offset == offset
 
 
-def callers(name: str) -> set[str]:
-    """``module.function`` of each function in the package that calls ``name``."""
-    return {
-        f"{path.stem}.{function.name}"
-        for path in Path(mementoset.__file__).parent.glob("*.py")
-        for function in ast.walk(ast.parse(path.read_text("utf-8")))
-        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for node in ast.walk(function)
-        if isinstance(node, ast.Call)
-        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-    }
-
-
-class TestRedirectResolution:
-    def test_only_the_client_drives_the_redirect_walk(self):
-        # Every hop goes through the client's lanes, memory, retries and User-Agent.
-        assert callers("redirect_steps") == {"client.resolve_steps"}
-
-    def test_only_the_look_ahead_window_resolves_candidates(self):
-        assert callers("_resolve_steps") == {"discovery.select_initial"}
-
-
 class TestPublishedListClock:
     def test_client_clock_always_callable(self):
         assert ArchiveClient(default_registry(), transport=FakeTransport()).clock().tzinfo
@@ -412,18 +385,3 @@ class TestPublishedListClock:
         ]
         assert len(published) == 2
         assert {r["fetched_at"] for r in published} == {"20000101000000"}
-
-
-class TestRawDownloads:
-    def test_only_fetch_raw_memento_derives_a_raw_uri_in_the_client(self):
-        tree = ast.parse(inspect.getsource(client_module))
-        derivers = {
-            function.name
-            for function in ast.walk(tree)
-            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for node in ast.walk(function)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "raw_variant"
-        }
-        assert derivers == {"fetch_raw_memento"}
-        # No memento stores a raw URI-M for any other code to read.
-        assert "raw_urim" not in {f.name for f in fields(Memento)}
