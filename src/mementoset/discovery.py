@@ -511,12 +511,13 @@ def method2_expand(
     return _top_up(archive, collection, records, min_urirs)
 
 
-_EMBEDDED = re.compile(r"/(\d{14})(?:id_)?/(.+)$")
+_EMBEDDED = re.compile(r"/([0-9]{14})(?:id_)?/(.+)$")
 _ONE_SLASH_SCHEME = re.compile(r"^(https?):/(?!/)", re.IGNORECASE)
 
 
 def embedded_urir(urim: str) -> str | None:
-    """The URI-R a Wayback-style URI-M embeds after its timestamp, if any.
+    """The URI-R a Wayback-style URI-M embeds after its timestamp of 14
+    ASCII digits, if any.
     A scheme written with one slash, ``http:/example.com``, is read as
     ``http://example.com``."""
     m = _EMBEDDED.search(urim)

@@ -25,11 +25,14 @@ the TimeMaps it fetches: its subclass :class:`TimeMapReducer` reduces each
 one while it reads it, page by page, to the first memento per archive per
 year, and builds a ``Memento`` only for those. It is the one place that
 rule is written; the collection stores what it returns. To keep the first
-of each URI-M it holds a key of every URI-M read: for a URI-M of the
-Wayback shape, a head, a 14-digit stamp and a rest, one int made of the
-stamp and a number for the (head, rest) pair, and for any other URI-M the
-string itself. The pair and the stamp give the URI-M back, so the key is
-exact: two URI-Ms share it only if they are equal.
+of each URI-M it notes every URI-M read. A URI-M of the Wayback shape, a
+head, a 14-digit stamp and a rest, is noted by its stamp, 8 bytes in one
+sorted ``array('q')`` per (head, rest) pair while the pair's stamps arrive
+in increasing order, as an aggregator lists them; a stamp that arrives out
+of order and is not in the array is one int, of the stamp and the pair's
+number, in a set. Any other URI-M is noted as the string itself, in the
+same set. The pair and the stamp give the URI-M back, so membership is
+exact in any order; only the memory depends on it.
 
 The compact format is two columns per memento: the 14-digit UTC capture
 timestamp and the URI-M, separated by one space. It exists because full
@@ -41,6 +44,8 @@ from __future__ import annotations
 
 import logging
 import re
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -242,6 +247,14 @@ def _sort_key(dt: datetime) -> str:
 
 _MONTH_DIGITS = {month: "%02d" % number for month, number in _MONTHS.items()}
 
+
+def _kept(urim: str) -> bool:
+    """Whether a memento of ``urim`` is kept: not when it holds a tab, CR
+    or LF. A tab would split its manifest row, and URI parsing drops all
+    three, so it would be requested, and remembered, as another URI-M."""
+    return "\t" not in urim and "\r" not in urim and "\n" not in urim
+
+
 _NO_ARCHIVES = ArchiveRegistry(())
 
 
@@ -256,7 +269,8 @@ class TimeMapReader:
     the archive that served the page, when one did, else the registered
     archive of its host, looked up once per host and TimeMap; a memento of
     no registered archive has none. With no ``registry``, none is
-    registered.
+    registered. A memento whose URI-M holds a tab, CR or LF is read, and
+    counted in ``mementos``, but not kept.
     """
 
     def __init__(self, registry: ArchiveRegistry | None = None):
@@ -290,7 +304,8 @@ class TimeMapReader:
         """Read one memento given outside link-format: ``urim``, captured
         at the UTC datetime ``dt``."""
         self.mementos += 1
-        self._candidate(urim, None, _sort_key(dt), dt)
+        if _kept(urim):
+            self._candidate(urim, None, _sort_key(dt), dt)
 
     def _visit(self, member: LinkEntry | re.Match) -> None:
         if isinstance(member, LinkEntry):
@@ -299,14 +314,15 @@ class TimeMapReader:
             self.mementos += 1
             if member.datetime is None:
                 self._undated = self._undated or member.target
-                return
-            self._candidate(member.target, None, _sort_key(member.datetime), member.datetime)
+            elif _kept(member.target):
+                self._candidate(member.target, None, _sort_key(member.datetime), member.datetime)
             return
         target, host, rel, when, day, month, year, clock = member.groups()
         if rel != "memento" and not self._roles(target, rel.split(" ")):
             return
         self.mementos += 1
-        self._candidate(target, host, year + _MONTH_DIGITS[month] + day + clock, when)
+        if _kept(target):
+            self._candidate(target, host, year + _MONTH_DIGITS[month] + day + clock, when)
 
     def _roles(self, target: str, rel: Iterable[str]) -> bool:
         """Note an original or a page link; whether the member is a memento."""
@@ -419,13 +435,18 @@ class TimeMapReducer(TimeMapReader):
     Keeping the first of each URI-M needs every URI-M read, which is most of
     what a large TimeMap costs. A URI-M of the Wayback shape, ``head`` +
     ``/`` + a 14-digit stamp + ``rest`` split where ``_STAMP`` first
-    matches, is kept as one int: the reducer's number for its (``head``,
-    ``rest``) pair times 10**14, plus the stamp. Every other URI-M is kept
-    as itself. The split is a function of the URI-M alone, and the pair and
-    the stamp give the URI-M back, so two URI-Ms share a key only if they
-    are equal. Once ``_MAX_PAIRS`` pairs are numbered, the URI-Ms of a new
-    pair are kept as strings, so a TimeMap whose pairs are all distinct
-    costs what its strings cost plus that many pairs.
+    matches, is noted by its stamp in its (``head``, ``rest``) pair's
+    ``array('q')``, 8 bytes each: appended when it is greater than the
+    pair's last, else looked up there with ``bisect``, and if it is not
+    there, kept in a set as the pair's number times 10**14 plus the stamp.
+    Every other URI-M is kept in that set as itself. The split is a
+    function of the URI-M alone, and the pair and the stamp give the URI-M
+    back, so a URI-M is found seen only if it was offered, whatever the
+    order of the members; a TimeMap listed in datetime order costs 8 bytes
+    a URI-M, and one listed backwards what a set of ints costs. Once
+    ``_MAX_PAIRS`` pairs are numbered, the URI-Ms of a new pair are kept as
+    strings, so a TimeMap whose pairs are all distinct costs what its
+    strings cost plus that many pairs.
     """
 
     def __init__(
@@ -435,27 +456,38 @@ class TimeMapReducer(TimeMapReader):
     ):
         super().__init__(registry)
         self.stored = stored
-        self._seen: set[int | str] = set()  # the key of each URI-M offered
         self._pairs: dict[tuple[str, str], int] = {}  # (head, rest) -> its number
+        self._stamps: list[array] = []  # a pair's number -> its stamps appended in order
+        # The URI-Ms offered that no array holds: a pair's number * 10**14 +
+        # a stamp that came out of order, or the URI-M itself.
+        self._seen: set[int | str] = set()
         self._pending: list[tuple] = []  # candidates read before the key is known
         # archive id -> year -> (sort key, URI-M, its datetime, IMF-fixdate
         # or stored Memento)
         self._winners: dict[str, dict[str, tuple[str, str, str | datetime | Memento]]] = {}
 
-    def _key(self, urim: str) -> int | str:
-        """The key ``urim`` is kept under in ``_seen``: equal for equal
-        URI-Ms only."""
+    def _first(self, urim: str) -> bool:
+        """Whether ``urim`` is offered for the first time; it is noted as
+        offered."""
         parts = _STAMP.split(urim, 1)
-        if len(parts) == 1:
-            return urim
-        head, stamp, rest = parts
-        pairs = self._pairs
-        pair = pairs.get((head, rest))
-        if pair is None:
-            if len(pairs) == _MAX_PAIRS:
-                return urim
-            pair = pairs[head, rest] = len(pairs)
-        return pair * 10**14 + int(stamp)
+        if len(parts) == 3:
+            head, stamp, rest = parts
+            pair = self._pairs.get((head, rest))
+            if pair is None and len(self._stamps) < _MAX_PAIRS:
+                pair = self._pairs[head, rest] = len(self._stamps)
+                self._stamps.append(array("q"))
+            if pair is not None:
+                stamps, stamp = self._stamps[pair], int(stamp)
+                if not stamps or stamp > stamps[-1]:
+                    stamps.append(stamp)
+                    return True
+                if stamps[bisect_left(stamps, stamp)] == stamp:
+                    return False
+                urim = pair * 10**14 + stamp
+        if urim in self._seen:
+            return False
+        self._seen.add(urim)
+        return True
 
     def _resolve(self, resource: OriginalResource) -> None:
         """Key the TimeMap by ``resource``, then offer the mementos stored
@@ -473,11 +505,13 @@ class TimeMapReducer(TimeMapReader):
         if isinstance(member, LinkEntry):
             super()._visit(member)
             return
-        # A plain member: _candidate, _archive and _offer in one call.
+        # A plain member: _kept, _candidate, _archive and _offer in one call.
         urim, host, rel, when, day, month, year, clock = member.groups()
         if rel != "memento" and not self._roles(urim, rel.split(" ")):
             return
         self.mementos += 1
+        if "\t" in urim or "\r" in urim or "\n" in urim:
+            return
         archive = self._serving
         if archive is not None:
             self._archive_ids.add(archive.id)
@@ -492,10 +526,8 @@ class TimeMapReducer(TimeMapReader):
         if self._resource is None and self._failure is None:
             self._pending.append((urim, archive.id, key, when))
             return
-        urim_key = self._key(urim)
-        if urim_key in self._seen:
+        if not self._first(urim):
             return
-        self._seen.add(urim_key)
         years = self._winners.get(archive.id)
         if years is None:
             years = self._winners[archive.id] = {}
@@ -517,10 +549,8 @@ class TimeMapReducer(TimeMapReader):
     def _offer(
         self, urim: str, archive_id: str, key: str, when: str | datetime | Memento
     ) -> None:
-        urim_key = self._key(urim)
-        if urim_key in self._seen:
+        if not self._first(urim):
             return
-        self._seen.add(urim_key)
         years = self._winners.get(archive_id)
         if years is None:
             years = self._winners[archive_id] = {}

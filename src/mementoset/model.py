@@ -371,12 +371,13 @@ def parse_compact14(stamp: str) -> datetime:
     )
 
 
-_TIMESTAMP_SEGMENT = re.compile(r"/(\d{14})/")
+_TIMESTAMP_SEGMENT = re.compile(r"/([0-9]{14})/")
 
 
 def raw_variant(urim: str, raw_scheme: RawScheme) -> str | None:
     """The URI-M of unaltered content: for a Wayback-style archive, ``id_``
-    after the first 14-digit path segment; None without one, or no scheme."""
+    after the first path segment of 14 ASCII digits; None without one, or
+    no scheme."""
     if raw_scheme is not RawScheme.WAYBACK_ID_SUFFIX:
         return None
     raw, found = _TIMESTAMP_SEGMENT.subn(r"/\1id_/", urim, count=1)

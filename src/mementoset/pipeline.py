@@ -21,8 +21,9 @@ changed record and the cursor as saved appends nothing, so a cut that
 lands on a checkpoint writes no second cursor line. A checkpoint's CPU,
 like its bytes, grows only with what changed: each stored record's JSON
 text is kept while the collection holds that record, so a save encodes
-only the records changed since the last, and a snapshot joins the kept
-texts. A loaded record, in whatever layout it was read, is encoded once,
+only the records changed since the last, and a snapshot streams the kept
+texts to the file one after another, so no text of the whole state is
+built. A loaded record, in whatever layout it was read, is encoded once,
 at the next snapshot. Method 1's selection is not stored apart: its
 URI-Rs are the records that carry a source tag, and resuming counts them
 again under the config's ``quota_per_bucket``.
@@ -335,15 +336,21 @@ class DiscoveryPipeline:
         self._saved_cursor = cursor
 
     def _write_snapshot(self) -> None:
+        """Write ``_dumps`` of the whole state to the snapshot, streamed:
+        one kept record text at a time, so no text of the whole state is
+        built. With keys sorted, "records" comes before the cursor's."""
         self.config.out_dir.mkdir(parents=True, exist_ok=True)
-        # _dumps of the whole state: with keys sorted, "records" comes
-        # before the cursor's.
-        texts = ",".join(self._text(r) for r in self.collection.records())
         cursor = self._cursor()
-        text = '{"records":[' + texts + "]," + cursor[1:]
         tmp = self.state_path.with_suffix(".json.tmp")
         try:
-            tmp.write_text(text, "utf-8")
+            with tmp.open("w", encoding="utf-8") as out:
+                out.write('{"records":[')
+                separator = ""
+                for record in self.collection.records():
+                    out.write(separator)
+                    out.write(self._text(record))
+                    separator = ","
+                out.write("]," + cursor[1:])
             # The journal goes before the old snapshot does: replayed over the
             # new one, it would put back records as they were before it.
             self.journal_path.unlink(missing_ok=True)

@@ -11,7 +11,9 @@ entries, or of (datetime, URI-M) pairs. ``dedupe`` and
 ``_reduce`` and ``_add_tally`` inlined: it merges a full record, of every
 memento a TimeMap lists, into the record stored under its key and reduces
 the union. The tests hold the reader, the reducer, and the collection
-storing what the reducer returns, to them.
+storing what the reducer returns, to them. One rule came after them, and
+``record_from_entries`` and ``compact_record`` state it too: a memento
+whose URI-M holds a tab, CR or LF is read but not kept (``kept``).
 """
 
 import logging
@@ -56,6 +58,12 @@ def _build_memento(
     return Memento(urim, dt, urir_key, archive.id)
 
 
+def kept(urim: str) -> bool:
+    """Whether a memento of ``urim`` is kept: a URI-M holding a tab, CR or
+    LF is read, never kept."""
+    return not any(c in urim for c in "\t\r\n")
+
+
 def reference_raw_urim(memento: Memento, registry: ArchiveRegistry) -> str | None:
     """The raw URI-M the previous code stored with ``memento``: the Wayback
     variant of its URI-M under its archive's scheme, None without one."""
@@ -75,7 +83,8 @@ def record_from_entries(
 
     The rel="original" entry names the URI-R; ``urir_hint`` is used when
     absent. Every entry whose rel includes "memento" (also "first
-    memento"/"last memento") becomes one Memento, in document order.
+    memento"/"last memento") becomes one Memento, in document order, but
+    one whose URI-M holds a tab, CR or LF.
     """
     entries = list(entries)
     original = next((e.target for e in entries if "original" in e.rel), None)
@@ -88,6 +97,8 @@ def record_from_entries(
             continue
         if e.datetime is None:
             raise ParseError(f"memento {e.target!r} lacks a datetime attribute")
+        if not kept(e.target):
+            continue
         mementos.append(_build_memento(e.target, e.datetime, resource.canonical_key, registry))
     return TimeMapRecord(
         urir=resource,
@@ -104,9 +115,14 @@ def compact_record(
     provenance: Provenance = Provenance.PUBLISHED_LIST,
     fetched_at: datetime | None = None,
 ) -> TimeMapRecord:
-    """Build a record for ``urir`` from (datetime, URI-M) pairs, order preserved."""
+    """Build a record for ``urir`` from (datetime, URI-M) pairs, order
+    preserved, but those whose URI-M holds a tab, CR or LF."""
     resource = original_resource(urir)
-    built = [_build_memento(urim, dt, resource.canonical_key, registry) for dt, urim in mementos]
+    built = [
+        _build_memento(urim, dt, resource.canonical_key, registry)
+        for dt, urim in mementos
+        if kept(urim)
+    ]
     return TimeMapRecord(resource, tuple(built), fetched_at or datetime.now(timezone.utc), provenance)
 
 

@@ -73,6 +73,10 @@ RULES = {
         ("linkformat.parse_link_entries",),
         "tokenize link-format with linkformat.parse_link_entries, the one code that matches _PLAIN",
     ),
+    "mementoset.linkformat._STAMP": Rule(
+        ("linkformat.TimeMapReducer",),
+        "a URI-M splits into its (head, rest) pair and stamp only in TimeMapReducer",
+    ),
     "mementoset.canonical.redirect_steps": Rule(
         ("client.ArchiveClient.resolve_steps",),
         "resolve redirects with ArchiveClient.resolve, or resolve_steps inside a step generator",
@@ -304,6 +308,7 @@ def case(module, what, *lines):
 
 REDIRECTS = "mementoset.canonical.redirect_steps"
 PLAIN = "mementoset.linkformat._PLAIN"
+STAMP = "mementoset.linkformat._STAMP"
 MEMENTO = "mementoset.model.Memento()"
 RAW_ACCESS = "mementoset.errors.RawAccessUnsupported()"
 RAW_VARIANT = "mementoset.model.raw_variant"
@@ -364,6 +369,10 @@ BROKEN = [
          "        return _PLAIN.match(text, start)"),
     case("sampler", PLAIN, "from .linkformat import _PLAIN as P"),
     case("model", PLAIN, "def f():", "    from . import linkformat", "    x = linkformat._PLAIN"),
+    # A URI-M split into its pair and stamp outside the reducer.
+    case("linkformat", STAMP, "def stamp_of(urim):", "    return _STAMP.search(urim)[1]"),
+    case("discovery", STAMP, "from .linkformat import _STAMP", "def f(urim):",
+         "    return _STAMP.split(urim, 1)"),
     # A redirect walk outside the client's resolve_steps.
     case("canonical", REDIRECTS, "def other(uri):", "    return redirect_steps(uri)"),
     case("discovery", REDIRECTS, "from .canonical import redirect_steps as _walk", "def f(u):",

@@ -239,6 +239,20 @@ class TestRawFetch:
         with pytest.raises(RawAccessUnsupported):
             client.fetch_raw_memento(m)
 
+    def test_a_stamp_with_a_non_ascii_digit_has_no_raw_variant(self, registry):
+        # "٣" is a digit to \d, but no stamp digit: no id_ URI is requested.
+        m = Memento(
+            urim="http://web.archive.org/web/2000010100000\u0663/http://a.com/",
+            memento_datetime=datetime(2000, 1, 1, tzinfo=timezone.utc),
+            urir_key="com,a)/",
+            archive_id="web.archive.org",
+        )
+        transport = FakeTransport()
+        client = make_client(transport, registry)
+        with pytest.raises(RawAccessUnsupported):
+            client.fetch_raw_memento(m)
+        assert transport.requests == []
+
     def test_non_archival_503_body_still_returned(self, registry):
         m = vefsafn_memento(registry)
         transport = FakeTransport()

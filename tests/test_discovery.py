@@ -601,6 +601,7 @@ class TestEmbeddedUrir:
             ("http://web.archive.org/web/20100101000000id_/HTTPS:/example.com/a", "HTTPS://example.com/a"),
             ("http://web.archive.org/web/20100101000000/example.com/a", "http://example.com/a"),
             ("http://web.archive.org/web/2010/http://example.com/a", None),
+            ("http://web.archive.org/web/2010010100000\u0663/http://example.com/a", None),
         ],
     )
     def test_urir_after_the_timestamp(self, urim, urir):

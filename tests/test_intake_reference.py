@@ -635,7 +635,8 @@ WAYBACK_URIMS = (
     f"http://a0.test/web/20000101000000/{URIR} x",
 )
 # Attributed hosts in several spellings, an unregistered one, URI-Ms whose
-# host only the general path reads or that have none, and the above.
+# host only the general path reads or that have none, an attributed URI-M
+# holding a tab, a CR or an LF, which is read but never kept, and the above.
 URIMS = tuple(
     f"{prefix}/web/2000{i}/{URIR}"
     for i, prefix in enumerate([
@@ -643,7 +644,9 @@ URIMS = tuple(
         "http://a1.test", "https://alias1.test", "http://unknown.test",
         "http://user@a1.test", "http://:80", "ftp://a0.test",
     ])
-) + ("not-a-uri",) + WAYBACK_URIMS
+) + ("not-a-uri",) + tuple(
+    f"http://a0.test/web/20000101000000/http://site.test/x{c}y" for c in "\t\r\n"
+) + WAYBACK_URIMS
 WAYBACK = len(URIMS) - len(WAYBACK_URIMS)  # the index of the first of them
 # Duplicate URI-Ms pick among these: the same year, other years, dates the
 # general path reads, and dates no path accepts.
@@ -708,6 +711,41 @@ def timemap_pages(draw):
     return [",\n".join(members) + draw(pick("", "\n", ",")) for members in pages]
 
 
+# Members of two (head, rest) pairs of a0, as the second of their stamp,
+# dated by their stamp or by another date: the first pair is the one the
+# stored records use.
+PAIRED = st.tuples(
+    st.sampled_from([URIR, "https://site.test/page"]), st.integers(0, 59),
+    st.sampled_from([None, *DATES[:5]]),
+)
+
+
+def paired_member(rest, second, when):
+    when = when or f"Sat, 01 Jan 2000 00:00:{second:02d} GMT"
+    return f'<http://a0.test/web/200001010000{second:02d}/{rest}>; rel="memento"; datetime="{when}"'
+
+
+@st.composite
+def ordered_pages(draw):
+    """Pages of a TimeMap whose URI-Ms share two pairs, listed in stamp
+    order, backwards or in any order, after a page holding the original. A
+    stamp may repeat, the pairs' stamps interleave, and a page often
+    repeats the end of the one before."""
+    members = draw(st.lists(PAIRED, min_size=1, max_size=30))
+    order = draw(st.sampled_from(["forward", "backward", "any"]))
+    if order == "any":
+        members = draw(st.permutations(members))
+    else:
+        members.sort(key=lambda m: m[1], reverse=order == "backward")
+    members = [paired_member(*m) for m in members]
+    cuts = sorted(draw(st.lists(st.integers(0, len(members)), max_size=3)))
+    pages = [[f'<{URIR}>; rel="original"']]
+    for start, end in zip([0, *cuts], [*cuts, len(members)]):
+        repeat = draw(st.integers(0, 3))
+        pages.append(pages[-1][max(0, len(pages[-1]) - repeat):] + members[start:end])
+    return [",\n".join(page) for page in pages if page]
+
+
 STORED = st.one_of(
     st.none(),
     st.tuples(
@@ -731,6 +769,11 @@ def links(entries):
     return [e.target for e in entries if "timemap" in e.rel and "self" not in e.rel]
 
 
+def mementos_read(pages) -> int:
+    """The memento members of ``pages``, kept or not."""
+    return sum(e.is_memento() for page in pages for e in parse_link_entries(page))
+
+
 def full_record(pages, hint, registry, archive, provenance=Provenance.AGGREGATOR):
     """The full-record path: every page's entries and one record of them
     all, re-attributed to a serving archive as a direct fetch did."""
@@ -749,7 +792,7 @@ def full_intake(pages, hint, archive, stored):
     read, record = full_record(pages, hint, REDUCER_REGISTRY, archive)
     archives = {m.archive_id for m in record.mementos} - {None}
     stored_form = reference_add(collection, record)
-    return read, len(record.mementos), archives, stored_form, collection.totals()
+    return read, mementos_read(pages), archives, stored_form, collection.totals()
 
 
 def reduced_intake(pages, hint, archive, stored):
@@ -853,6 +896,14 @@ class TestReducerMatchesFullRecords:
             reduced = intake(reduced_intake, pages, URIR, archive, stored)
         assert reduced == intake(full_intake, pages, URIR, archive, stored)
 
+    @given(ordered_pages(), st.sampled_from([None, *REDUCER_REGISTRY]), STORED)
+    def test_the_order_of_the_members_changes_nothing_stored(self, pages, archive, stored):
+        # A pair's stamps are kept in an array while they arrive in order,
+        # and a stamp out of order is looked up there, then in a set.
+        assert intake(reduced_intake, pages, URIR, archive, stored) == intake(
+            full_intake, pages, URIR, archive, stored
+        )
+
     def test_all_unattributed_timemap_is_accepted_and_stored_empty(self):
         transport = FakeTransport()
         body = f'<{URIR}>; rel="original",\n' + memento_member(6, "memento", DATES[0], "")
@@ -878,7 +929,7 @@ def read_record(pages, hint, registry, archive):
     reader = TimeMapReader(registry)
     read = [reader.read(page, archive) for page in pages]
     record = reader.record(hint, Provenance.AGGREGATOR, FETCHED)
-    assert reader.mementos == len(record.mementos)
+    assert reader.mementos == mementos_read(pages)
     assert reader.archives == {m.archive_id for m in record.mementos} - {None}
     return read, record
 
@@ -922,7 +973,7 @@ def fetched_direct(pages):
 
 def reference_fetched_direct(pages):
     _, record = full_record(pages, URIR, REDUCER_REGISTRY, DIRECT, Provenance.DIRECT_ARCHIVE)
-    if not record.mementos:
+    if not mementos_read(pages):
         raise EmptyTimeMap(URIR)
     return record
 

@@ -21,6 +21,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -692,11 +693,25 @@ def test_a_snapshot_that_fails_leaves_the_state_file_and_no_temporary_file(tmp_p
     pipe.save_state()  # a journal beside the snapshot
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     full = OSError(errno.ENOSPC, "No space left on device")
+    opened = Path.open
 
-    def write_text(path, text, encoding=None):
-        with open(path, "w", encoding=encoding) as f:
-            f.write(text[: len(text) // 2])  # a partial write, then the disk is full
-        raise full
+    def open_on_a_filling_disk(path, mode="r", *args, **kwargs):
+        """``path`` opened on a disk with room for half the old snapshot's
+        text: a write past it is written in part, then fails."""
+        f = opened(path, mode, *args, **kwargs)
+        if "w" in mode:
+            room, write = len(before["state.json"]) // 2, f.write
+
+            def filling(text):
+                nonlocal room
+                if len(text) > room:
+                    write(text[:room])  # a partial write, then the disk is full
+                    raise full
+                room -= len(text)
+                return write(text)
+
+            f.write = filling
+        return f
 
     def replace_file(src, dst):
         raise full
@@ -704,7 +719,7 @@ def test_a_snapshot_that_fails_leaves_the_state_file_and_no_temporary_file(tmp_p
     grow(pipe, URIRS[3], [2001], "moz")
     pipe.stage = "method2"  # the stage's first save: a snapshot
     if failing == "write":
-        monkeypatch.setattr(Path, "write_text", write_text)
+        monkeypatch.setattr(Path, "open", open_on_a_filling_disk)
     else:
         monkeypatch.setattr(os, "replace", replace_file)
     with pytest.raises(OSError, match="No space left on device"):
@@ -717,3 +732,23 @@ def test_a_snapshot_that_fails_leaves_the_state_file_and_no_temporary_file(tmp_p
         assert after == before  # the journal goes only after the write succeeded
     loaded = offline(tmp_path)
     assert loaded.load_state()
+
+
+def test_a_snapshot_builds_no_text_of_the_whole_state(tmp_path):
+    """A snapshot streams the kept record texts to the file: rewriting a
+    state of several hundred KB peaks at a small part of its size, where
+    joining the texts first took more than the whole state."""
+    pipe = offline(tmp_path)
+    for i in range(100):
+        grow(pipe, f"http://s{i}.example/", range(1996, 2025))
+    pipe.save_state()  # a snapshot: every record's text is encoded and kept
+    pipe.stage = "method2"  # the stage's first save: a snapshot of the kept texts
+    tracemalloc.start()
+    try:
+        pipe.save_state()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = pipe.state_path.stat().st_size
+    assert size > 300_000
+    assert peak < size / 10, (peak, size)
