@@ -30,8 +30,15 @@ returns without waiting for its lane, and a request already waiting
 asks the memory again after each wait, before it is sent, so look-ahead
 resolutions that meet at one URI send one request at any
 ``min_request_interval``. A network error and an answer still 429/503
-after its retries are never remembered. Nothing is persisted: a resumed
-run starts with the memory empty.
+after its retries are never remembered.
+
+The memory itself is not persisted. A run resumed inside Method 1 starts
+from what its state already says: each stored URI-R's redirect walk
+ended at its ``final_uri`` with its ``live_status`` (``remember_resolved``).
+That is exact for the walk, the only reader of a HEAD answer: a hop
+records only the final status at its URI, whether a HEAD gave it or a
+GET after a HEAD 405/501, and a terminal answer ends the walk whatever
+its headers. Every other answer, raw downloads' included, starts empty.
 """
 
 from __future__ import annotations
@@ -421,7 +428,8 @@ class ArchiveClient:
     download and empty TimeMap page once, up to RFC 9110 URI equivalence,
     so a run shares one client. A network error, an answer still 429/503
     after its retries and a TimeMap page with content are asked again; a
-    resumed run, in a new client, starts with nothing remembered. The
+    resumed run, in a new client, starts with the redirect walks its state
+    records ended (``remember_resolved``) and nothing else remembered. The
     memory holds no body: a repeated raw download's ``body`` is None.
     """
 
@@ -444,8 +452,9 @@ class ArchiveClient:
         self.clock = clock or (lambda: datetime.now(timezone.utc))
         self._lanes: dict[str, _Lane] = {}
         self._lanes_lock = threading.Lock()
-        # (method, equivalent URI) -> what the request told; dict.get and
-        # item assignment are atomic, so threads share it without a lock.
+        # (method, equivalent URI) -> what the request told; dict.get,
+        # setdefault and item assignment are atomic, so threads share it
+        # without a lock.
         self._answers: dict[tuple[str, str], _Answer] = {}
 
     def _lane(self, host: str) -> _Lane:
@@ -467,6 +476,22 @@ class ArchiveClient:
         """
         response, _ = run_steps(self._ask_steps(method, uri, _never))
         return response
+
+    def remember_resolved(self, final_uri: str, status: int) -> None:
+        """Remember that a redirect walk ended at ``final_uri`` with
+        ``status``, as a resumed run's stored URI-R says: a HEAD to a URI
+        equivalent to it then answers ``status``, with no headers, and is
+        not sent. An answer already held is kept, a 429/503 is never
+        remembered, and a 405/501 is the HEAD's alone, so the walk still
+        sends its GET. A ``final_uri`` that does not parse is skipped: a
+        request to it raises MalformedUri before it asks the memory."""
+        if status in RETRIED_STATUSES:
+            return
+        try:
+            key = "HEAD", equivalent_uri(final_uri)
+        except MalformedUri:
+            return
+        self._answers.setdefault(key, _Answer(status, {}, 0.0, True))
 
     def _ask_steps(
         self, method: str, uri: str, usable: Callable[[_Answer], bool] = _always

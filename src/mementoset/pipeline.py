@@ -26,7 +26,9 @@ texts to the file one after another, so no text of the whole state is
 built. A loaded record, in whatever layout it was read, is encoded once,
 at the next snapshot. Method 1's selection is not stored apart: its
 URI-Rs are the records that carry a source tag, and resuming counts them
-again under the config's ``quota_per_bucket``.
+again under the config's ``quota_per_bucket``. Their ``final_uri`` and
+``live_status`` also give a resumed Method 1's client the end of each
+stored redirect walk (see ``load_state``).
 """
 
 from __future__ import annotations
@@ -208,6 +210,9 @@ def _resource_from_dict(d: dict) -> OriginalResource:
         value = getattr(resource, name)
         if type(value) not in types:
             raise TypeError(f"the URI-R's {name!r} has the wrong type: {value!r}")
+    status = resource.live_status
+    if status is not None and not 100 <= status <= 999:  # the statuses http.client reads
+        raise ValueError(f"the URI-R's 'live_status' is not an HTTP status: {status!r}")
     return resource
 
 
@@ -236,8 +241,11 @@ def _record_from_dict(d: dict) -> TimeMapRecord:
         ):
             raise TypeError(f"a memento is not [stamp, URI-M, archive, null|raw URI-M]: {m!r}")
         stamp, urim, archive_id, _ = m  # the raw URI-M of earlier versions, derived at download
+        when = parse_compact14(stamp)
+        if "\t" in urim or "\r" in urim or "\n" in urim:
+            continue  # linkformat's reader keeps no such URI-M (its _kept rule)
         # Positional: a frozen dataclass takes keywords at twice the cost.
-        mementos.append(Memento(urim, parse_compact14(stamp), key, archive_id))
+        mementos.append(Memento(urim, when, key, archive_id))
     return TimeMapRecord(
         urir=urir,
         mementos=tuple(mementos),
@@ -381,8 +389,17 @@ class DiscoveryPipeline:
         the same way, and no text is kept: a loaded record is encoded once,
         at the next snapshot. A file that does not decode, lacks a key,
         holds a value of the wrong type, names no stage of ``STAGES`` or
-        holds a ``scan_index`` that is not a non-negative int is a
-        ParseError that names it."""
+        holds a ``scan_index`` that is not a non-negative int, or a
+        ``live_status`` that is not null or an int in 100-999, is a
+        ParseError that names it. A stored memento whose URI-M holds a tab,
+        CR or LF is dropped, as the TimeMap reader drops one.
+
+        Loaded inside Method 1, the one stage that resolves redirects, each
+        stored URI-R with a ``live_status`` (Method 1's) gives the client
+        the answer that ended its walk (``ArchiveClient.remember_resolved``),
+        so a later candidate whose walk reaches an equivalent URI sends no
+        request there, as in the uninterrupted process. Nothing is written
+        for it: the state already holds each ``final_uri`` and status."""
         if not self.state_path.exists():
             return False  # a journal without its snapshot is stale: the first save removes it
         with _decoding(self.state_path):
@@ -398,6 +415,11 @@ class DiscoveryPipeline:
             self._replay_journal()
         self.collection.take_changed()
         self._saved_cursor = self._cursor()
+        if self.stage == "method1":
+            for record in self.collection.records():
+                urir = record.urir
+                if urir.live_status is not None:
+                    self.client.remember_resolved(urir.final_uri, urir.live_status)
         # Files that also hold "accepted", "selection_state" or "method_tables"
         # load the same: the selection is rebuilt from the records.
         self.selection_state = SelectionState.from_resources(

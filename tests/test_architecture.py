@@ -89,6 +89,10 @@ RULES = {
         ("discovery.select_initial",),
         "candidates resolve only in select_initial's look-ahead window",
     ),
+    "_answers": Rule(
+        ("client.ArchiveClient",),
+        "the client's memory is its own: ask through _ask_steps, seed with remember_resolved",
+    ),
 }
 
 
@@ -394,6 +398,13 @@ BROKEN = [
     # Candidates resolved outside the look-ahead window.
     case("discovery", "mementoset.discovery._resolve_steps", "def other(uri, client):",
          "    return _resolve_steps(uri, client)"),
+    # The client's memory read or written past its methods.
+    case("pipeline", "_answers", "class DiscoveryPipeline:", "    def load_state(self, k, a):",
+         "        self.client._answers[k] = a"),
+    case("discovery", "_answers", "def f(client, key):", "    memory = client._answers",
+         "    return memory.get(key)"),
+    case("discovery", "_answers", "def f(client):", "    return getattr(client, '_answers')"),
+    case("client", "_answers", "def peek(client, key):", "    return client._answers.get(key)"),
 ]
 
 

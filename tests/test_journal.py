@@ -32,12 +32,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mementoset.pipeline as pipeline_module
-from mementoset import ParseError, Provenance
+from mementoset import Classification, ParseError, Provenance
 from mementoset.cli import main
 from mementoset.client import FixtureTransport
 from mementoset.linkformat import TimeMapReducer
 from mementoset.model import raw_variant
 from mementoset.pipeline import STAGES, DiscoveryPipeline, RunConfig, _record_to_dict
+from mementoset.sampler import group_by_archive, read_manifest, rows_from_selection, write_manifest
 from mockserver import FakeTransport
 from test_cli import child_env
 from test_lookahead import scan_config, universe_transport
@@ -297,6 +298,9 @@ BAD_FIELDS = [
     ("source", 5),
     ("live_status", True),
     ("live_status", "200"),
+    ("live_status", 99),
+    ("live_status", 1000),
+    ("live_status", -5),
 ]
 
 
@@ -339,6 +343,66 @@ def test_a_urir_field_of_the_wrong_type_is_a_parse_error(tmp_path, file, field, 
         record["urir"][field] = value
 
     fails_to_load(tmp_path, file, spoil)
+
+
+@pytest.mark.parametrize("status", [None, 100, 999])
+def test_a_live_status_in_http_clients_range_loads(tmp_path, status):
+    writer = offline(tmp_path)
+    record = grow(offline(tmp_path / "scratch"), URIRS[0], [2001], "moz")
+    writer.collection.add(replace(record, urir=replace(record.urir, live_status=status)))
+    writer.save_state()
+    loaded = offline(tmp_path)
+    assert loaded.load_state()
+    assert [r.urir.live_status for r in loaded.collection.records()] == [status]
+
+
+TAB_URIM = "http://web.archive.org/web/20010101000000/http://a.com/x{}y"
+
+
+@pytest.mark.parametrize("file", ["state.json", "state.jsonl"])
+@pytest.mark.parametrize("char", ["\t", "\r", "\n"])
+def test_a_stored_urim_holding_a_tab_or_line_break_is_dropped(tmp_path, file, char):
+    writer = offline(tmp_path)
+    grow(writer, URIRS[0], [2001], "moz")
+    writer.save_state()
+    grow(writer, URIRS[1], [2002], "moz")
+    writer.save_state()
+    path = writer.state_path if file == "state.json" else writer.journal_path
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    record = lines[0]["records"][0] if file == "state.json" else lines[0]
+    record["mementos"].append(["20010101000000", TAB_URIM.format(char), "web.archive.org", None])
+    path.write_text("".join(reference_dumps(line) + "\n" for line in lines))
+    loaded = offline(tmp_path)
+    assert loaded.load_state()
+    assert held(loaded) == held(writer)
+    loaded.stage = "method2"
+    loaded.save_state()  # the next snapshot: the record as loaded
+    assert TAB_URIM.format(char) not in loaded.state_path.read_text()
+    assert not loaded.journal_path.exists()
+
+
+def test_a_resumed_runs_manifest_round_trips(corpus, tmp_path):
+    """A state whose every record holds one more memento, of a year of its
+    own, under a URI-M with a tab resumes to the uninterrupted state, and
+    the manifest written from the resumed collection reads back."""
+    expected, _ = reference(corpus)
+    assert pipeline(corpus, "out").run(stop_after="method1") == "method2"
+    state = pipeline(corpus, "out").state_path
+    payload = json.loads(state.read_text())
+    for record in payload["records"]:
+        stamp, urim, archive_id, _ = record["mementos"][0]
+        record["mementos"].append(["19990101000000", urim.replace(stamp, "19990101000000") + "\tx", archive_id, None])
+    state.write_text(reference_dumps(payload))
+    resumed = pipeline(corpus, "out")
+    assert resumed.run() == "done"
+    assert resumed.state_path.read_bytes() == expected
+    records = list(resumed.collection.records())
+    selection = group_by_archive(records)
+    classifications = {m.urim: Classification.ARCHIVAL_OK for ms in selection.values() for m in ms}
+    urir_by_key = {r.urir.canonical_key: r.urir.final_uri for r in records}
+    rows = rows_from_selection(selection, urir_by_key, classifications)
+    write_manifest(rows, tmp_path / "manifest.tsv")
+    assert rows and read_manifest(tmp_path / "manifest.tsv") == rows
 
 
 def test_discover_exits_1_on_a_mistyped_record(corpus, capsys):

@@ -6,6 +6,11 @@ A network error, an answer still 503 after its retries and a TimeMap page
 with content are asked again. A remembered answer returns without waiting
 for its lane, and a request already waiting asks the memory again after
 each wait, so look-ahead resolutions that meet at one URI send one request.
+
+A run resumed inside Method 1 starts from the walks its state records
+ended: a stored URI-R's ``final_uri`` answers a HEAD with its
+``live_status``, so a later candidate that reaches an equivalent URI asks
+nothing the uninterrupted run would not have asked.
 """
 
 import string
@@ -29,10 +34,14 @@ from mementoset import (
 )
 from mementoset.canonical import path_length, registrable_domain, surt
 from mementoset.client import StepLoop, equivalent_uri
+from mementoset.pipeline import DiscoveryPipeline
 from mementoset.sampler import probe_archives
 from mockserver import FakeTransport, Route
 from test_client import raw_of
-from universe import AGG_TEMPLATE, ERROR, brute_force_select, build_universe, install_universe, timemap_body
+from test_lookahead import scan_config, universe_transport
+from universe import (
+    AGG_TEMPLATE, ERROR, Universe, brute_force_select, build_universe, install_universe, timemap_body,
+)
 
 DEFAULT_PORTS = {"http": 80, "https": 443}
 
@@ -325,3 +334,160 @@ def test_a_scan_asks_each_question_once(registry, seed, quota, interval, retries
     assert [(r.uri, r.canonical_key, r.path_bucket.value) for r in accepted] == expected
     sent = Counter((method, equivalent_uri(uri)) for method, uri in transport.requests)
     assert sent == expected_calls(universe, quota, retries)
+
+
+FIXED = datetime(2000, 1, 1, tzinfo=timezone.utc)
+
+
+def pipeline_for(config, transport):
+    return DiscoveryPipeline(config, transport=transport, clock=lambda: FIXED)
+
+
+def config_over(tmp_path, uris, out):
+    """A Method 1 run over ``uris``, a Moz list, at interval 0 and retries 0."""
+    return scan_config(tmp_path, Universe([(uri, "moz") for uri in uris]), out, retries=0)
+
+
+def stored_then_variants(transport, status):
+    """Routes and candidates: http://a.com/x, whose walk ends at ``status``
+    (for 405, a HEAD 405 and then a GET 405), and http://b.com/y, whose walk
+    ends at 200, both accepted; then a variant of each."""
+    uris = ["http://a.com/x", "http://b.com/y", "http://A.COM:80/x#f", "http://b.com:80/y"]
+    for uri, code in zip(uris, [status, 200] * 2):
+        transport.add("HEAD", uri, code)
+        transport.add("GET", uri, code)
+    for uri in uris[:2]:
+        transport.add("GET", AGG.format(uri=uri), 200, body=timemap_body(uri, 1))
+    return uris
+
+
+def cut_after_each(config, transport, k):
+    """Method 1 cut every ``k`` candidates, each continuation a fresh
+    pipeline. Returns the last pipeline and, per continuation after the
+    first, the equivalent final URIs stored at its cut and the requests it
+    sent."""
+    resumed = []
+    stored = None
+    while True:
+        pipe = pipeline_for(config, transport)
+        start = len(transport.requests)
+        stage = pipe.run(stop_after="method1", max_candidates=k)
+        if stored is not None:
+            resumed.append((stored, transport.requests[start:]))
+        if stage != "method1":
+            return pipe, resumed
+        stored = {equivalent_uri(r.urir.final_uri) for r in pipe.collection.records()}
+
+
+class TestResumedMethod1:
+    @pytest.mark.parametrize("status, sent", [
+        (200, []),
+        (404, []),
+        (301, []),  # a 3xx without Location ends the walk too
+        (405, [("GET", "http://A.COM:80/x#f")]),
+        (503, [("HEAD", "http://A.COM:80/x#f")]),
+    ])
+    def test_what_a_stored_walk_answers_after_a_cut(self, tmp_path, status, sent):
+        transport = FakeTransport()
+        uris = stored_then_variants(transport, status)
+        whole = pipeline_for(config_over(tmp_path, uris, "whole"), transport)
+        assert whole.run(stop_after="method1") == "method2"
+        uninterrupted = len(transport.requests)
+        last, resumed = cut_after_each(config_over(tmp_path, uris, "cut"), transport, k=2)
+        assert [r.urir.live_status for r in last.collection.records()] == [status, 200]
+        assert resumed[0][1] == sent
+        assert last.state_path.read_bytes() == whole.state_path.read_bytes()
+        # One process asks a 503 again too, and a 405's GET only once.
+        assert len(transport.requests) - uninterrupted == uninterrupted + (status == 405)
+
+    def test_only_a_state_loaded_inside_method1_gives_the_client_its_walks(self, tmp_path):
+        transport = FakeTransport()
+        uris = stored_then_variants(transport, 200)
+        for stop, sent in (("method1", []), ("method2", [("HEAD", uris[2])])):
+            config = config_over(tmp_path, uris[:2], stop)
+            pipeline_for(config, transport).run(
+                stop_after="method1", max_candidates=1 if stop == "method1" else None
+            )
+            loaded = pipeline_for(config, transport)
+            assert loaded.load_state() and loaded.stage == stop
+            before = len(transport.requests)
+            loaded.client.resolve(uris[2])
+            assert transport.requests[before:] == sent
+
+    @pytest.mark.parametrize("seed", [3, 41, 77])
+    @pytest.mark.parametrize("k", [5, 20])
+    def test_no_head_after_a_cut_goes_to_a_stored_final_uri(self, tmp_path, monkeypatch, seed, k):
+        universe = build_universe(seed, n=300)
+        transport = universe_transport(universe)
+        whole = pipeline_for(scan_config(tmp_path, universe, "whole", retries=0), transport)
+        assert whole.run(stop_after="method1") == "method2"
+        uninterrupted = len(transport.requests)
+
+        def cut_run(out):
+            start = len(transport.requests)
+            last, resumed = cut_after_each(scan_config(tmp_path, universe, out, retries=0), transport, k)
+            assert last.state_path.read_bytes() == whole.state_path.read_bytes()
+            return len(transport.requests) - start, resumed
+
+        sent, resumed = cut_run("cut")
+        for stored, requests in resumed:
+            assert not [uri for method, uri in requests if method == "HEAD" and equivalent_uri(uri) in stored]
+        with monkeypatch.context() as unseeded:
+            unseeded.setattr(ArchiveClient, "remember_resolved", lambda self, *walk: None)
+            sent_unseeded, _ = cut_run("unseeded")
+        assert uninterrupted <= sent < sent_unseeded
+
+    def test_an_uninterrupted_run_sends_what_it_sent_before(self, tmp_path, monkeypatch):
+        universe = build_universe(41, n=300)
+
+        def requests(out):
+            transport = universe_transport(universe)
+            assert pipeline_for(scan_config(tmp_path, universe, out, retries=0), transport).run() == "done"
+            return transport.requests
+
+        calls = []
+        with monkeypatch.context() as spied:
+            spied.setattr(ArchiveClient, "remember_resolved", lambda self, *walk: calls.append(walk))
+            spied_requests = requests("spied")
+        assert calls == []
+        assert requests("plain") == spied_requests
+
+
+class TestRememberResolved:
+    URI = "http://a.example/p"
+
+    def test_an_answer_already_held_is_kept(self, registry):
+        transport = FakeTransport()
+        transport.add("HEAD", self.URI, 301, {"Location": "http://b.example/"})
+        transport.add("HEAD", "http://b.example/", 200)
+        client = make_client(transport, registry)
+        assert client.resolve(self.URI).final_uri == "http://b.example/"
+        client.remember_resolved(self.URI, 200)
+        assert client.resolve("http://A.example:80/p").final_uri == "http://b.example/"
+        assert len(transport.requests) == 2
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_a_retried_status_is_never_remembered(self, registry, status):
+        transport = FakeTransport()
+        transport.add("HEAD", self.URI, 200)
+        client = make_client(transport, registry)
+        client.remember_resolved(self.URI, status)
+        assert client.resolve(self.URI).terminal_status == 200
+        assert transport.requests == [("HEAD", self.URI)]
+
+    @pytest.mark.parametrize("status", [405, 501])
+    def test_a_rejected_head_still_sends_its_get(self, registry, status):
+        transport = FakeTransport()
+        transport.add("GET", self.URI, 200)
+        client = make_client(transport, registry)
+        client.remember_resolved(self.URI, status)
+        assert client.resolve(self.URI).hops == ((self.URI, 200),)
+        assert transport.requests == [("GET", self.URI)]
+
+    def test_a_final_uri_that_does_not_parse_is_skipped(self, registry):
+        transport = FakeTransport()
+        client = make_client(transport, registry)
+        client.remember_resolved("http://a.example:99999/", 200)
+        with pytest.raises(MalformedUri):
+            client.resolve("http://a.example:99999/")
+        assert transport.requests == []
