@@ -647,7 +647,8 @@ class ArchiveClient:
         ``raw_scheme`` of its archive in this client's registry: it is
         RawAccessUnsupported, before any request, to download a memento of
         no archive, of one the registry does not hold or of scheme ``none``,
-        or a URI-M without a 14-digit segment. A download the run was
+        or a URI-M of no raw variant: one without a Wayback stamp or with a
+        modifier after it, such as ``im_``. A download the run was
         answered before sends no request: it returns that answer's status,
         headers, classification and ``elapsed``, with ``body`` None. A
         network error, or an answer still 429/503 after its retries, is not

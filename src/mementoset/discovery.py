@@ -38,6 +38,7 @@ from .model import (
     PathBucket,
     Provenance,
     TimeMapRecord,
+    wayback_split,
 )
 from .tsv import read_utf8
 
@@ -511,19 +512,22 @@ def method2_expand(
     return _top_up(archive, collection, records, min_urirs)
 
 
-_EMBEDDED = re.compile(r"/([0-9]{14})(?:id_)?/(.+)$")
 _ONE_SLASH_SCHEME = re.compile(r"^(https?):/(?!/)", re.IGNORECASE)
 
 
 def embedded_urir(urim: str) -> str | None:
-    """The URI-R a Wayback-style URI-M embeds after its timestamp of 14
-    ASCII digits, if any.
-    A scheme written with one slash, ``http:/example.com``, is read as
-    ``http://example.com``."""
-    m = _EMBEDDED.search(urim)
-    if not m:
+    """The URI-R a Wayback-style URI-M embeds: the rest after the stamp of
+    ``wayback_split``, past an optional ``id_`` and then ``/``. None
+    without such a stamp, or when another modifier (``im_``, a ``*``
+    query) or nothing follows it. A scheme written with one slash,
+    ``http:/example.com``, is read as ``http://example.com``."""
+    split = wayback_split(urim)
+    if split is None:
         return None
-    rest = _ONE_SLASH_SCHEME.sub(r"\1://", m.group(2))
+    rest = split[2].removeprefix("id_")
+    if not rest.startswith("/") or len(rest) == 1:
+        return None
+    rest = _ONE_SLASH_SCHEME.sub(r"\1://", rest[1:])
     return rest if rest.lower().startswith(("http://", "https://")) else "http://" + rest
 
 

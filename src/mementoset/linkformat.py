@@ -26,8 +26,9 @@ one while it reads it, page by page, to the first memento per archive per
 year, and builds a ``Memento`` only for those. It is the one place that
 rule is written; the collection stores what it returns. To keep the first
 of each URI-M it notes every URI-M read. A URI-M of the Wayback shape, a
-head, a 14-digit stamp and a rest, is noted by its stamp, 8 bytes in one
-sorted ``array('q')`` per (head, rest) pair while the pair's stamps arrive
+head, a 14-digit stamp and a rest, split by ``model.wayback_split`` as raw
+downloads and published lists split it, is noted by its stamp, 8 bytes in
+one sorted ``array('q')`` per (head, rest) pair while the pair's stamps arrive
 in increasing order, as an aggregator lists them; a stamp that arrives out
 of order and is not in the array is one int, of the stamp and the pair's
 number, in a set. Any other URI-M is noted as the string itself, in the
@@ -66,6 +67,7 @@ from .model import (
     format_http_datetime,
     parse_compact14,
     parse_http_datetime,
+    wayback_split,
 )
 
 logger = logging.getLogger(__name__)
@@ -251,7 +253,8 @@ _MONTH_DIGITS = {month: "%02d" % number for month, number in _MONTHS.items()}
 def _kept(urim: str) -> bool:
     """Whether a memento of ``urim`` is kept: not when it holds a tab, CR
     or LF. A tab would split its manifest row, and URI parsing drops all
-    three, so it would be requested, and remembered, as another URI-M."""
+    three, so it would be requested, and remembered, as another URI-M. A
+    resumed run drops a stored memento by the same rule."""
     return "\t" not in urim and "\r" not in urim and "\n" not in urim
 
 
@@ -406,10 +409,6 @@ def parse_timemap(
     return reader.record(urir_hint, fetched_at=fetched_at)
 
 
-# A URI-M of the Wayback shape: ``head`` + ``/`` + a 14-digit stamp + a
-# ``rest`` that does not start with an ASCII digit, split at the first such
-# stamp.
-_STAMP = re.compile(r"/([0-9]{14})(?![0-9])")
 # The most (head, rest) pairs a reducer numbers; the URI-Ms of any further
 # pair are kept as strings.
 _MAX_PAIRS = 1024
@@ -425,17 +424,18 @@ class TimeMapReducer(TimeMapReader):
     ``stored(key)`` is the record already stored under the TimeMap's key,
     or None. Once the key is known its mementos are offered first, in
     stored order, each kept as stored, so the record holds the winners of
-    the stored and the read mementos together. A plain member costs one
-    match, one call of the visitor, which looks up its host, drops a URI-M
-    seen before and updates the winner of its year in place, and a sort key
-    made of its date's fields. Only the winners read become ``Memento``
-    objects. The record raises what ``TimeMapReader``'s would raise for the
-    same members.
+    the stored and the read mementos together. Every member is read by
+    ``TimeMapReader``'s visitor, so the reader's rules hold as written
+    there; a plain member is matched once, its sort key is made of its
+    date's fields, and the reducer's ``_candidate`` and ``_offer`` drop a
+    URI-M seen before and update the winner of its year in place. Only the
+    winners read become ``Memento`` objects. The record raises what
+    ``TimeMapReader``'s would raise for the same members.
 
     Keeping the first of each URI-M needs every URI-M read, which is most of
     what a large TimeMap costs. A URI-M of the Wayback shape, ``head`` +
-    ``/`` + a 14-digit stamp + ``rest`` split where ``_STAMP`` first
-    matches, is noted by its stamp in its (``head``, ``rest``) pair's
+    ``/`` + a 14-digit stamp + ``rest`` as ``wayback_split`` gives them, is
+    noted by its stamp in its (``head``, ``rest``) pair's
     ``array('q')``, 8 bytes each: appended when it is greater than the
     pair's last, else looked up there with ``bisect``, and if it is not
     there, kept in a set as the pair's number times 10**14 plus the stamp.
@@ -469,9 +469,9 @@ class TimeMapReducer(TimeMapReader):
     def _first(self, urim: str) -> bool:
         """Whether ``urim`` is offered for the first time; it is noted as
         offered."""
-        parts = _STAMP.split(urim, 1)
-        if len(parts) == 3:
-            head, stamp, rest = parts
+        split = wayback_split(urim)
+        if split is not None:
+            head, stamp, rest = split
             pair = self._pairs.get((head, rest))
             if pair is None and len(self._stamps) < _MAX_PAIRS:
                 pair = self._pairs[head, rest] = len(self._stamps)
@@ -500,40 +500,6 @@ class TimeMapReducer(TimeMapReader):
         for candidate in self._pending:
             self._offer(*candidate)
         self._pending.clear()
-
-    def _visit(self, member: LinkEntry | re.Match) -> None:
-        if isinstance(member, LinkEntry):
-            super()._visit(member)
-            return
-        # A plain member: _kept, _candidate, _archive and _offer in one call.
-        urim, host, rel, when, day, month, year, clock = member.groups()
-        if rel != "memento" and not self._roles(urim, rel.split(" ")):
-            return
-        self.mementos += 1
-        if "\t" in urim or "\r" in urim or "\n" in urim:
-            return
-        archive = self._serving
-        if archive is not None:
-            self._archive_ids.add(archive.id)
-        else:
-            try:
-                archive = self._hosts[host]
-            except KeyError:
-                archive = self._archive(urim, host)
-            if archive is None:
-                return
-        key = f"{year}{_MONTH_DIGITS[month]}{day}{clock}"
-        if self._resource is None and self._failure is None:
-            self._pending.append((urim, archive.id, key, when))
-            return
-        if not self._first(urim):
-            return
-        years = self._winners.get(archive.id)
-        if years is None:
-            years = self._winners[archive.id] = {}
-        best = years.get(year)
-        if best is None or key < best[0] or (key == best[0] and urim < best[1]):
-            years[year] = (key, urim, when)
 
     def _candidate(self, urim: str, host: str | None, key: str, when: str | datetime) -> None:
         archive = self._archive(urim, host)

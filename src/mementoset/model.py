@@ -45,6 +45,7 @@ __all__ = [
     "parse_compact14",
     "parse_http_datetime",
     "raw_variant",
+    "wayback_split",
 ]
 
 
@@ -371,17 +372,31 @@ def parse_compact14(stamp: str) -> datetime:
     )
 
 
-_TIMESTAMP_SEGMENT = re.compile(r"/([0-9]{14})/")
+_STAMP = re.compile(r"/([0-9]{14})(?![0-9])")
+
+
+def wayback_split(urim: str) -> tuple[str, str, str] | None:
+    """A URI-M of the Wayback shape as (head, stamp, rest), split at the
+    first ``/`` + 14 ASCII digits not followed by a digit; None without
+    one. Raw downloads, the URI-R of a published list's URI-M and the
+    reducer's seen URI-Ms all place the stamp by this rule."""
+    parts = _STAMP.split(urim, 1)
+    return tuple(parts) if len(parts) == 3 else None
 
 
 def raw_variant(urim: str, raw_scheme: RawScheme) -> str | None:
     """The URI-M of unaltered content: for a Wayback-style archive, ``id_``
-    after the first path segment of 14 ASCII digits; None without one, or
-    no scheme."""
+    inserted after the stamp of ``wayback_split`` when the rest after it
+    starts with ``/``. None without such a stamp, for a URI-M already
+    modified after its stamp (``id_``, ``im_``, a ``*`` query), or with no
+    scheme."""
     if raw_scheme is not RawScheme.WAYBACK_ID_SUFFIX:
         return None
-    raw, found = _TIMESTAMP_SEGMENT.subn(r"/\1id_/", urim, count=1)
-    return raw if found else None
+    split = wayback_split(urim)
+    if split is None or not split[2].startswith("/"):
+        return None
+    head, stamp, rest = split
+    return f"{head}/{stamp}id_{rest}"
 
 
 @dataclass(frozen=True, slots=True)

@@ -56,7 +56,7 @@ from .discovery import (
     select_initial,
 )
 from .errors import ParseError
-from .linkformat import write_compact
+from .linkformat import _kept, write_compact
 from .model import (
     Memento,
     OriginalResource,
@@ -120,12 +120,17 @@ class RunConfig:
 
     def check(self) -> None:
         """Raise ValueError naming the first field of the wrong type or out
-        of range, or the first bad key of a published list: one not among
-        ``archive``, ``path`` and ``format`` or left out, a value that is
-        not a string (``path`` may be a Path), or an unknown format.
-        ``FetchPolicy`` checks the fetch settings' ranges, and the pipeline
-        that the archives are registered."""
+        of range, a ``wahr`` hashtag holding a tab, CR or LF (it becomes the
+        ``source`` cell ``wahr:<hashtag>`` of the URI-R table), or the first
+        bad key of a published list: one not among ``archive``, ``path``
+        and ``format`` or left out, a value that is not a string (``path``
+        may be a Path), or an unknown format. ``FetchPolicy`` checks the
+        fetch settings' ranges, and the pipeline that the archives are
+        registered."""
         check_fields(self, positive=("target", "quota_per_bucket"))
+        for tag in self.wahr_paths:
+            if "\t" in tag or "\r" in tag or "\n" in tag:
+                raise ValueError(f"wahr: hashtag {tag!r} holds a tab, CR or LF")
         for i, entry in enumerate(self.published_lists):
             where = f"published_lists[{i}]"
             json_kwargs(entry, _LIST_KEYS, where)
@@ -242,8 +247,8 @@ def _record_from_dict(d: dict) -> TimeMapRecord:
             raise TypeError(f"a memento is not [stamp, URI-M, archive, null|raw URI-M]: {m!r}")
         stamp, urim, archive_id, _ = m  # the raw URI-M of earlier versions, derived at download
         when = parse_compact14(stamp)
-        if "\t" in urim or "\r" in urim or "\n" in urim:
-            continue  # linkformat's reader keeps no such URI-M (its _kept rule)
+        if not _kept(urim):
+            continue  # a URI-M the TimeMap reader would not have kept
         # Positional: a frozen dataclass takes keywords at twice the cost.
         mementos.append(Memento(urim, when, key, archive_id))
     return TimeMapRecord(

@@ -38,13 +38,15 @@ def read_tsv(
 ) -> list[Row]:
     """Rows after the header, each built by ``parse`` from its cells.
 
+    A line ends at LF only, the separator ``write_tsv`` writes, and one CR
+    before it is dropped, so a cell may hold any other line break.
     Blank lines are skipped. Bytes that are not UTF-8, a wrong or missing
     header, a wrong column count or a ``ValueError`` from ``parse`` raise
     ParseError with the 1-based line.
     """
     rows = []
-    lines = read_utf8(path, name).splitlines()
-    first = lines[0] if lines else ""
+    lines = [line.removesuffix("\r") for line in read_utf8(path, name).split("\n")]
+    first = lines[0]
     if tuple(first.split("\t")) != tuple(header):
         raise ParseError(f"bad {name} header {first!r}", 1)
     for lineno, line in enumerate(lines[1:], start=2):

@@ -73,9 +73,9 @@ RULES = {
         ("linkformat.parse_link_entries",),
         "tokenize link-format with linkformat.parse_link_entries, the one code that matches _PLAIN",
     ),
-    "mementoset.linkformat._STAMP": Rule(
-        ("linkformat.TimeMapReducer",),
-        "a URI-M splits into its (head, rest) pair and stamp only in TimeMapReducer",
+    "mementoset.model._STAMP": Rule(
+        ("model.wayback_split",),
+        "a URI-M's Wayback stamp is placed one way: split it with model.wayback_split",
     ),
     "mementoset.canonical.redirect_steps": Rule(
         ("client.ArchiveClient.resolve_steps",),
@@ -312,7 +312,7 @@ def case(module, what, *lines):
 
 REDIRECTS = "mementoset.canonical.redirect_steps"
 PLAIN = "mementoset.linkformat._PLAIN"
-STAMP = "mementoset.linkformat._STAMP"
+STAMP = "mementoset.model._STAMP"
 MEMENTO = "mementoset.model.Memento()"
 RAW_ACCESS = "mementoset.errors.RawAccessUnsupported()"
 RAW_VARIANT = "mementoset.model.raw_variant"
@@ -373,10 +373,14 @@ BROKEN = [
          "        return _PLAIN.match(text, start)"),
     case("sampler", PLAIN, "from .linkformat import _PLAIN as P"),
     case("model", PLAIN, "def f():", "    from . import linkformat", "    x = linkformat._PLAIN"),
-    # A URI-M split into its pair and stamp outside the reducer.
-    case("linkformat", STAMP, "def stamp_of(urim):", "    return _STAMP.search(urim)[1]"),
-    case("discovery", STAMP, "from .linkformat import _STAMP", "def f(urim):",
+    # A URI-M's stamp placed outside wayback_split.
+    case("model", STAMP, "def stamp_of(urim):", "    return _STAMP.search(urim)[1]"),
+    case("discovery", STAMP, "from .model import _STAMP", "def f(urim):",
          "    return _STAMP.split(urim, 1)"),
+    case("linkformat", STAMP, "from .model import _STAMP", "class TimeMapReducer:",
+         "    def _first(self, urim):", "        return _STAMP.split(urim, 1)"),
+    case("discovery", STAMP, "from . import model", "def embedded_urir(urim):",
+         "    return model._STAMP.search(urim)"),
     # A redirect walk outside the client's resolve_steps.
     case("canonical", REDIRECTS, "def other(uri):", "    return redirect_steps(uri)"),
     case("discovery", REDIRECTS, "from .canonical import redirect_steps as _walk", "def f(u):",

@@ -389,8 +389,10 @@ class TestDiscoverCommand:
             ({"published_lists": [{"archive": "perma.cc", "path": 3, "format": "urirs_only"}]},
              "path: expected a string, got 3"),
             ({"min_request_interval": float("inf")}, "min_request_interval: out of range: inf"),
+            ({"sources": {"moz": "moz.txt", "wahr": {"a\tb": "moz.txt"}}},
+             "wahr: hashtag 'a\\tb' holds a tab, CR or LF"),
         ],
-        ids=[f"change{i}" for i in range(17)],
+        ids=[f"change{i}" for i in range(18)],
     )
     def test_config_errors_reported_before_the_first_request(
         self, tmp_path, capsys, monkeypatch, change, named

@@ -253,6 +253,19 @@ class TestRawFetch:
             client.fetch_raw_memento(m)
         assert transport.requests == []
 
+    def test_a_modifier_after_the_stamp_has_no_raw_variant(self, registry):
+        # im_ follows the URI-M's stamp; the URI-R's own 14-digit run is no stamp.
+        m = Memento(
+            urim="http://web.archive.org/web/20010101000000im_/http://a.com/20020202020202/x.png",
+            memento_datetime=datetime(2001, 1, 1, tzinfo=timezone.utc),
+            urir_key="com,a)/20020202020202/x.png",
+            archive_id="web.archive.org",
+        )
+        transport = FakeTransport()
+        with pytest.raises(RawAccessUnsupported):
+            make_client(transport, registry).fetch_raw_memento(m)
+        assert transport.requests == []
+
     def test_non_archival_503_body_still_returned(self, registry):
         m = vefsafn_memento(registry)
         transport = FakeTransport()

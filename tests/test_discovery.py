@@ -20,7 +20,8 @@ from mementoset import (
 )
 from mementoset.canonical import original_resource
 from mementoset.discovery import MementoCollection, SelectionState, embedded_urir
-from mementoset.model import default_registry
+from mementoset.linkformat import TimeMapReducer
+from mementoset.model import RawScheme, default_registry, raw_variant
 from mockserver import FakeTransport
 from reduction_reference import compact_record
 from universe import AGG_TEMPLATE, brute_force_select, build_universe, install_universe, timemap_body
@@ -558,6 +559,22 @@ class TestIngestPublishedList:
         assert len(collection) == 1
         assert collection.urim_count("collectionscanada.gc.ca") == 2
 
+    def test_a_urim_modified_after_its_stamp_is_skipped(self, registry, tmp_path, caplog):
+        listing = tmp_path / "ia.txt"
+        listing.write_text(
+            "20010101000000 http://web.archive.org/web/20010101000000im_/http://a.com/20020202020202/x.png\n"
+            "20010101000000 http://web.archive.org/web/20010101000000/http://a.com/\n"
+        )
+        collection = MementoCollection()
+        with caplog.at_level("INFO", logger="mementoset.discovery"):
+            added = ingest_published_list(
+                listing, "urirs_and_urims", registry.get("web.archive.org"), collection,
+                make_client(FakeTransport(), registry), min_urirs=10,
+            )
+        assert [r.urir.uri for r in added] == ["http://a.com/"]
+        assert collection.urim_count("web.archive.org") == 1
+        assert "line 1 skipped: no URI-R embedded in" in caplog.text
+
     def test_stops_at_minimum(self, registry, tmp_path):
         canada = registry.get("collectionscanada.gc.ca")
         lines = [
@@ -602,7 +619,32 @@ class TestEmbeddedUrir:
             ("http://web.archive.org/web/20100101000000/example.com/a", "http://example.com/a"),
             ("http://web.archive.org/web/2010/http://example.com/a", None),
             ("http://web.archive.org/web/2010010100000\u0663/http://example.com/a", None),
+            ("http://web.archive.org/web/20010101000000im_/http://a.com/20020202020202/x.png", None),
+            ("http://web.archive.org/web/20010101000000*/http://a.com/20020202020202/x.png", None),
         ],
     )
     def test_urir_after_the_timestamp(self, urim, urir):
         assert embedded_urir(urim) == urir
+
+
+# A path segment: a 14-digit run, or letters and digits that may run longer.
+_SEGMENTS = st.one_of(st.text("0123456789", min_size=14, max_size=14), st.text("ab0123456789._-"))
+
+
+@given(
+    stamp=st.text("0123456789", min_size=14, max_size=14),
+    modifier=st.sampled_from(["", "id_", "im_", "*"]),
+    path=st.lists(_SEGMENTS, max_size=4).map("/".join),
+)
+@example(stamp="20010101000000", modifier="im_", path="20020202020202/x.png")
+@example(stamp="20010101000000", modifier="*", path="20020202020202/x.png")
+def test_raw_downloads_published_lists_and_the_reducer_use_one_stamp(stamp, modifier, path):
+    head, urir = "http://web.archive.org/web", f"http://a.com/{path}"
+    urim = f"{head}/{stamp}{modifier}/{urir}"
+    raw = raw_variant(urim, RawScheme.WAYBACK_ID_SUFFIX)
+    assert raw == (f"{head}/{stamp}id_/{urir}" if modifier == "" else None)
+    assert embedded_urir(urim) == (urir if modifier in ("", "id_") else None)
+    reducer = TimeMapReducer(default_registry())
+    assert reducer._first(urim)
+    assert list(reducer._pairs) == [(head, f"{modifier}/{urir}")]
+    assert list(reducer._stamps[0]) == [int(stamp)]

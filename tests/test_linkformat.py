@@ -346,6 +346,18 @@ class TestUrimsHoldingTabsOrLineBreaks:
         assert read_manifest(tmp_path / "manifest.tsv") == rows
         assert [row.urim for row in rows] == [self.GOOD]
 
+    # Line breaks to str.splitlines, but none to the manifest: a TSV row ends at LF.
+    @pytest.mark.parametrize("char", ["\u2028", "\u0085", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_a_kept_urim_holding_another_line_break_round_trips(self, registry, tmp_path, char):
+        urim = self.GOOD.replace("xy", f"x{char}y")
+        body = f'<{urim}>; rel="memento"; datetime="{format_http_datetime(self.WHEN)}"'
+        (m,) = parse_timemap(body, "http://a.com/", registry).mementos
+        rows = [ManifestRow(m.archive_id, "http://a.com/", m.urim, m.memento_datetime,
+                            Classification.ARCHIVAL_OK)]
+        write_manifest(rows, tmp_path / "manifest.tsv")
+        assert read_manifest(tmp_path / "manifest.tsv") == rows
+        assert rows[0].urim == urim
+
 
 class TestReducerMemory:
     URIR = "http://www.example.com/news/2016/11/08/election-results.html"

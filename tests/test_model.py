@@ -127,6 +127,12 @@ class TestRawVariant:
     def test_no_timestamp_segment(self):
         assert raw_variant("http://archive.example/x/y", RawScheme.WAYBACK_ID_SUFFIX) is None
 
+    # A modifier after the URI-M's own stamp; a later 14-digit run is the URI-R's.
+    @pytest.mark.parametrize("modifier", ["im_", "*"])
+    def test_a_modified_stamp_has_none(self, modifier):
+        urim = f"http://web.archive.org/web/20010101000000{modifier}/http://a.com/20020202020202/x.png"
+        assert raw_variant(urim, RawScheme.WAYBACK_ID_SUFFIX) is None
+
 
 class TestDatetimes:
     def test_parse_http_datetime(self):

@@ -332,6 +332,12 @@ class TestTsv:
         rows = read_tsv(path, ("n", "name"), lambda cells: (int(cells[0]), cells[1]), "test")
         assert rows == [(1, "x"), (2, "y")]
 
+    def test_crlf_rows_read(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"n\tname\r\n1\tx\r\n\r\n2\ty\r\n")
+        rows = read_tsv(path, ("n", "name"), lambda cells: (int(cells[0]), cells[1]), "test")
+        assert rows == [(1, "x"), (2, "y")]
+
     @pytest.mark.parametrize(
         "text, offset",
         [("m\tname\n", 1), ("n\tname\n1\n", 2), ("n\tname\n\nNaN\tx\n", 3)],
