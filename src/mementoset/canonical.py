@@ -1,6 +1,7 @@
-"""URI canonicalization (SURT form), redirect resolution, path bucketing.
+"""URI canonicalization (SURT form), redirect resolution, path bucketing,
+and ``kept_uri``, the one rule for the characters a kept URI may hold.
 
-These are the three predicates the initial-selection scan uses to decide
+The first three are the predicates the initial-selection scan uses to decide
 whether two URI-Rs are the same page and where a page sits in the
 path-length quota buckets.
 
@@ -31,25 +32,30 @@ RedirectSteps = Generator[tuple[str, str], tuple[int, Mapping[str, str]], "Redir
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _WWW_LABEL = re.compile(r"^www\d*$")
-_SPACE_OR_CONTROL = re.compile(r"[\s\x00-\x1f\x7f]")
-# urlsplit deletes these anywhere in a URI (WHATWG URL), so two URIs would share one key.
-_DROPPED_BY_URLSPLIT = re.compile(r"[\t\r\n]")
+_NOT_IN_URI = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
+
+
+def kept_uri(s: str) -> bool:
+    """Whether ``s`` may be kept as a URI-R or URI-M: none of its characters is
+    ``str.isspace`` or Cc (U+0000-001F, U+007F-009F), after RFC 3986 appendix C."""
+    if s.isascii():  # all ASCII whitespace but the space is unprintable, as is Cc
+        return " " not in s and s.isprintable()
+    return _NOT_IN_URI.search(s) is None
 
 
 def _split_http_uri(uri: str):
     """Parse into urlsplit parts, tolerating scheme-less web URIs.
 
     Bare host forms like ``www.EXAMPLE.com`` are treated as http. Anything
-    with an explicit non-http(s) scheme, or holding a tab, CR or LF, is
+    with an explicit non-http(s) scheme, or that ``kept_uri`` refuses, is
     rejected.
     """
-    if not isinstance(uri, str) or not uri.strip():
+    if not isinstance(uri, str) or not uri:
         raise MalformedUri(str(uri), "empty input")
-    if _DROPPED_BY_URLSPLIT.search(uri):
-        raise MalformedUri(uri, "tab, CR or LF in URI")
-    candidate = uri.strip()
-    lowered = candidate.lower()
-    if lowered.startswith(("http://", "https://")):
+    if not kept_uri(uri):
+        raise MalformedUri(uri, "whitespace or control character in URI")
+    candidate = uri
+    if uri.lower().startswith(("http://", "https://")):
         pass
     elif candidate.startswith("//"):
         candidate = "http:" + candidate
@@ -70,7 +76,7 @@ def _split_http_uri(uri: str):
     if not host:
         raise MalformedUri(uri, "empty host")
     host = host.rstrip(".")
-    if not host or any(not label for label in host.split(".")) or _SPACE_OR_CONTROL.search(host):
+    if not host or any(not label for label in host.split(".")):
         raise MalformedUri(uri, "bad host")
     return parts, host, port
 

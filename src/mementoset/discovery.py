@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import re
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from functools import partial
@@ -376,6 +377,7 @@ class _AnchorHrefParser(HTMLParser):
     def __init__(self):
         super().__init__(convert_charrefs=True)
         self.hrefs: list[str] = []
+        self.base: str | None = None  # the href of the first <base> that has one
 
     def handle_starttag(self, tag, attrs):
         if tag == "a":
@@ -383,6 +385,8 @@ class _AnchorHrefParser(HTMLParser):
                 if name == "href" and value:
                     self.hrefs.append(value.strip())
                     break
+        elif tag == "base" and self.base is None:
+            self.base = next(((v or "").strip() for name, v in attrs if name == "href"), None)
 
     def parse_marked_section(self, i, report=1):
         # html.parser stops with AssertionError at <![bogus[ or <![ [; HTML5,
@@ -396,15 +400,17 @@ class _AnchorHrefParser(HTMLParser):
 def extract_urirs_from_html(body: bytes | str, base: str) -> list[str]:
     """Harvest absolute http(s) URI-Rs from ``<a href>`` attributes.
 
-    Relative links resolve against ``base``; document order is kept and
-    exact-string duplicates are dropped. Tolerant of broken markup:
-    non-HTML input simply yields nothing, and an href that cannot be
-    parsed as a URI is skipped.
+    Relative links resolve against ``base`` joined with the first ``<base
+    href>``, wherever it stands (HTML's frozen base URL); document order is
+    kept and exact-string duplicates are dropped. Tolerant of broken markup:
+    non-HTML input yields nothing, and an href that is not a URI is skipped.
     """
     text = body.decode("utf-8", errors="replace") if isinstance(body, bytes) else body
     parser = _AnchorHrefParser()
     parser.feed(text)
     parser.close()
+    with suppress(ValueError):  # an unparseable <base href> leaves the page's URI
+        base = urljoin(base, parser.base or "")
     out: list[str] = []
     seen: set[str] = set()
     for href in parser.hrefs:

@@ -52,7 +52,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .canonical import original_resource
+from .canonical import kept_uri, original_resource
 from .errors import MalformedUri, MissingOriginal, ParseError, UnknownArchive
 from .model import (
     _MONTHS,
@@ -69,6 +69,7 @@ from .model import (
     parse_http_datetime,
     wayback_split,
 )
+from .tsv import numbered_lines
 
 logger = logging.getLogger(__name__)
 
@@ -250,14 +251,6 @@ def _sort_key(dt: datetime) -> str:
 _MONTH_DIGITS = {month: "%02d" % number for month, number in _MONTHS.items()}
 
 
-def _kept(urim: str) -> bool:
-    """Whether a memento of ``urim`` is kept: not when it holds a tab, CR
-    or LF. A tab would split its manifest row, and URI parsing drops all
-    three, so it would be requested, and remembered, as another URI-M. A
-    resumed run drops a stored memento by the same rule."""
-    return "\t" not in urim and "\r" not in urim and "\n" not in urim
-
-
 _NO_ARCHIVES = ArchiveRegistry(())
 
 
@@ -272,8 +265,8 @@ class TimeMapReader:
     the archive that served the page, when one did, else the registered
     archive of its host, looked up once per host and TimeMap; a memento of
     no registered archive has none. With no ``registry``, none is
-    registered. A memento whose URI-M holds a tab, CR or LF is read, and
-    counted in ``mementos``, but not kept.
+    registered. A memento whose URI-M ``canonical.kept_uri`` refuses is
+    read, and counted in ``mementos``, but not kept.
     """
 
     def __init__(self, registry: ArchiveRegistry | None = None):
@@ -307,7 +300,7 @@ class TimeMapReader:
         """Read one memento given outside link-format: ``urim``, captured
         at the UTC datetime ``dt``."""
         self.mementos += 1
-        if _kept(urim):
+        if kept_uri(urim):
             self._candidate(urim, None, _sort_key(dt), dt)
 
     def _visit(self, member: LinkEntry | re.Match) -> None:
@@ -317,14 +310,14 @@ class TimeMapReader:
             self.mementos += 1
             if member.datetime is None:
                 self._undated = self._undated or member.target
-            elif _kept(member.target):
+            elif kept_uri(member.target):
                 self._candidate(member.target, None, _sort_key(member.datetime), member.datetime)
             return
         target, host, rel, when, day, month, year, clock = member.groups()
         if rel != "memento" and not self._roles(target, rel.split(" ")):
             return
         self.mementos += 1
-        if _kept(target):
+        if kept_uri(target):
             self._candidate(target, host, year + _MONTH_DIGITS[month] + day + clock, when)
 
     def _roles(self, target: str, rel: Iterable[str]) -> bool:
@@ -554,9 +547,9 @@ def write_compact(
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Each stripped line with its 1-based number, skipping blank lines
-    and ``#`` comments."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    """Each stripped line of ``tsv.numbered_lines`` with its 1-based
+    number, skipping blank lines and ``#`` comments."""
+    for lineno, line in numbered_lines(text):
         line = line.strip()
         if line and not line.startswith("#"):
             yield lineno, line

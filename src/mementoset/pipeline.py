@@ -41,6 +41,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
+from .canonical import kept_uri
 from .client import ArchiveClient, FetchPolicy, Transport, open_transport
 from .discovery import (
     LIST_FORMATS,
@@ -56,7 +57,7 @@ from .discovery import (
     select_initial,
 )
 from .errors import ParseError
-from .linkformat import _kept, write_compact
+from .linkformat import write_compact
 from .model import (
     Memento,
     OriginalResource,
@@ -72,6 +73,7 @@ from .model import (
 )
 from .reports import write_csv, write_urir_table
 from .sampler import SEED
+from .tsv import read_utf8
 
 STAGES = ("method1", "method2", "method3", "method4", "done")
 CHECKPOINT_EVERY = 25  # Method 1 saves after this many committed candidates
@@ -154,7 +156,7 @@ class RunConfig:
         path = Path(path)
         hidden = {*_RENAMED.values(), *_SOURCES.values()}
         keys = {f.name: f.name for f in fields(cls) if f.name not in hidden}
-        raw = json.loads(path.read_text("utf-8"))
+        raw = json.loads(read_utf8(path, str(path)))
         kwargs = json_kwargs(raw, {**keys, **_RENAMED, "sources": "sources"}, "config")
         kwargs |= json_kwargs(kwargs.pop("sources", {}), _SOURCES, "sources")
         if "constraints" in kwargs:
@@ -215,6 +217,8 @@ def _resource_from_dict(d: dict) -> OriginalResource:
         value = getattr(resource, name)
         if type(value) not in types:
             raise TypeError(f"the URI-R's {name!r} has the wrong type: {value!r}")
+        if name in ("uri", "final_uri") and not kept_uri(value):
+            raise ValueError(f"the URI-R's {name!r} holds whitespace or a control character")
     status = resource.live_status
     if status is not None and not 100 <= status <= 999:  # the statuses http.client reads
         raise ValueError(f"the URI-R's 'live_status' is not an HTTP status: {status!r}")
@@ -247,7 +251,7 @@ def _record_from_dict(d: dict) -> TimeMapRecord:
             raise TypeError(f"a memento is not [stamp, URI-M, archive, null|raw URI-M]: {m!r}")
         stamp, urim, archive_id, _ = m  # the raw URI-M of earlier versions, derived at download
         when = parse_compact14(stamp)
-        if not _kept(urim):
+        if not kept_uri(urim):
             continue  # a URI-M the TimeMap reader would not have kept
         # Positional: a frozen dataclass takes keywords at twice the cost.
         mementos.append(Memento(urim, when, key, archive_id))
@@ -396,8 +400,9 @@ class DiscoveryPipeline:
         holds a value of the wrong type, names no stage of ``STAGES`` or
         holds a ``scan_index`` that is not a non-negative int, or a
         ``live_status`` that is not null or an int in 100-999, is a
-        ParseError that names it. A stored memento whose URI-M holds a tab,
-        CR or LF is dropped, as the TimeMap reader drops one.
+        ParseError that names it, as is a ``uri`` or ``final_uri`` that
+        ``canonical.kept_uri`` refuses; a memento whose URI-M it refuses is
+        dropped, as the TimeMap reader drops one.
 
         Loaded inside Method 1, the one stage that resolves redirects, each
         stored URI-R with a ``live_status`` (Method 1's) gives the client

@@ -1,13 +1,13 @@
 """Header-checked, tab-delimited tables: the manifest and the URI-R table.
 
-Cells hold URIs, ids and enum values, never raw tabs or newlines.
-``read_utf8`` reads these tables and discovery's URI lists.
+Cells hold URIs, ids and enum values, never a tab or an LF (``canonical.kept_uri``).
+``read_utf8`` and ``numbered_lines`` read every line-based file the package reads.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ParseError
 
@@ -21,13 +21,20 @@ def write_tsv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[s
 
 
 def read_utf8(path: str | Path, name: str) -> str:
-    """The text of the file at ``path``; ParseError("<name> is not UTF-8")
-    with the 1-based line of the first byte that is not."""
+    """The text of the file at ``path`` less one leading BOM; ParseError("<name>
+    is not UTF-8") with the 1-based line of the first byte that is not."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{name} is not UTF-8", data.count(b"\n", 0, exc.start) + 1) from None
+
+
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each line of ``text`` with its 1-based number. A line ends at LF only,
+    as every writer here ends one, and one CR before the LF is dropped."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        yield lineno, line.removesuffix("\r")
 
 
 def read_tsv(
@@ -38,18 +45,16 @@ def read_tsv(
 ) -> list[Row]:
     """Rows after the header, each built by ``parse`` from its cells.
 
-    A line ends at LF only, the separator ``write_tsv`` writes, and one CR
-    before it is dropped, so a cell may hold any other line break.
-    Blank lines are skipped. Bytes that are not UTF-8, a wrong or missing
-    header, a wrong column count or a ``ValueError`` from ``parse`` raise
-    ParseError with the 1-based line.
+    Blank lines of ``numbered_lines`` are skipped. Bytes that are not UTF-8,
+    a wrong or missing header, a wrong column count or a ``ValueError``
+    from ``parse`` raise ParseError with the 1-based line.
     """
     rows = []
-    lines = [line.removesuffix("\r") for line in read_utf8(path, name).split("\n")]
-    first = lines[0]
+    lines = numbered_lines(read_utf8(path, name))
+    _, first = next(lines)
     if tuple(first.split("\t")) != tuple(header):
         raise ParseError(f"bad {name} header {first!r}", 1)
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         if not line.strip():
             continue
         cells = line.split("\t")

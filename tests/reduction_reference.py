@@ -13,7 +13,8 @@ memento a TimeMap lists, into the record stored under its key and reduces
 the union. The tests hold the reader, the reducer, and the collection
 storing what the reducer returns, to them. One rule came after them, and
 ``record_from_entries`` and ``compact_record`` state it too: a memento
-whose URI-M holds a tab, CR or LF is read but not kept (``kept``).
+whose URI-M holds whitespace or a control character is read but not kept
+(``kept``).
 """
 
 import logging
@@ -59,9 +60,10 @@ def _build_memento(
 
 
 def kept(urim: str) -> bool:
-    """Whether a memento of ``urim`` is kept: a URI-M holding a tab, CR or
-    LF is read, never kept."""
-    return not any(c in urim for c in "\t\r\n")
+    """Whether a memento of ``urim`` is kept: a URI-M holding a character
+    that ``str.isspace`` accepts, or one of category Cc (U+0000-001F,
+    U+007F-009F), is read, never kept."""
+    return not any(c.isspace() or ord(c) < 0x20 or 0x7F <= ord(c) <= 0x9F for c in urim)
 
 
 def reference_raw_urim(memento: Memento, registry: ArchiveRegistry) -> str | None:

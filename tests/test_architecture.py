@@ -93,6 +93,11 @@ RULES = {
         ("client.ArchiveClient",),
         "the client's memory is its own: ask through _ask_steps, seed with remember_resolved",
     ),
+    "splitlines": Rule((), "a line ends at LF only: split lines with tsv.numbered_lines"),
+    "mementoset.canonical._NOT_IN_URI": Rule(
+        ("canonical.kept_uri",),
+        "the characters a kept URI may hold are stated once: test them with canonical.kept_uri",
+    ),
 }
 
 
@@ -317,6 +322,7 @@ MEMENTO = "mementoset.model.Memento()"
 RAW_ACCESS = "mementoset.errors.RawAccessUnsupported()"
 RAW_VARIANT = "mementoset.model.raw_variant"
 RECORD_TO_DICT = "mementoset.pipeline._record_to_dict"
+NOT_IN_URI = "mementoset.canonical._NOT_IN_URI"
 
 # Each source, checked as the named module, breaks the rule it names.
 BROKEN = [
@@ -409,6 +415,12 @@ BROKEN = [
          "    return memory.get(key)"),
     case("discovery", "_answers", "def f(client):", "    return getattr(client, '_answers')"),
     case("client", "_answers", "def peek(client, key):", "    return client._answers.get(key)"),
+    # Lines split at other breaks than LF.
+    case("discovery", "splitlines", "def f(text):", "    return text.splitlines()"),
+    # The characters of a URI tested outside kept_uri.
+    case("pipeline", NOT_IN_URI, "from .canonical import _NOT_IN_URI as P", "def f(urim):",
+         "    return P.search(urim) is None"),
+    case("canonical", NOT_IN_URI, "def _kept(urim):", "    return not _NOT_IN_URI.search(urim)"),
 ]
 
 

@@ -14,8 +14,9 @@ from mementoset import (
     surt,
     unsurt,
 )
-from mementoset.canonical import MAX_HOPS
+from mementoset.canonical import MAX_HOPS, kept_uri
 from mockserver import FakeTransport
+from reduction_reference import kept
 
 
 class TestSurt:
@@ -58,6 +59,15 @@ class TestSurt:
         with pytest.raises(MalformedUri):
             surt(bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [" http://a.test/", "http://a.test/\n", "http://a.test/x y", "http://a.test/x\u2028y",
+         "http://a.test/x\x85y", "http://a.test/x\x7fy", "http://a.test/\u00a0"],
+    )
+    def test_whitespace_or_a_control_anywhere_is_malformed(self, bad):
+        with pytest.raises(MalformedUri, match="whitespace or control character"):
+            surt(bad)
+
     def test_unsurt_inverts(self):
         assert unsurt("com,example)/") == "http://example.com/"
         assert unsurt("com,example:8080)/x?a=1") == "http://example.com:8080/x?a=1"
@@ -67,6 +77,12 @@ class TestSurt:
             unsurt("http://example.com/")
         with pytest.raises(MalformedUri):
             unsurt(")/")
+
+
+def test_kept_uri_refuses_whitespace_and_controls_at_every_code_point():
+    # The ASCII test and the pattern together, against the reference rule.
+    chars = (chr(cp) for cp in range(0x110000) if not 0xD800 <= cp <= 0xDFFF)
+    assert [hex(ord(c)) for c in chars if kept_uri(c) is not kept(c)] == []
 
 
 def random_uri(rng: random.Random) -> str:

@@ -365,6 +365,37 @@ class TestDiscoverCommand:
         assert (tmp_path / "out" / "state.json").exists()
         assert not (tmp_path / "out" / "state.jsonl").exists()
 
+    def test_a_source_list_with_a_bom_crlf_and_a_refused_line_selects_as_the_clean_one(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        sent = []
+        request = FixtureTransport.request
+        monkeypatch.setattr(
+            FixtureTransport, "request",
+            lambda self, method, uri: sent.append(uri) or request(self, method, uri),
+        )
+        runs = {}
+        for name in ("clean", "rewritten"):
+            root = tmp_path / name
+            build_fixture_corpus(root / "fixtures")
+            config_path = write_config(root, root / "fixtures")
+            if name == "rewritten":
+                lines = (root / "moz.txt").read_text("utf-8").split("\n")
+                lines.insert(3, "http://m9.example/x\u2028y")
+                (root / "moz.txt").write_text("\ufeff" + "\r\n".join(lines), "utf-8")
+            sent.clear()
+            assert main(["discover", "--config", str(config_path)]) == 0
+            out = root / "out"
+            runs[name] = (
+                capsys.readouterr().out, json.loads((out / "state.json").read_text("utf-8")),
+                (out / "urirs.tsv").read_text("utf-8"), list(sent),
+            )
+        (out, state, urirs, requests), (out2, state2, urirs2, requests2) = runs.values()
+        assert "selected URI-Rs: 4" in out and out2 == out and urirs2 == urirs
+        # The refused line is a candidate scanned, and sends no request.
+        assert state2 == {**state, "scan_index": state["scan_index"] + 1}
+        assert requests2 == requests and not any("m9" in uri for uri in requests2)
+
     @pytest.mark.parametrize(
         "change, named",
         [

@@ -142,6 +142,23 @@ class TestExtractUrirs:
     def test_relative_resolution(self):
         assert extract_urirs_from_html('<a href="/x">x</a>', "http://h/") == ["http://h/x"]
 
+    # A document's <base href> is its base URI (HTML's frozen base URL): the
+    # first <base> with an href, resolved against the stored URI-R.
+    def test_an_absolute_base(self):
+        html = b'<base href="http://b.org/dir/"><a href="x.html">x</a>'
+        assert extract_urirs_from_html(html, "http://a.com/p/q.html") == ["http://b.org/dir/x.html"]
+
+    def test_a_relative_base(self):
+        html = '<head><base target="_top"><base href="../d/"></head><a href="x.html">x</a>'
+        assert extract_urirs_from_html(html, "http://a.com/p/q.html") == ["http://a.com/d/x.html"]
+
+    def test_a_base_after_the_links(self):
+        html = ('<a href="x.html">x</a><a href="http://c.org/">c</a>'
+                '<base href="http://b.org/dir/"><base href="http://e.org/">')
+        assert extract_urirs_from_html(html, "http://a.com/p/q.html") == [
+            "http://b.org/dir/x.html", "http://c.org/"
+        ]
+
     def test_non_html_yields_nothing(self):
         assert extract_urirs_from_html(b"\x89PNG\r\n\x1a\n garbage", "http://h/") == []
 

@@ -620,7 +620,7 @@ ORIGINALS = (URIR, "http://www.site.test/page", "http://other.test/", "not a uri
 # perma.cc lists them) and with the id_ modifier; digit runs of 13 and 15;
 # a stamp ending in a non-ASCII digit, which int() would read as the ASCII
 # stamp after it; two URI-Ms that differ only in case; and one with inner
-# whitespace, which the plain form reads too.
+# whitespace, which the plain form reads and the kept rule refuses.
 WAYBACK_URIMS = (
     f"http://a0.test/web/20000101000000/{URIR}",
     f"http://a1.test/web/20000101000000/{URIR}",
@@ -856,7 +856,7 @@ class TestReducerMatchesFullRecords:
          f'{memento_member(WAYBACK + 1, "memento", DATES[1], "")}'],
         URIR, None, (URIR, [(WAYBACK, DATES[2])]),
     )
-    @example(  # a plain member whose target has inner whitespace
+    @example(  # a plain member whose target has inner whitespace: read, never kept
         [f'<{URIR}>; rel="original",\n<http://a0.test/x y>; rel="memento"; datetime="{DATES[0]}"'],
         URIR, None, None,
     )

@@ -301,6 +301,8 @@ BAD_FIELDS = [
     ("live_status", 99),
     ("live_status", 1000),
     ("live_status", -5),
+    ("uri", "http://a.example/x y"),
+    ("final_uri", "http://a.example/x\u2028y"),
 ]
 
 
@@ -360,7 +362,7 @@ TAB_URIM = "http://web.archive.org/web/20010101000000/http://a.com/x{}y"
 
 
 @pytest.mark.parametrize("file", ["state.json", "state.jsonl"])
-@pytest.mark.parametrize("char", ["\t", "\r", "\n"])
+@pytest.mark.parametrize("char", ["\t", "\r", "\n", " ", "\u2028", "\x1d"])
 def test_a_stored_urim_holding_a_tab_or_line_break_is_dropped(tmp_path, file, char):
     writer = offline(tmp_path)
     grow(writer, URIRS[0], [2001], "moz")

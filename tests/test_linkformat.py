@@ -22,7 +22,7 @@ from mementoset import (
     serialize_linkformat,
 )
 from mementoset.canonical import original_resource
-from mementoset.linkformat import TimeMapReader
+from mementoset.linkformat import TimeMapReader, write_compact
 from mementoset.model import Classification, compact14, format_http_datetime
 from mementoset.sampler import ManifestRow, read_manifest, write_manifest
 
@@ -302,14 +302,21 @@ class TestYearlyFilter:
             assert reduce_record(record).mementos == (http_form,)
 
 
+# Whitespace and control characters, among them every line break of
+# str.splitlines, a space, which splits a compact line, and C1 controls.
+REFUSED = ["\t", "\r", "\n", " ", "\u2028", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+           "\x00", "\x7f", "\x9f", "\u3000"]
+
+
 class TestUrimsHoldingTabsOrLineBreaks:
-    """A memento whose URI-M holds a tab, CR or LF is read but never kept:
-    its manifest row would split, and URI parsing drops the character."""
+    """A memento whose URI-M holds whitespace or a control character is
+    read but never kept: a manifest row or a compact line would split, and
+    URI parsing drops a tab, CR or LF."""
 
     GOOD = "http://web.archive.org/web/20010101000000/http://a.com/xy"
     WHEN = datetime(2001, 1, 1, tzinfo=timezone.utc)
 
-    @pytest.mark.parametrize("char", ["\t", "\r", "\n"])
+    @pytest.mark.parametrize("char", REFUSED)
     @pytest.mark.parametrize("params", ["", '; type="text/html"'])  # the plain form, or not
     def test_a_timemap_leaves_the_member_out(self, registry, char, params):
         bad = self.GOOD.replace("xy", f"x{char}y")
@@ -324,7 +331,7 @@ class TestUrimsHoldingTabsOrLineBreaks:
             assert read.mementos == 2
             assert [m.urim for m in read.record().mementos] == [self.GOOD]
 
-    @pytest.mark.parametrize("char", ["\t", "\r", "\n"])
+    @pytest.mark.parametrize("char", REFUSED)
     def test_an_offered_memento_is_left_out(self, registry, char):
         for reader in (TimeMapReader(registry), TimeMapReducer(registry)):
             reader.offer(self.WHEN, self.GOOD.replace("xy", f"x{char}y"))
@@ -335,7 +342,7 @@ class TestUrimsHoldingTabsOrLineBreaks:
     def test_the_manifest_of_a_read_timemap_round_trips(self, registry, tmp_path):
         body = ",\n".join(
             f'<{urim}>; rel="memento"; datetime="{format_http_datetime(self.WHEN + timedelta(days=366 * i))}"'
-            for i, urim in enumerate([self.GOOD.replace("xy", f"x{c}y") for c in "\t\r\n"] + [self.GOOD])
+            for i, urim in enumerate([self.GOOD.replace("xy", f"x{c}y") for c in REFUSED] + [self.GOOD])
         )
         record = parse_timemap(body, "http://a.com/", registry)
         rows = [
@@ -346,9 +353,22 @@ class TestUrimsHoldingTabsOrLineBreaks:
         assert read_manifest(tmp_path / "manifest.tsv") == rows
         assert [row.urim for row in rows] == [self.GOOD]
 
-    # Line breaks to str.splitlines, but none to the manifest: a TSV row ends at LF.
-    @pytest.mark.parametrize("char", ["\u2028", "\u0085", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
-    def test_a_kept_urim_holding_another_line_break_round_trips(self, registry, tmp_path, char):
+    @pytest.mark.parametrize("char", [" ", "\u2028", "\x0c"])
+    @pytest.mark.parametrize("params", ["", '; type="text/html"'])
+    def test_an_original_holding_whitespace_is_a_parse_error(self, registry, char, params):
+        body = (f'<http://a.com/x{char}y>; rel="original"{params},\n'
+                f'<{self.GOOD}>; rel="memento"; datetime="{format_http_datetime(self.WHEN)}"')
+        for read in (TimeMapReader(registry), TimeMapReducer(registry)):
+            read.read(body)
+            with pytest.raises(ParseError, match='^malformed rel="original": whitespace'):
+                read.record()
+
+    # Format characters (category Cf) and other non-ASCII text are neither
+    # whitespace nor controls.
+    @pytest.mark.parametrize("char", ["\u200b", "\u00ad", "\ufeff", "\u00e9", "\U0001f600"])
+    def test_a_kept_urim_holding_a_format_or_non_ascii_character_round_trips(
+        self, registry, tmp_path, char
+    ):
         urim = self.GOOD.replace("xy", f"x{char}y")
         body = f'<{urim}>; rel="memento"; datetime="{format_http_datetime(self.WHEN)}"'
         (m,) = parse_timemap(body, "http://a.com/", registry).mementos
@@ -356,7 +376,9 @@ class TestUrimsHoldingTabsOrLineBreaks:
                             Classification.ARCHIVAL_OK)]
         write_manifest(rows, tmp_path / "manifest.tsv")
         assert read_manifest(tmp_path / "manifest.tsv") == rows
-        assert rows[0].urim == urim
+        write_compact(tmp_path / "compact.txt", [m])
+        compact = parse_compact((tmp_path / "compact.txt").read_text("utf-8"), "http://a.com/")
+        assert [n.urim for n in compact.mementos] == [urim] == [rows[0].urim]
 
 
 class TestReducerMemory:

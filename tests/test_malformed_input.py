@@ -78,7 +78,9 @@ class TestMalformedUri:
             on_commit=results.append,
         )
         assert accepted == []
-        assert [r.reason for r in results] == [f"error: tab, CR or LF in URI: {uri!r}"]
+        assert [r.reason for r in results] == [
+            f"error: whitespace or control character in URI: {uri!r}"
+        ]
         assert transport.requests == []
 
     def test_scan_continues_past_malformed_candidate(self, registry):
@@ -102,7 +104,10 @@ class TestMalformedUri:
             [(bad, "moz"), (good, "moz")], client, SelectionState(), on_commit=results.append
         )
         assert [r.uri for r in accepted] == [good]
-        assert results[0].reason == """error: malformed rel="original": bad host: 'not a uri'"""
+        assert results[0].reason == (
+            """error: malformed rel="original": """
+            "whitespace or control character in URI: 'not a uri'"
+        )
 
     def test_method2_skips_a_timemap_whose_original_is_malformed(self, registry):
         collection = seed_collection(registry, "vefsafn.is", "http://www.w3.org/", ["20041020191800"])

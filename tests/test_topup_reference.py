@@ -9,6 +9,7 @@ so ``reference_ingest_published_list`` skips a key it has already tried in
 the same list (``attempted``), as ``reference_method2_expand`` does. And
 mementos no longer store their raw URI-M, so where the previous code read
 it, ``reference_method2_expand`` derives it (``reference_raw_urim``).
+And a list's lines end at LF only, as every line-based reader splits them.
 Each adds its records through the previous ``MementoCollection.add``,
 ``reduction_reference.reference_add``. Each stage of the new code must
 send the same requests in the same order, add records of the same URI-Rs in the
@@ -151,7 +152,7 @@ def reference_ingest_published_list(
 
     if list_format == "urirs_only":
         attempted: set[str] = set()
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             uri = line.strip()
             if not uri or uri.startswith("#"):
                 continue
@@ -180,7 +181,7 @@ def reference_ingest_published_list(
 
     # urirs_and_urims: compact lines grouped by their embedded URI-R.
     groups: dict[str, list[tuple[datetime, str]]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
