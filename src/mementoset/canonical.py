@@ -1,9 +1,9 @@
-"""URI canonicalization (SURT form), redirect resolution, path bucketing,
-and ``kept_uri``, the one rule for the characters a kept URI may hold.
+"""URI canonicalization (SURT form), redirect resolution and path bucketing.
 
-The first three are the predicates the initial-selection scan uses to decide
+These are the predicates the initial-selection scan uses to decide
 whether two URI-Rs are the same page and where a page sits in the
-path-length quota buckets.
+path-length quota buckets. Each reads a URI-R as written, a bare host as
+``http://`` (``model.absolute_uri``), or one ``model.parse_http_uri`` read.
 
 Redirect resolution does no I/O of its own: ``redirect_steps`` is the
 walk as a generator that yields each request and is sent its response.
@@ -18,10 +18,11 @@ import logging
 import re
 from dataclasses import dataclass
 from typing import Generator, Mapping
-from urllib.parse import urljoin, urlsplit
+from urllib.parse import urljoin
 
 from .errors import HopLimitExceeded, MalformedUri, RedirectLoop
-from .model import OriginalResource, PathBucket, header_value
+from .model import HttpUri, OriginalResource, PathBucket, absolute_uri, header_value
+from .model import kept_uri, parse_http_uri  # kept_uri: importable from here, as before
 
 logger = logging.getLogger(__name__)
 
@@ -30,58 +31,10 @@ MAX_HOPS = 10
 # Yields (method, uri), is sent (status, headers), returns the chain.
 RedirectSteps = Generator[tuple[str, str], tuple[int, Mapping[str, str]], "RedirectChain"]
 
-_SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _WWW_LABEL = re.compile(r"^www\d*$")
-_NOT_IN_URI = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
 
 
-def kept_uri(s: str) -> bool:
-    """Whether ``s`` may be kept as a URI-R or URI-M: none of its characters is
-    ``str.isspace`` or Cc (U+0000-001F, U+007F-009F), after RFC 3986 appendix C."""
-    if s.isascii():  # all ASCII whitespace but the space is unprintable, as is Cc
-        return " " not in s and s.isprintable()
-    return _NOT_IN_URI.search(s) is None
-
-
-def _split_http_uri(uri: str):
-    """Parse into urlsplit parts, tolerating scheme-less web URIs.
-
-    Bare host forms like ``www.EXAMPLE.com`` are treated as http. Anything
-    with an explicit non-http(s) scheme, or that ``kept_uri`` refuses, is
-    rejected.
-    """
-    if not isinstance(uri, str) or not uri:
-        raise MalformedUri(str(uri), "empty input")
-    if not kept_uri(uri):
-        raise MalformedUri(uri, "whitespace or control character in URI")
-    candidate = uri
-    if uri.lower().startswith(("http://", "https://")):
-        pass
-    elif candidate.startswith("//"):
-        candidate = "http:" + candidate
-    elif m := _SCHEME_RE.match(candidate):
-        # host:port looks like a scheme; a real scheme is never all-digit after ":"
-        rest = candidate[m.end() :]
-        if rest[:1].isdigit():
-            candidate = "http://" + candidate
-        else:
-            raise MalformedUri(uri, "non-http(s) scheme")
-    else:
-        candidate = "http://" + candidate
-    try:
-        parts = urlsplit(candidate)
-        host, port = parts.hostname, parts.port
-    except ValueError as exc:
-        raise MalformedUri(uri, str(exc)) from None
-    if not host:
-        raise MalformedUri(uri, "empty host")
-    host = host.rstrip(".")
-    if not host or any(not label for label in host.split(".")):
-        raise MalformedUri(uri, "bad host")
-    return parts, host, port
-
-
-def surt(uri: str) -> str:
+def surt(uri: str | HttpUri) -> str:
     """Canonicalize to a Sort-friendly URI Reordering Transform string.
 
     Committed rule set, applied deterministically:
@@ -93,16 +46,16 @@ def surt(uri: str) -> str:
     So ``http://www.EXAMPLE.com:80`` and ``https://example.com/`` both map
     to ``com,example)/`` -- the scheme never distinguishes resources.
     """
-    parts, host, port = _split_http_uri(uri)
-    labels = host.split(".")
+    u = uri if isinstance(uri, HttpUri) else parse_http_uri(absolute_uri(uri))
+    labels = u.host.rstrip(".").split(".")
     if len(labels) > 1 and _WWW_LABEL.match(labels[0]):
         labels = labels[1:]
     key = ",".join(reversed(labels))
-    if port is not None and port not in (80, 443):
-        key += f":{port}"
-    path = parts.path or "/"
-    if parts.query:
-        path += "?" + parts.query
+    if u.port is not None and u.port not in (80, 443):
+        key += f":{u.port}"
+    path = u.path or "/"
+    if u.query:
+        path += "?" + u.query
     return f"{key}){path}"
 
 
@@ -122,13 +75,13 @@ def unsurt(key: str) -> str:
 _BUCKETS = tuple(PathBucket)
 
 
-def path_length(uri: str) -> PathBucket:
+def path_length(uri: str | HttpUri) -> PathBucket:
     """Bucket by count of nonempty path segments (4 or more collapse).
 
     Query string, fragment, and trailing slashes never affect the bucket.
     """
-    parts, _, _ = _split_http_uri(uri)
-    n = sum(1 for seg in parts.path.split("/") if seg)
+    u = uri if isinstance(uri, HttpUri) else parse_http_uri(absolute_uri(uri))
+    n = sum(1 for seg in u.path.split("/") if seg)
     return _BUCKETS[min(n, 4)]
 
 
@@ -155,14 +108,16 @@ _TWO_LEVEL_SUFFIXES = frozenset(
 )
 
 
-def registrable_domain(host_or_uri: str) -> str:
+def registrable_domain(host_or_uri: str | HttpUri) -> str:
     """Host minus its public suffix (``a.b.example.co.uk`` -> ``example.co.uk``).
 
     A bare host is read as ``http://host``. Uses an embedded table of
     common two-level suffixes rather than a full public-suffix list;
     callers that need exact matching can compare full hosts instead.
     """
-    _, host, _ = _split_http_uri(host_or_uri)
+    u = host_or_uri
+    u = u if isinstance(u, HttpUri) else parse_http_uri(absolute_uri(u))
+    host = u.host.rstrip(".")
     labels = host.split(".")
     if len(labels) <= 2:
         return host
@@ -212,8 +167,18 @@ def redirect_steps(uri: str) -> RedirectSteps:
     raise HopLimitExceeded(MAX_HOPS, [h[0] for h in hops])
 
 
+def selection_keys(uri: str) -> tuple[str, PathBucket, str]:
+    """``surt``, ``path_length`` and ``registrable_domain`` of ``uri``, from
+    one parse: what the initial scan's conditions read of a final URI."""
+    u = parse_http_uri(absolute_uri(uri))
+    return surt(u), path_length(u), registrable_domain(u)
+
+
 def original_resource(uri: str) -> OriginalResource:
-    """The OriginalResource of ``uri``, keyed and bucketed by it."""
+    """The OriginalResource of the URI-R ``uri`` as written, keyed and
+    bucketed by it; its ``final_uri`` is ``uri``'s absolute form."""
+    absolute = absolute_uri(uri)
+    u = parse_http_uri(absolute)
     return OriginalResource(
-        uri=uri, canonical_key=surt(uri), final_uri=uri, path_bucket=path_length(uri)
+        uri=uri, canonical_key=surt(u), final_uri=absolute, path_bucket=path_length(u)
     )

@@ -6,14 +6,16 @@ request to it backs off; lanes for different archives run concurrently.
 Requests are written as step generators that yield their waits
 (``resolve_steps``, and ``_ask_steps`` beneath it). A ``StepLoop`` runs
 many of them in one thread and overlaps their waits; it is the only code
-in the package that sleeps, and a plain method's wait runs in the
-thread's loop. Every
-operation can be replayed hermetically from a fixture directory, and a
-recording transport captures live responses into one. ``requests`` is
-imported only when a live ``RequestsTransport`` is first built, so
-offline paths (replays, ``canon``, ``stats``) load no HTTP stack. No
-memento stores its raw URI-M: ``fetch_raw_memento`` derives it to
-download, and returns the content with the download's elapsed time.
+in the package that sleeps, and a plain method's wait runs in the thread's
+loop. Every operation can be replayed hermetically from a fixture
+directory, and a recording transport captures live responses into one.
+``requests`` is imported only when a live ``RequestsTransport`` is first
+built, so offline paths (replays, ``canon``, ``stats``) load no HTTP
+stack. No memento stores its raw URI-M: ``fetch_raw_memento`` derives it
+to download, and returns the content with the download's elapsed time. A
+URI is sent as given only if ``model.parse_http_uri`` reads it, picking
+its lane and memory key; any other (a ``Location``, a TimeMap page link)
+raises MalformedUri before any wait.
 
 A client asks each question once per run. It remembers the status,
 headers and elapsed time, never the body, of every answer it is sent,
@@ -57,7 +59,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Generator, Protocol
-from urllib.parse import urlsplit
 
 from .canonical import RedirectChain, redirect_steps
 from .errors import (
@@ -81,6 +82,7 @@ from .model import (
     classify_response,
     header_value,
     parse_http_datetime,
+    parse_http_uri,
     raw_variant,
 )
 
@@ -106,39 +108,12 @@ RETRIED_STATUSES = (429, 503)
 Steps = Generator[float, None, object]
 
 
-# The port RFC 9110 §4.2.3 makes equivalent to no port, per scheme.
-_DEFAULT_PORTS = {"http": 80, "https": 443}
-
-
-def _split(uri: str) -> tuple[str, str]:
-    """``uri``'s host, which picks its lane, and ``equivalent_uri(uri)``,
-    from one ``urlsplit``. MalformedUri when ``uri`` or its port does not
-    parse."""
-    try:
-        parts = urlsplit(uri)
-        port = parts.port
-    except ValueError as exc:
-        raise MalformedUri(uri, str(exc)) from None
-    host = parts.hostname
-    scheme = parts.scheme
-    sent = uri.partition("#")[0]
-    if not host or scheme not in _DEFAULT_PORTS:
-        return (host or uri).lower(), sent
-    authority = f"[{host}]" if ":" in host else host
-    if port is not None and port != _DEFAULT_PORTS[scheme]:
-        authority = f"{authority}:{port}"
-    userinfo, at, _ = parts.netloc.rpartition("@")
-    query = f"?{parts.query}" if "?" in sent else ""
-    return host, f"{scheme}://{userinfo}{at}{authority}{parts.path or '/'}{query}"
-
-
 def equivalent_uri(uri: str) -> str:
     """The one form of ``uri`` that every http(s) URI equivalent to it
     under RFC 9110 §4.2.3 takes: scheme and host in lower case, no default
     port, "/" for an empty path, and no fragment. Userinfo, path and query
-    stay as written. Another URI loses only its fragment. MalformedUri
-    when ``uri`` or its port does not parse."""
-    return _split(uri)[1]
+    stay as written. MalformedUri when ``model.parse_http_uri`` refuses ``uri``."""
+    return parse_http_uri(uri).equivalent
 
 
 @dataclass(frozen=True, slots=True)
@@ -503,15 +478,16 @@ class ArchiveClient:
         told, and ``response`` the transport's, body included, or None when
         a remembered answer that ``usable`` accepts was found, at once or
         after any wait for the lane. Every answer but a 429/503 is
-        remembered."""
-        host, equivalent = _split(uri)
-        key = method, equivalent
+        remembered. MalformedUri, before any wait, when ``model.parse_http_uri``
+        refuses ``uri``."""
+        parsed = parse_http_uri(uri)
+        key = method, parsed.equivalent
 
         def recall() -> _Answer | None:
             answer = self._answers.get(key)
             return answer if answer is not None and usable(answer) else None
 
-        lane = self._lane(host)
+        lane = self._lane(parsed.host)
         started = time.monotonic()
         last_error: NetworkError | None = None
         response = None

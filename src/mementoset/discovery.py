@@ -19,10 +19,10 @@ from functools import partial
 from html.parser import HTMLParser
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 from urllib.parse import urljoin
 
-from .canonical import RedirectChain, path_length, registrable_domain, surt
+from .canonical import RedirectChain, registrable_domain, selection_keys, surt
 from .client import ArchiveClient, StepLoop
 from .errors import (
     EmptyTimeMap,
@@ -31,7 +31,7 @@ from .errors import (
     NetworkError,
     ParseError,
 )
-from .linkformat import TimeMapReducer, content_lines, parse_compact_line
+from .linkformat import TimeMapReducer, content_lines, original_link, parse_compact_line
 from .model import (
     ArchiveDescriptor,
     Memento,
@@ -39,6 +39,8 @@ from .model import (
     PathBucket,
     Provenance,
     TimeMapRecord,
+    absolute_uri,
+    header_value,
     wayback_split,
 )
 from .tsv import read_utf8
@@ -263,18 +265,14 @@ class ResolvedCandidate:
 
 
 def _resolve_steps(uri: str, client: ArchiveClient):
-    """Follow a candidate's redirects and key its final URI, as a step
-    generator (see ``ArchiveClient.resolve_steps``). A candidate whose own
-    URI has no key is an error before any request, whatever its redirects
-    would reach. Reads no selection state, so candidates may be resolved
-    in any order."""
+    """Follow a candidate's redirects from the absolute form it is keyed by (a
+    bare host as ``http://``) and key its final URI from one parse, as a step
+    generator (see ``ArchiveClient.resolve_steps``). A URI the client refuses,
+    the candidate or a ``Location``, is an error before any request to it.
+    Reads no selection state, so candidates may be resolved in any order."""
     try:
-        surt(uri)
-        chain = yield from client.resolve_steps(uri)
-        final = chain.final_uri
-        key = surt(final)
-        bucket = path_length(final)
-        domain = registrable_domain(final)
+        chain = yield from client.resolve_steps(absolute_uri(uri))
+        key, bucket, domain = selection_keys(chain.final_uri)
     except MementosetError as exc:
         logger.info("skipping %s: %s", uri, exc)
         return ResolvedCandidate(error=f"error: {exc}")
@@ -313,7 +311,7 @@ def screen_candidate(
         record = client.fetch_timemap_aggregator(final, TimeMapReducer(client.registry))
     except EmptyTimeMap:
         return ScreenResult(None, None, "empty timemap")
-    except (NetworkError, ParseError) as exc:
+    except (NetworkError, ParseError, MalformedUri) as exc:  # a page link the client refuses
         logger.info("timemap fetch failed for %s: %s", uri, exc)
         return ScreenResult(None, None, f"error: {exc}")
     resource = OriginalResource(
@@ -397,15 +395,60 @@ class _AnchorHrefParser(HTMLParser):
             return self.parse_bogus_comment(i, report)
 
 
-def extract_urirs_from_html(body: bytes | str, base: str) -> list[str]:
+# Byte-order marks and their encodings, the first step of _decoded.
+_BOMS = ((b"\xef\xbb\xbf", "utf-8"), (b"\xfe\xff", "utf-16-be"), (b"\xff\xfe", "utf-16-le"))
+# The charset a <meta charset> or http-equiv content names. A pattern, not
+# compiled at import: re caches it at first use.
+_META_CHARSET = rb"""<meta\s[^>]*?charset\s*=\s*["']?\s*([A-Za-z0-9._:+-]+)"""
+
+
+def _declared_charsets(body: bytes, headers: Mapping[str, str]) -> Iterator[str]:
+    """The charsets a page declares, in the order they count: the
+    ``Content-Type`` header's, then a ``<meta>``'s in the first 1,024 bytes."""
+    for param in (header_value(headers, "Content-Type") or "").split(";")[1:]:
+        name, _, value = param.partition("=")
+        if name.strip().lower() == "charset":
+            yield value.strip().strip("\"'")
+    meta = re.search(_META_CHARSET, body[:1024], re.IGNORECASE)
+    if meta is not None:
+        yield meta.group(1).decode("ascii")
+
+
+def _decoded(body: bytes, headers: Mapping[str, str]) -> str:
+    """``body`` as text, by WHATWG HTML's encoding sniffing cut down: a BOM,
+    then a declared charset (``_declared_charsets``), then UTF-8 if the body
+    decodes strictly, else windows-1252. A label no standard codec decodes
+    with falls through to the next step."""
+    for bom, encoding in _BOMS:
+        if body.startswith(bom):
+            return body[len(bom) :].decode(encoding, errors="replace")
+    for label in _declared_charsets(body, headers):
+        with suppress(LookupError, ValueError):  # unknown, not text, or no "replace" handler
+            return body.decode(label, errors="replace")
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError:
+        return body.decode("windows-1252", errors="replace")
+
+
+def extract_urirs_from_html(
+    body: bytes | str, base: str, headers: Mapping[str, str] | None = None
+) -> list[str]:
     """Harvest absolute http(s) URI-Rs from ``<a href>`` attributes.
 
-    Relative links resolve against ``base`` joined with the first ``<base
-    href>``, wherever it stands (HTML's frozen base URL); document order is
-    kept and exact-string duplicates are dropped. Tolerant of broken markup:
-    non-HTML input yields nothing, and an href that is not a URI is skipped.
+    ``headers`` are the response's. Relative links resolve against the
+    page's base URI, in RFC 3986 §5.1's order: the first ``<base href>``,
+    wherever it stands (HTML's frozen base URL), resolved against the
+    next; the target of a ``Link: <...>; rel="original"`` header, the
+    memento's original resource (RFC 7089 §2.2.1); ``base``. Bytes are
+    decoded as ``_decoded`` says. Document order is kept and exact-string
+    duplicates are dropped. Tolerant of broken markup: non-HTML input
+    yields nothing, and an href that is not a URI is skipped.
     """
-    text = body.decode("utf-8", errors="replace") if isinstance(body, bytes) else body
+    headers = headers or {}
+    text = _decoded(body, headers) if isinstance(body, bytes) else body
+    with suppress(ValueError):  # an unparseable target leaves the given base
+        base = urljoin(base, original_link(headers) or "")
     parser = _AnchorHrefParser()
     parser.feed(text)
     parser.close()
@@ -440,7 +483,7 @@ def _timemap(
         return fetch(uri, TimeMapReducer(client.registry, collection.get))
     except EmptyTimeMap:
         return None
-    except (NetworkError, ParseError) as exc:
+    except (NetworkError, ParseError, MalformedUri) as exc:  # a page link the client refuses
         logger.info("timemap fetch failed for %s: %s", uri, exc)
         return None
 
@@ -448,12 +491,13 @@ def _timemap(
 def _lookup(
     uris: Iterable[str], fetch: _Fetch, collection: MementoCollection, client: ArchiveClient
 ) -> Iterator[TimeMapRecord]:
-    """Methods 2 and 3's lookup: ``_timemap`` of each of ``uris`` whose ``surt``
-    key is neither stored nor tried before in this call, checked when a record
-    is asked for. Malformed URIs and empty or failed TimeMaps yield nothing."""
+    """Methods 2 and 3's lookup: ``_timemap`` of the absolute form of each of ``uris``
+    whose ``surt`` key is neither stored nor tried before in this call, checked when
+    a record is asked for. Malformed URIs and empty or failed TimeMaps yield nothing."""
     tried: set[str] = set()
     for uri in uris:
         try:
+            uri = absolute_uri(uri)
             key = surt(uri)
         except MalformedUri as exc:
             logger.info("URI skipped: %s", exc)
@@ -512,7 +556,7 @@ def method2_expand(
                 logger.info("links of %s were read at its first download", memento.urim)
                 continue
             base = collection.get(memento.urir_key).urir.final_uri
-            yield from extract_urirs_from_html(raw.body, base)
+            yield from extract_urirs_from_html(raw.body, base, raw.headers)
 
     records = _lookup(linked(), client.fetch_timemap_aggregator, collection, client)
     return _top_up(archive, collection, records, min_urirs)

@@ -50,7 +50,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .canonical import kept_uri, original_resource
 from .errors import MalformedUri, MissingOriginal, ParseError, UnknownArchive
@@ -65,6 +65,7 @@ from .model import (
     archive_of,
     compact14,
     format_http_datetime,
+    header_value,
     parse_compact14,
     parse_http_datetime,
     wayback_split,
@@ -112,11 +113,10 @@ def _split(pattern: re.Pattern, text: str):
 # are held to their ranges, the day to its month: a 29th not in February of
 # a year that is not a leap year (divisible by 4, and by 400 if by 100), a
 # 30th not in February, a 31st in a month of 31 days. The host, in a URI-M
-# of the plain form ``http(s)://host[:port]``, is the one ``urlsplit`` reads
-# from it.
+# of the plain form ``http(s)://host``, is the one ``model.parse_http_uri`` reads.
 _PLAIN = re.compile(
     r"""\s*<(?=[^\s>])(?P<target>
-        (?:[Hh][Tt][Tt][Pp][Ss]?://(?P<host>[A-Za-z0-9.-]+)(?::[0-9]+)?(?=[/?#>]))?
+        (?:[Hh][Tt][Tt][Pp][Ss]?://(?P<host>[A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)*\.*)(?=[/?#>]))?
         [^>]*)(?<!\s)>
     ;\ rel="(?P<rel>[^\s"\\]+(?:\ [^\s"\\]+)*)"
     ;\ datetime="(?P<when>(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun),
@@ -234,6 +234,21 @@ def parse_link_entries(
     return entries
 
 
+def original_link(headers: Mapping[str, str]) -> str | None:
+    """The target of the first ``rel="original"`` link in the HTTP ``Link``
+    header of ``headers`` (RFC 8288), as a memento's response carries one
+    (RFC 7089 §2.2.1); None without one, or when the header is not
+    link-format."""
+    value = header_value(headers, "Link")
+    if not value:
+        return None
+    try:
+        entries = parse_link_entries(value)
+    except ParseError:
+        return None
+    return next((entry.target for entry in entries if "original" in entry.rel), None)
+
+
 def _timemap_original(urir: str) -> OriginalResource:
     """The resource a TimeMap's ``rel="original"`` names; one that is not
     an http(s) URI is a ParseError of the TimeMap."""
@@ -265,7 +280,7 @@ class TimeMapReader:
     the archive that served the page, when one did, else the registered
     archive of its host, looked up once per host and TimeMap; a memento of
     no registered archive has none. With no ``registry``, none is
-    registered. A memento whose URI-M ``canonical.kept_uri`` refuses is
+    registered. A memento whose URI-M ``model.kept_uri`` refuses is
     read, and counted in ``mementos``, but not kept.
     """
 

@@ -1,4 +1,5 @@
-"""Domain vocabulary: archives, original resources, mementos, TimeMaps.
+"""Domain vocabulary: archives, original resources, mementos, TimeMaps, and
+``parse_http_uri``, the one parse of an http(s) URI.
 
 All types are immutable value objects and safe to share across worker
 threads. The archive registry ships as a JSON data file with one entry per
@@ -26,6 +27,7 @@ __all__ = [
     "ArchiveDescriptor",
     "ArchiveRegistry",
     "Classification",
+    "HttpUri",
     "Memento",
     "OriginalResource",
     "PathBucket",
@@ -34,6 +36,7 @@ __all__ = [
     "RawScheme",
     "SelectionConstraints",
     "TimeMapRecord",
+    "absolute_uri",
     "archive_of",
     "check_fields",
     "classify_response",
@@ -41,9 +44,11 @@ __all__ = [
     "default_registry",
     "header_value",
     "json_kwargs",
+    "kept_uri",
     "load_registry",
     "parse_compact14",
     "parse_http_datetime",
+    "parse_http_uri",
     "raw_variant",
     "wayback_split",
 ]
@@ -262,22 +267,78 @@ def load_registry(path=None) -> ArchiveRegistry:
     return ArchiveRegistry.load(path) if path else default_registry()
 
 
-def _host_of(uri: str) -> str:
+_NOT_IN_URI = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
+_SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
+# The port RFC 9110 §4.2.3 makes equivalent to no port, per scheme.
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+
+
+def kept_uri(s: str) -> bool:
+    """Whether ``s`` may be kept as a URI-R or URI-M: none of its characters is
+    ``str.isspace`` or Cc (U+0000-001F, U+007F-009F), after RFC 3986 appendix C."""
+    if s.isascii():  # all ASCII whitespace but the space is unprintable, as is Cc
+        return " " not in s and s.isprintable()
+    return _NOT_IN_URI.search(s) is None
+
+
+@dataclass(frozen=True, slots=True)
+class HttpUri:
+    """An absolute http(s) URI as ``parse_http_uri`` reads it."""
+
+    host: str  # in lower case; trailing dots kept
+    port: int | None
+    path: str
+    query: str
+    equivalent: str  # the form of every URI equivalent to it (``client.equivalent_uri``)
+
+
+def parse_http_uri(uri: str) -> HttpUri:
+    """``uri`` read as an absolute http(s) URI, with one ``urlsplit``. MalformedUri
+    when ``kept_uri`` refuses it, its scheme is not http or https, its host is
+    empty or has an empty label (trailing dots aside), or its port does not parse."""
+    if not kept_uri(uri):
+        raise MalformedUri(uri, "whitespace or control character in URI")
     try:
         parts = urlsplit(uri)
+        port = parts.port
     except ValueError as exc:
         raise MalformedUri(uri, str(exc)) from None
-    if not parts.netloc or parts.scheme not in ("http", "https"):
+    scheme, host = parts.scheme, parts.hostname
+    if scheme not in _DEFAULT_PORTS or "" in (host or "").rstrip(".").split("."):
         raise MalformedUri(uri)
-    host = parts.hostname
-    if not host:
-        raise MalformedUri(uri, "empty host")
-    return host.lower()
+    authority = f"[{host}]" if ":" in host else host
+    if port is not None and port != _DEFAULT_PORTS[scheme]:
+        authority = f"{authority}:{port}"
+    userinfo, at, _ = parts.netloc.rpartition("@")
+    query = f"?{parts.query}" if "?" in uri.partition("#")[0] else ""
+    equivalent = f"{scheme}://{userinfo}{at}{authority}{parts.path or '/'}{query}"
+    return HttpUri(host, port, parts.path, parts.query, equivalent)
+
+
+def absolute_uri(uri: str) -> str:
+    """A URI-R as written, in the absolute form it is keyed and requested by:
+    ``uri`` if it starts ``http://`` or ``https://`` in any case, else ``http:``
+    + ``//host``, or ``http://`` + a bare host or ``host:port``. MalformedUri
+    when ``uri`` is empty, ``kept_uri`` refuses it or it names another scheme."""
+    if not isinstance(uri, str) or not uri:
+        raise MalformedUri(str(uri), "empty input")
+    if not kept_uri(uri):
+        raise MalformedUri(uri, "whitespace or control character in URI")
+    if uri[:8].lower().startswith(("http://", "https://")):
+        return uri
+    if uri.startswith("//"):
+        return "http:" + uri
+    scheme = _SCHEME.match(uri)
+    # host:port looks like a scheme; a real scheme is never all-digit after ":"
+    if scheme is not None and not uri[scheme.end() : scheme.end() + 1].isdigit():
+        raise MalformedUri(uri, "non-http(s) scheme")
+    return "http://" + uri
 
 
 def archive_of(urim: str, registry: ArchiveRegistry) -> ArchiveDescriptor:
-    """Resolve the archive that serves ``urim`` via domain-alias matching."""
-    host = _host_of(urim)
+    """The archive that serves ``urim``, by domain-alias matching of the host
+    ``parse_http_uri`` reads in it (MalformedUri when it refuses ``urim``)."""
+    host = parse_http_uri(urim).host
     found = registry.match_host(host)
     if found is None:
         raise UnknownArchive(host, "host")

@@ -41,7 +41,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-from .canonical import kept_uri
 from .client import ArchiveClient, FetchPolicy, Transport, open_transport
 from .discovery import (
     LIST_FORMATS,
@@ -56,7 +55,7 @@ from .discovery import (
     method4_direct,
     select_initial,
 )
-from .errors import ParseError
+from .errors import MalformedUri, ParseError
 from .linkformat import write_compact
 from .model import (
     Memento,
@@ -65,11 +64,14 @@ from .model import (
     Provenance,
     SelectionConstraints,
     TimeMapRecord,
+    absolute_uri,
     check_fields,
     compact14,
     json_kwargs,
+    kept_uri,
     load_registry,
     parse_compact14,
+    parse_http_uri,
 )
 from .reports import write_csv, write_urir_table
 from .sampler import SEED
@@ -217,8 +219,8 @@ def _resource_from_dict(d: dict) -> OriginalResource:
         value = getattr(resource, name)
         if type(value) not in types:
             raise TypeError(f"the URI-R's {name!r} has the wrong type: {value!r}")
-        if name in ("uri", "final_uri") and not kept_uri(value):
-            raise ValueError(f"the URI-R's {name!r} holds whitespace or a control character")
+    absolute_uri(resource.uri)  # MalformedUri unless it reads as a URI-R is written,
+    parse_http_uri(resource.final_uri)  # and as the client sends a URI
     status = resource.live_status
     if status is not None and not 100 <= status <= 999:  # the statuses http.client reads
         raise ValueError(f"the URI-R's 'live_status' is not an HTTP status: {status!r}")
@@ -282,7 +284,7 @@ def _decoding(path: Path, line: int | None = None):
         yield
     except KeyError as exc:
         raise ParseError(f"{path} lacks the key {exc}", line) from None
-    except (ValueError, TypeError) as exc:  # not UTF-8 or JSON, or a value of the wrong form
+    except (ValueError, TypeError, MalformedUri) as exc:  # not UTF-8 or JSON, or a wrong value
         raise ParseError(f"{path} does not decode: {exc}", line) from None
 
 
@@ -400,9 +402,10 @@ class DiscoveryPipeline:
         holds a value of the wrong type, names no stage of ``STAGES`` or
         holds a ``scan_index`` that is not a non-negative int, or a
         ``live_status`` that is not null or an int in 100-999, is a
-        ParseError that names it, as is a ``uri`` or ``final_uri`` that
-        ``canonical.kept_uri`` refuses; a memento whose URI-M it refuses is
-        dropped, as the TimeMap reader drops one.
+        ParseError that names it, as is a ``uri`` that ``model.absolute_uri``
+        refuses or a ``final_uri`` that ``model.parse_http_uri`` refuses; a
+        memento whose URI-M ``model.kept_uri`` refuses is dropped, as the
+        TimeMap reader drops one.
 
         Loaded inside Method 1, the one stage that resolves redirects, each
         stored URI-R with a ``live_status`` (Method 1's) gives the client

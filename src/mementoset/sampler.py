@@ -316,7 +316,7 @@ def rows_from_selection(
 
 
 def write_manifest(rows: Iterable[ManifestRow], path: str | Path) -> None:
-    """Tab-delimited manifest; a kept URI holds no tab or LF (``canonical.kept_uri``)."""
+    """Tab-delimited manifest; a kept URI holds no tab or LF (``model.kept_uri``)."""
     write_tsv(path, MANIFEST_HEADER, (
         (r.archive_id, r.urir, r.urim, compact14(r.memento_datetime), r.classification.value)
         for r in rows

@@ -1,6 +1,6 @@
 """Header-checked, tab-delimited tables: the manifest and the URI-R table.
 
-Cells hold URIs, ids and enum values, never a tab or an LF (``canonical.kept_uri``).
+Cells hold URIs, ids and enum values, never a tab or an LF (``model.kept_uri``).
 ``read_utf8`` and ``numbered_lines`` read every line-based file the package reads.
 """
 

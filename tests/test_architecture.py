@@ -94,9 +94,14 @@ RULES = {
         "the client's memory is its own: ask through _ask_steps, seed with remember_resolved",
     ),
     "splitlines": Rule((), "a line ends at LF only: split lines with tsv.numbered_lines"),
-    "mementoset.canonical._NOT_IN_URI": Rule(
-        ("canonical.kept_uri",),
-        "the characters a kept URI may hold are stated once: test them with canonical.kept_uri",
+    "mementoset.model._NOT_IN_URI": Rule(
+        ("model.kept_uri",),
+        "the characters a kept URI may hold are stated once: test them with model.kept_uri",
+    ),
+    "urllib.parse.urlsplit": Rule(
+        ("model.parse_http_uri",),
+        "an http(s) URI is parsed one way: read it with model.parse_http_uri"
+        " (after model.absolute_uri for a URI-R as written)",
     ),
 }
 
@@ -322,7 +327,8 @@ MEMENTO = "mementoset.model.Memento()"
 RAW_ACCESS = "mementoset.errors.RawAccessUnsupported()"
 RAW_VARIANT = "mementoset.model.raw_variant"
 RECORD_TO_DICT = "mementoset.pipeline._record_to_dict"
-NOT_IN_URI = "mementoset.canonical._NOT_IN_URI"
+NOT_IN_URI = "mementoset.model._NOT_IN_URI"
+URLSPLIT = "urllib.parse.urlsplit"
 
 # Each source, checked as the named module, breaks the rule it names.
 BROKEN = [
@@ -418,9 +424,15 @@ BROKEN = [
     # Lines split at other breaks than LF.
     case("discovery", "splitlines", "def f(text):", "    return text.splitlines()"),
     # The characters of a URI tested outside kept_uri.
-    case("pipeline", NOT_IN_URI, "from .canonical import _NOT_IN_URI as P", "def f(urim):",
+    case("pipeline", NOT_IN_URI, "from .model import _NOT_IN_URI as P", "def f(urim):",
          "    return P.search(urim) is None"),
-    case("canonical", NOT_IN_URI, "def _kept(urim):", "    return not _NOT_IN_URI.search(urim)"),
+    case("model", NOT_IN_URI, "def _kept(urim):", "    return not _NOT_IN_URI.search(urim)"),
+    # An http(s) URI parsed outside parse_http_uri.
+    case("client", URLSPLIT, "from urllib.parse import urlsplit", "def _split(uri):",
+         "    return urlsplit(uri).hostname"),
+    case("discovery", URLSPLIT, "from urllib.parse import urlsplit as u", "def f(uri):",
+         "    return u(uri).path"),
+    case("model", URLSPLIT, "from urllib.parse import urlsplit", "HOST = urlsplit('http://a.example/').hostname"),
 ]
 
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mementoset import (
     ArchiveClient,
@@ -15,8 +17,10 @@ from mementoset import (
     unsurt,
 )
 from mementoset.canonical import MAX_HOPS, kept_uri
+from mementoset.model import absolute_uri, parse_http_uri
 from mockserver import FakeTransport
 from reduction_reference import kept
+from uri_reference import _host_of, _split
 
 
 class TestSurt:
@@ -267,3 +271,99 @@ class TestResolveRedirects:
         chain = client.resolve("http://a.com/")
         assert chain.terminal_status == 301
         assert chain.final_uri == "http://a.com/"
+
+
+# Absolute URIs in parts: scheme case, userinfo, names with case and
+# trailing dots, IP literals, ports default, other and unparsable, empty
+# paths, queries and fragments, and the parts the parse refuses.
+SCHEME = st.sampled_from(["http", "https", "HTTP", "hTtPs", "ftp", "mailto"])
+USERINFO = st.sampled_from(["", "u@", "u:p@", "@", "a%40b@"])
+LABEL = st.from_regex(r"[A-Za-z0-9]([A-Za-z0-9-]{0,4}[A-Za-z0-9])?", fullmatch=True)
+NAME = st.builds(
+    "{}{}".format, st.lists(LABEL, min_size=1, max_size=3).map(".".join), st.sampled_from(["", ".", ".."])
+)
+HOST = st.one_of(
+    NAME,
+    st.sampled_from(["1.2.3.4", "[::1]", "[2001:DB8::1]", "[::ffff:1.2.3.4]"]),
+    st.sampled_from(["", "a..b", ".a", ".", "..", "a.b..c"]),
+)
+PORT = st.sampled_from(["", ":", ":80", ":443", ":8080", ":0", ":065535", ":65536", ":x"])
+PATH = st.sampled_from(["", "/", "/a/B", "/a@b", "/%41", "/web/2000/http://a.example/", "/x y", "/x\x85"])
+QUERY = st.sampled_from([None, "", "a=1&b", "x?y"])
+FRAGMENT = st.sampled_from([None, "", "f", "a?b", "x\u2028y"])
+
+# What the parse refuses, each with the old readers that accepted such a
+# URI (``uri_reference``): the request key, ``client._split``, and the
+# attribution host, ``model._host_of``.
+REFUSED = {
+    "a scheme other than http or https": ("client._split",),
+    "whitespace or a control character": ("client._split", "model._host_of"),
+    "no host": ("client._split",),
+    "an empty host label": ("client._split", "model._host_of"),
+    "a port that does not parse": ("model._host_of",),
+}
+OLD = {"client._split": _split, "model._host_of": _host_of}
+
+
+def refused_for(scheme, host, port, path, fragment) -> set[str]:
+    """The classes of ``REFUSED`` a URI of these parts falls in."""
+    classes = set()
+    if scheme.lower() not in ("http", "https"):
+        classes.add("a scheme other than http or https")
+    if not kept(path + (fragment or "")):
+        classes.add("whitespace or a control character")
+    if not host:
+        classes.add("no host")
+    elif "" in host.rstrip(".").split("."):
+        classes.add("an empty host label")
+    if port in (":65536", ":x"):
+        classes.add("a port that does not parse")
+    return classes
+
+
+class TestOneParse:
+    """``model.parse_http_uri`` reads every URI the old request key and
+    attribution host read as they did, and refuses only the classes
+    ``REFUSED`` lists."""
+
+    @given(SCHEME, USERINFO, HOST, PORT, PATH, QUERY, FRAGMENT)
+    @example("http", "", "a..b", "", "/", None, None)
+    @example("HTTP", "u@", "[2001:DB8::1]", ":80", "", "", "f")
+    @example("https", "", "Example.COM..", ":0443", "", None, None)
+    def test_the_lane_key_and_archive_host_are_the_old_ones(
+        self, scheme, userinfo, host, port, path, query, fragment
+    ):
+        uri = f"{scheme}://{userinfo}{host}{port}{path}"
+        uri += "" if query is None else f"?{query}"
+        uri += "" if fragment is None else f"#{fragment}"
+        classes = refused_for(scheme, host, port, path, fragment)
+        try:
+            parsed = parse_http_uri(uri)
+        except MalformedUri:
+            assert classes and classes <= REFUSED.keys()
+            if len(classes) == 1:
+                for old in REFUSED[classes.pop()]:
+                    OLD[old](uri)  # accepted: it does not raise
+            return
+        assert not classes
+        assert (parsed.host, parsed.equivalent) == _split(uri)
+        assert parsed.host == _host_of(uri)
+
+    @pytest.mark.parametrize("written, absolute", [
+        ("www.example.com", "http://www.example.com"),
+        ("example.com", "http://example.com"),
+        ("//example.com/x", "http://example.com/x"),
+        ("example.com:8080/x", "http://example.com:8080/x"),
+        ("HTTPS://Example.com:443/#f", "HTTPS://Example.com:443/#f"),
+        ("http://a.example/x?", "http://a.example/x?"),
+    ])
+    def test_a_urir_reads_as_the_absolute_uri_it_is_keyed_by(self, written, absolute):
+        assert absolute_uri(written) == absolute
+        assert surt(written) == surt(absolute)
+        assert path_length(written) is path_length(absolute)
+        assert registrable_domain(written) == registrable_domain(absolute)
+
+    @pytest.mark.parametrize("written", ["", "mailto:x@y", "ftp://a.example/", "HTTP:a.example"])
+    def test_a_urir_of_another_scheme_is_refused(self, written):
+        with pytest.raises(MalformedUri):
+            absolute_uri(written)

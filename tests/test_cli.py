@@ -396,6 +396,28 @@ class TestDiscoverCommand:
         assert state2 == {**state, "scan_index": state["scan_index"] + 1}
         assert requests2 == requests and not any("m9" in uri for uri in requests2)
 
+    def test_a_root_domain_list_selects_as_the_http_list(self, tmp_path, capsys):
+        # The Moz Top 500 lists root domains: each is requested as http://.
+        runs = {}
+        for name, line in (("http", "http://m{}.example\n"), ("root", "m{}.example\n")):
+            root = tmp_path / name
+            store = FixtureStore(root / "fixtures")
+            build_fixture_corpus(store.root)
+            for i in (0, 1, 2, 3, 5):  # m4 is dead
+                for method, uri in (("HEAD", "http://m{}.example"), ("GET", AGG.format(uri="http://m{}.example"))):
+                    store.save(method, uri.format(i), store.load(method, uri.format(i) + "/"))
+            config_path = write_config(root, store.root)
+            (root / "moz.txt").write_text("".join(line.format(i) for i in range(6)))
+            assert main(["discover", "--config", str(config_path)]) == 0
+            rows = (root / "out" / "urirs.tsv").read_text("utf-8").split("\n")[1:-1]
+            runs[name] = capsys.readouterr().out, [row.split("\t") for row in rows]
+        (out, rows), (root_out, root_rows) = runs.values()
+        assert "selected URI-Rs: 4" in out and root_out == out
+        # uri, canonical_key, final_uri, path_bucket, source, live_status
+        assert [row[1:] for row in root_rows] == [row[1:] for row in rows]
+        assert [row[0] for row in root_rows] == ["m0.example", "m1.example", "m2.example", "m5.example"]
+        assert [row[2] for row in root_rows] == [f"http://m{i}.example" for i in (0, 1, 2, 5)]
+
     @pytest.mark.parametrize(
         "change, named",
         [

@@ -17,6 +17,7 @@ from mementoset import (
     FetchPolicy,
     FixtureStore,
     FixtureTransport,
+    MalformedUri,
     Memento,
     NetworkError,
     NoTimeMapEndpoint,
@@ -117,6 +118,21 @@ class TestAggregatorFetch:
         # Each page fetched exactly once.
         gets = [u for (m, u) in transport.requests if m == "GET"]
         assert len(gets) == len(set(gets)) == 2
+
+    @pytest.mark.parametrize("link", ["ftp://agg.test/page2", "/page2", "http://agg..test/page2"])
+    def test_a_page_link_the_client_refuses_fails_the_fetch_unsent(self, registry, link):
+        urir = "http://paged.example/"
+        page1 = (
+            f'<{urir}>; rel="original",\n<{link}>; rel="timemap",\n'
+            f'<http://web.archive.org/web/20000101000000/{urir}>; '
+            'rel="memento"; datetime="Sat, 01 Jan 2000 00:00:00 GMT"'
+        )
+        transport = FakeTransport()
+        transport.add("GET", AGG.format(uri=urir), 200, body=page1)
+        client = make_client(transport, registry)
+        with pytest.raises(MalformedUri, match=re.escape(link)):
+            client.fetch_timemap_aggregator(urir)
+        assert transport.requests == [("GET", AGG.format(uri=urir))]
 
     def test_page_chain_is_bounded(self, registry):
         from mementoset.client import MAX_TIMEMAP_PAGES

@@ -18,7 +18,7 @@ from mementoset import (
     method2_expand,
     select_initial,
 )
-from mementoset.canonical import original_resource
+from mementoset.canonical import original_resource, surt
 from mementoset.discovery import MementoCollection, SelectionState, embedded_urir
 from mementoset.linkformat import TimeMapReducer
 from mementoset.model import RawScheme, default_registry, raw_variant
@@ -177,6 +177,94 @@ class TestExtractUrirs:
         assert extract_urirs_from_html(html, "http://h/") == ["http://h/y", "http://h/z"]
 
 
+CAFE = '<a href="caf\u00e9.html">c</a>'
+CAFE_LINK = ["http://a.com/caf\u00e9.html"]
+HTML = {"Content-Type": "text/html"}
+
+
+class TestPageEncodingAndBase:
+    """A raw page is decoded by WHATWG HTML's sniffing, cut down (a BOM, the
+    Content-Type charset, a <meta> charset in the first 1,024 bytes, then
+    UTF-8 if it decodes strictly, else windows-1252), and its links resolve
+    against its Link: rel="original" when the response carries one."""
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])  # utf-16 writes its BOM
+    def test_a_bom(self, encoding):
+        page = CAFE.encode(encoding)
+        declared = {"Content-Type": "text/html; charset=iso-8859-1"}  # a BOM wins over it
+        assert extract_urirs_from_html(page, "http://a.com/", declared) == CAFE_LINK
+
+    def test_the_content_type_charset(self):
+        page = CAFE.encode("latin-1")
+        declared = {"content-type": 'text/html; Charset="ISO-8859-1"'}
+        assert extract_urirs_from_html(page, "http://a.com/", declared) == CAFE_LINK
+
+    @pytest.mark.parametrize("meta", [
+        '<meta charset="iso-8859-1">',
+        "<META http-equiv='Content-Type' content='text/html; charset=windows-1252'>",
+    ])
+    def test_a_meta_charset_in_the_first_1024_bytes(self, meta):
+        page = (meta + CAFE).encode("latin-1")
+        assert extract_urirs_from_html(page, "http://a.com/", HTML) == CAFE_LINK
+
+    def test_a_meta_charset_past_the_first_1024_bytes_is_not_read(self):
+        page = (" " * 1024 + '<meta charset="koi8-r">' + CAFE).encode("latin-1")
+        assert extract_urirs_from_html(page, "http://a.com/", HTML) == CAFE_LINK  # windows-1252
+        assert extract_urirs_from_html(page[1024:], "http://a.com/", HTML) != CAFE_LINK
+
+    def test_utf8_when_it_decodes_strictly(self):
+        page = CAFE.encode("utf-8")
+        assert extract_urirs_from_html(page, "http://a.com/", HTML) == CAFE_LINK
+
+    def test_windows_1252_when_utf8_does_not_decode(self):
+        page = '<a href="\u201cq\u201d.html">q</a>'.encode("windows-1252")
+        assert extract_urirs_from_html(page, "http://a.com/") == ["http://a.com/\u201cq\u201d.html"]
+
+    @pytest.mark.parametrize("label", ["x-no-such-charset", "base64", "idna", ""])
+    def test_an_unknown_label_falls_through_to_the_next_step(self, label):
+        page = ('<meta charset="iso-8859-1">' + CAFE).encode("latin-1")
+        declared = {"Content-Type": f"text/html; charset={label}"}
+        assert extract_urirs_from_html(page, "http://a.com/", declared) == CAFE_LINK
+
+    def test_a_wrong_declared_charset_is_obeyed(self):
+        page = ('<meta charset="windows-1252">' + CAFE).encode("utf-8")
+        assert extract_urirs_from_html(page, "http://a.com/", HTML) == ["http://a.com/caf\u00c3\u00a9.html"]
+
+    def test_the_link_header_original_is_the_base(self):
+        headers = {"Link": '<http://b.org/d/p.html>; rel="original", '
+                           '<http://b.org/tm>; rel="timemap"; type="application/link-format"'}
+        page = b'<a href="x.html">x</a>'
+        assert extract_urirs_from_html(page, "http://a.com/", headers) == ["http://b.org/d/x.html"]
+        page = b'<base href="../e/"><a href="x.html">x</a>'  # resolved against it
+        assert extract_urirs_from_html(page, "http://a.com/", headers) == ["http://b.org/e/x.html"]
+
+    @pytest.mark.parametrize("link", ['<http://b.org/>; rel="timemap"', "not link-format", ""])
+    def test_a_link_header_without_an_original_leaves_the_base(self, link):
+        headers = {"Link": link, "Content-Type": "text/html"}
+        assert extract_urirs_from_html(b'<a href="x.html">x</a>', "http://a.com/", headers) == [
+            "http://a.com/x.html"
+        ]
+
+    def test_method2_reads_the_raw_responses_charset_and_original(self, registry):
+        urir = "http://www.w3.org/"
+        collection = seed_collection(registry, "vefsafn.is", urir, ["20041020191800"])
+        transport = FakeTransport()
+        raw_urim = "http://wayback.vefsafn.is/wayback/20041020191800id_/http://www.w3.org/"
+        headers = {
+            "Memento-Datetime": "Wed, 20 Oct 2004 19:18:00 GMT",
+            "Content-Type": "text/html; charset=iso-8859-1",
+            "Link": '<http://www.w3.org/Style/>; rel="original"',
+        }
+        transport.add("GET", raw_urim, 200, headers, CAFE.encode("latin-1"))
+        found = "http://www.w3.org/Style/caf\u00e9.html"
+        transport.add("GET", AGG_TEMPLATE.format(uri=found), 200,
+                      body=multi_archive_timemap(found, ["wayback.vefsafn.is"]))
+        client = make_client(transport, registry)
+        added = method2_expand(client.registry.get("vefsafn.is"), collection, client, min_urirs=2)
+        assert [r.urir.uri for r in added] == [found]
+        assert transport.requests == [("GET", raw_urim), ("GET", AGG_TEMPLATE.format(uri=found))]
+
+
 def keep_accepted(records):
     """An ``on_commit`` callback that appends each accepted candidate's record."""
 
@@ -296,6 +384,46 @@ class TestSelectInitial:
         assert results[1].record is None
         # The second spelling's redirect is followed; its TimeMap is not asked for.
         assert transport.requests.count(("GET", AGG_TEMPLATE.format(uri=final))) == 1
+
+    @pytest.mark.parametrize("candidate, absolute", [
+        ("www.example.com", "http://www.example.com"),
+        ("example.com", "http://example.com"),
+        ("//example.com/x", "http://example.com/x"),
+        ("example.com:8080/x", "http://example.com:8080/x"),
+    ])
+    def test_a_bare_host_is_requested_in_the_absolute_form_it_is_keyed_by(
+        self, registry, candidate, absolute
+    ):
+        transport = FakeTransport()
+        transport.add("HEAD", absolute, 200)
+        transport.add("GET", AGG_TEMPLATE.format(uri=absolute), 200, body=timemap_body(absolute, 1))
+        accepted = select_initial(
+            [(candidate, "moz")], make_client(transport, registry), SelectionState()
+        )
+        assert transport.requests == [("HEAD", absolute), ("GET", AGG_TEMPLATE.format(uri=absolute))]
+        (resource,) = accepted
+        assert (resource.uri, resource.final_uri) == (candidate, absolute)
+        assert resource.canonical_key == surt(candidate) == surt(absolute)
+
+    @pytest.mark.parametrize("location, reason", [
+        ("http://a.example/x y", "whitespace or control character in URI"),
+        ("http://a.example/x\u2028y", "whitespace or control character in URI"),
+        ("ftp://files.example/x", "not an absolute http(s) URI"),
+        ("http://a..example/x", "not an absolute http(s) URI"),
+    ])
+    def test_a_location_the_crawler_refuses_is_never_requested(self, registry, location, reason):
+        transport = FakeTransport()
+        start = "http://a.example/"
+        transport.add("HEAD", start, 301, {"Location": location})
+        results = []
+        select_initial(
+            [(start, "moz")], make_client(transport, registry), SelectionState(),
+            on_commit=results.append,
+        )
+        assert transport.requests == [("HEAD", start)]
+        (result,) = results
+        assert result.accepted is None
+        assert result.reason == f"error: {reason}: {location!r}"
 
     def test_original_keyed_differently_is_rekeyed(self, registry):
         # The aggregator names the URI-R with a trailing slash the candidate lacks.

@@ -635,14 +635,17 @@ WAYBACK_URIMS = (
     f"http://a0.test/web/20000101000000/{URIR} x",
 )
 # Attributed hosts in several spellings, an unregistered one, URI-Ms whose
-# host only the general path reads or that have none, an attributed URI-M
-# holding a tab, a CR or an LF, which is read but never kept, and the above.
+# host only the general path reads or that have none, ones of a registered
+# host that model.parse_http_uri refuses (an empty label, a port past 65535),
+# an attributed URI-M holding a tab, a CR or an LF, which is read but never
+# kept, and the above.
 URIMS = tuple(
     f"{prefix}/web/2000{i}/{URIR}"
     for i, prefix in enumerate([
         "http://a0.test", "http://a0.test", "HTTP://A0.Test:80", "http://x.a0.test",
         "http://a1.test", "https://alias1.test", "http://unknown.test",
         "http://user@a1.test", "http://:80", "ftp://a0.test",
+        "http://x..a0.test", "http://a0.test:65536", "http://a0.test..:0065535",
     ])
 ) + ("not-a-uri",) + tuple(
     f"http://a0.test/web/20000101000000/http://site.test/x{c}y" for c in "\t\r\n"
@@ -871,6 +874,12 @@ class TestReducerMatchesFullRecords:
          f'<http://a0.test/web/20000101000000/{URIR}>; rel="memento"; datetime="{DATES[0]}"'],
         URIR, None, None,
     )
+    @example(  # plain members of a registered host that model.parse_http_uri refuses or reads
+        [f'<{URIR}>; rel="original",\n' + ",\n".join(
+            memento_member(i, "memento", DATES[3 + i % 2], "") for i in (10, 11, 12)
+        )],
+        URIR, None, None,
+    )
     def test_adding_the_reduced_record_stores_what_the_full_record_does(
         self, pages, hint, archive, stored
     ):
@@ -989,6 +998,10 @@ class TestReaderMatchesFullRecords:
     @example(  # no registry, served by a0: every memento is a0's
         [f'{memento_member(6, "memento", DATES[0], "")},\n{memento_member(9, "memento", DATES[1], "")}'],
         URIR, REDUCER_REGISTRY.get("a0"), None,
+    )
+    @example(  # plain members of a registered host that model.parse_http_uri refuses or reads
+        [",\n".join(memento_member(i, "memento", DATES[0], "") for i in (10, 11, 12))],
+        URIR, None, REDUCER_REGISTRY,
     )
     def test_reading_pages_gives_the_full_record(self, pages, hint, archive, registry):
         assert intake(read_record, pages, hint, registry, archive) == intake(

@@ -303,6 +303,11 @@ BAD_FIELDS = [
     ("live_status", -5),
     ("uri", "http://a.example/x y"),
     ("final_uri", "http://a.example/x\u2028y"),
+    # A URI-R that is not read as written, or a walk's end the client would not send.
+    ("uri", "mailto:x@a.example"),
+    ("final_uri", "ftp://x.example/"),
+    ("final_uri", "http://a..example/"),
+    ("final_uri", "a.example"),
 ]
 
 

@@ -32,7 +32,7 @@ from mementoset import (
     SelectionState,
     select_initial,
 )
-from mementoset.canonical import path_length, registrable_domain, surt
+from mementoset.canonical import kept_uri, path_length, registrable_domain, surt
 from mementoset.client import StepLoop, equivalent_uri
 from mementoset.pipeline import DiscoveryPipeline
 from mementoset.sampler import probe_archives
@@ -50,7 +50,8 @@ HOST = st.lists(LABEL, min_size=1, max_size=3).map(".".join)
 SEGMENT = st.text(string.ascii_letters + string.digits + "-._~%", max_size=6)
 PATH = st.lists(SEGMENT, max_size=3).map(lambda segments: "".join(f"/{s}" for s in segments))
 QUERY = st.none() | st.text(string.ascii_letters + string.digits + "=&/?", max_size=8)
-FRAGMENT = st.none() | st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=8)
+# A fragment the kept-URI rule refuses makes the URI one the client refuses.
+FRAGMENT = st.none() | st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=8).filter(kept_uri)
 RESOURCE = st.tuples(st.sampled_from(sorted(DEFAULT_PORTS)), HOST, PATH, QUERY)
 
 
@@ -121,6 +122,21 @@ class TestRequestKey:
         for uri in ("http://host:99999/", "http://host:port/", "http://[::1/"):
             with pytest.raises(MalformedUri):
                 client.resolve(uri)
+        assert transport.requests == []
+
+    @pytest.mark.parametrize("uri", [
+        "http://a.example/x y", "http://a.example/#x\u2028y", "ftp://files.example/x",
+        "http://a..example/", "http:///x", "www.example.com", "//example.com/x", "example.com:8080/x",
+    ])
+    def test_a_uri_the_crawler_refuses_is_never_sent(self, registry, uri):
+        transport = FakeTransport()
+        client = make_client(transport, registry)
+        with pytest.raises(MalformedUri):
+            client.request("GET", uri)
+        with pytest.raises(MalformedUri):
+            client.resolve(uri)
+        with pytest.raises(MalformedUri):
+            equivalent_uri(uri)
         assert transport.requests == []
 
 
